@@ -17,7 +17,6 @@ from .errors import (
     InvalidExponent,
     InvalidK,
     InvalidProblem,
-    NoMissing,
     NotFound,
     NotPrefixK,
     NumericalError,

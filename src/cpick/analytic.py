@@ -1,9 +1,10 @@
 """Evaluable analytic machinery on the unit disk.
 
-Provides the elementary Möbius disk automorphisms, a Schur-Nevanlinna
-recursion solving the classical Nevanlinna-Pick problem, Taylor coefficient
-extraction by sampling the Cauchy integral on a circle, and sup-norm
-estimation on circles.
+Provides a Schur-Nevanlinna recursion solving the classical Nevanlinna-Pick
+problem, Taylor coefficient extraction by sampling the Cauchy integral on a
+circle, and sup-norm estimation on circles.  The Möbius disk automorphisms,
+the classical Pick matrix and the PSD verdict the solver starts from live in
+``pickmat``; ``mobius`` and ``mobius_inverse`` are re-exported from here.
 
 The solver returns a ``SchurFunction``: a chain of fractional-linear
 reduction records plus a terminal constant.  Each reduction step divides
@@ -18,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, Infeasible, InvalidConfig, InvalidProblem
+from .errors import Infeasible, InvalidConfig, InvalidProblem
+from .pickmat import BOUNDARY_TOL, _check_closed_disk, _mobius, classical_pick, psd_check
+from .pickmat import mobius, mobius_inverse  # re-exported
 
 __all__ = [
     "SchurFunction",
@@ -31,8 +34,6 @@ __all__ = [
     "sup_norm_estimate",
 ]
 
-# Absolute slack when testing membership of the closed disk / circle.
-BOUNDARY_TOL = 1e-12
 # Reduced targets drifting this far past the circle mean genuinely bad data.
 OVERSHOOT_TOL = 1e-9
 # When a reduced target lands on the circle the remaining data must agree
@@ -40,38 +41,6 @@ OVERSHOOT_TOL = 1e-9
 CONSTANT_MATCH_TOL = 1e-8
 # Below this Pick-matrix eigenvalue floor results are flagged low confidence.
 LOW_CONFIDENCE_EIG = 1e-6
-
-
-def _check_closed_disk(z, label: str):
-    z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) > 1.0 + BOUNDARY_TOL):
-        worst = np.max(np.abs(z))
-        raise DomainError(f"{label} must lie in the closed unit disk, got modulus {worst:.6g}")
-    return z
-
-
-def _check_open_disk(z: complex, label: str) -> complex:
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise DomainError(f"{label} must lie strictly inside the unit disk, got modulus {abs(z):.6g}")
-    return z
-
-
-def mobius(lam: complex, z):
-    """Elementary disk automorphism (z - lam) / (1 - conj(lam) z).
-
-    Vanishes at lam, maps the open disk onto itself and the circle onto the
-    circle.  Accepts a scalar or an ndarray for z (closed disk).
-    """
-    lam = _check_open_disk(lam, "Möbius parameter")
-    z = _check_closed_disk(z, "Möbius argument")
-    out = (z - lam) / (1.0 - np.conj(lam) * z)
-    return complex(out) if out.ndim == 0 else out
-
-
-def mobius_inverse(lam: complex, z):
-    """The inverse automorphism, i.e. ``mobius(-lam, z)``."""
-    return mobius(-complex(lam), z)
 
 
 @dataclass(frozen=True)
@@ -104,9 +73,7 @@ def evaluate(f: SchurFunction, z):
     scalar = z.ndim == 0
     g = np.full_like(z, complex(f.tail)) if not scalar else complex(f.tail)
     for node, val in reversed(f.steps):
-        blaschke = (z - node) / (1.0 - np.conj(node) * z)
-        x = blaschke * g
-        g = (x + val) / (1.0 + np.conj(val) * x)
+        g = _mobius(-val, _mobius(node, z) * g)
     return complex(g) if scalar else g
 
 
@@ -114,9 +81,8 @@ def np_solve(nodes, values, tol: float = 1e-9) -> SchurFunction:
     """Solve the classical Nevanlinna-Pick problem by Schur reduction.
 
     Finds F with |F| <= 1 on the disk and F(nodes[i]) = values[i].  The
-    associated Pick matrix [(1 - v_i conj(v_j)) / (1 - z_i conj(z_j))] is
-    checked for positive semidefiniteness (relative tolerance ``tol``)
-    before any reduction; failure raises ``Infeasible``.
+    classical Pick matrix must pass ``psd_check`` at ``tol`` before any
+    reduction; failure raises ``Infeasible``.
 
     Each step consumes one node: with current target u_j strictly inside the
     disk, remaining targets become mobius(u_j, u_i) / blaschke_{z_j}(z_i).
@@ -128,26 +94,18 @@ def np_solve(nodes, values, tol: float = 1e-9) -> SchurFunction:
     values = [complex(v) for v in values]
     if len(nodes) != len(values):
         raise InvalidProblem(f"{len(nodes)} nodes vs {len(values)} values")
-    if len(set(nodes)) != len(nodes):
-        raise InvalidProblem("interpolation nodes must be distinct")
-    for z in nodes:
-        _check_open_disk(z, "interpolation node")
-    for v in values:
-        if abs(v) > 1.0 + BOUNDARY_TOL:
-            raise DomainError(f"target modulus {abs(v):.6g} exceeds 1")
+    _check_closed_disk(values, "targets")
     n = len(nodes)
     if n == 0:
         return SchurFunction(steps=(), tail=0j)
 
-    zs = np.array(nodes)
-    vs = np.array(values)
-    pick = (1.0 - np.outer(vs, vs.conj())) / (1.0 - np.outer(zs, zs.conj()))
-    pick = 0.5 * (pick + pick.conj().T)
-    min_eig = float(np.linalg.eigvalsh(pick)[0])
-    scale = max(1.0, float(np.max(np.sum(np.abs(pick), axis=1))))
-    if min_eig < -tol * scale:
-        raise Infeasible(f"Pick matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})")
-    low_confidence = min_eig < LOW_CONFIDENCE_EIG
+    # classical_pick also rejects repeated nodes and nodes off the open disk
+    verdict = psd_check(classical_pick(nodes, values), tol)
+    if not verdict.is_psd:
+        raise Infeasible(
+            f"Pick matrix is not positive semidefinite (min eigenvalue {verdict.min_eigenvalue:.3e})"
+        )
+    low_confidence = verdict.min_eigenvalue < LOW_CONFIDENCE_EIG
 
     steps: list[tuple[complex, complex]] = []
     targets = list(values)
@@ -169,10 +127,8 @@ def np_solve(nodes, values, tol: float = 1e-9) -> SchurFunction:
             tail = u
             break
         steps.append((nodes[j], complex(u)))
-        zj = nodes[j]
         for i in range(j + 1, n):
-            blaschke = (nodes[i] - zj) / (1.0 - zj.conjugate() * nodes[i])
-            targets[i] = complex((targets[i] - u) / (1.0 - u.conjugate() * targets[i]) / blaschke)
+            targets[i] = complex(_mobius(u, targets[i]) / _mobius(nodes[j], nodes[i]))
     return SchurFunction(steps=tuple(steps), tail=tail, low_confidence=low_confidence)
 
 

@@ -25,7 +25,7 @@ from .errors import CPickError, NotFound, NotPrefixK
 from .kset import KSpec, complement_structure, is_algebra, smallest_missing
 from .analytic import SchurFunction
 from .feasibility import Problem, SearchConfig, find_lambda
-from .interp import Interpolant, construct, exponent_plan, necessary_check, verify_interpolant
+from .interp import Interpolant, _certified_negative, construct, exponent_plan, verify_interpolant
 
 log = logging.getLogger("cpick")
 
@@ -222,7 +222,7 @@ def cmd_feasible(args) -> int:
             "best_min_eigenvalue": result.best_min_eigenvalue,
             "evaluations": result.evaluations,
             "pinned": result.pinned,
-            "certified": result.feasible or result.pinned,
+            "certified": result.feasible or _certified_negative(result, args.mode),
             "config": _config_echo(cfg, args),
         }
     )

@@ -9,15 +9,6 @@ class InvalidK(CPickError):
     """A constraint-set description is malformed (empty, nonpositive, unsorted)."""
 
 
-class NoMissing(CPickError):
-    """Raised when the complement of K is empty.
-
-    Cannot occur for constraint sets built from a finite gap description,
-    whose complement is always infinite; kept so the contract of
-    ``smallest_missing`` is explicit.
-    """
-
-
 class Unsupported(CPickError):
     """Operation requires the algebra property (or a proper nonempty K)."""
 

@@ -8,6 +8,9 @@ the feasible region has no known description and the search is heuristic:
 a coarse polar grid followed by a derivative-free simplex refinement of the
 smallest eigenvalue.  A positive answer carries a verifiable witness; a
 negative answer is evidence only, except in the pinned case.
+
+The search evaluates one ``pickmat.PickBuilder`` per problem; the final
+verdict is ``psd_check`` of ``constrained_pick`` at the chosen parameter.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidConfig, InvalidExponent, InvalidProblem
-from .pickmat import constrained_pick, psd_check
+from .errors import DomainError, InvalidConfig, InvalidProblem
+from .pickmat import PickBuilder, _check_open_disk, constrained_pick, psd_check
 
 __all__ = [
     "Problem",
@@ -94,18 +97,21 @@ class SearchConfig:
     def from_json(obj: dict) -> "SearchConfig":
         if not isinstance(obj, dict):
             raise InvalidConfig(f"search config must be a JSON object, got {type(obj).__name__}")
-        known = {"radii", "angles", "refine_iters", "tol"}
-        unknown = set(obj) - known
+        casts = {
+            "radii": lambda v: tuple(float(r) for r in v),
+            "angles": int,
+            "refine_iters": int,
+            "tol": float,
+        }
+        unknown = set(obj) - set(casts)
         if unknown:
             raise InvalidConfig(f"unknown search config keys: {sorted(unknown)}")
         kwargs = {}
-        if "radii" in obj:
-            kwargs["radii"] = tuple(float(r) for r in obj["radii"])
-        for key in ("angles", "refine_iters"):
-            if key in obj:
-                kwargs[key] = int(obj[key])
-        if "tol" in obj:
-            kwargs["tol"] = float(obj["tol"])
+        for key, value in obj.items():
+            try:
+                kwargs[key] = casts[key](value)
+            except (TypeError, ValueError) as exc:
+                raise InvalidConfig(f"search config field {key!r} is malformed, got {value!r}") from exc
         return SearchConfig(**kwargs)
 
 
@@ -115,8 +121,8 @@ class FeasibilityResult:
 
     ``lambda_`` is present exactly when ``feasible`` and then re-verifies
     under ``psd_check`` at the search tolerance.  ``pinned`` marks the exact
-    single-point search forced by a node at the origin; only then is a
-    negative verdict certified rather than heuristic.
+    single-point search forced by a node at the origin; only then can a
+    negative verdict be certified, and only for a necessary criterion.
     """
 
     feasible: bool
@@ -134,44 +140,12 @@ def min_eig_objective(lam: complex, problem: Problem, E: int, d: int) -> float:
     reported is the informative eigenvalue of the reduced block (0.0 if
     nothing remains).  Continuous in lam on the open disk.
     """
-    lam = complex(lam)
-    keep = [
-        i
-        for i, z in enumerate(problem.nodes)
-        if not (z == 0 and problem.targets[i] == lam)
-    ]
-    if not keep:
+    lam = _check_open_disk(lam, "Möbius parameter")
+    kept = [(z, w) for z, w in zip(problem.nodes, problem.targets) if not (z == 0 and w == lam)]
+    if not kept:
         return 0.0
-    nodes = [problem.nodes[i] for i in keep]
-    targets = [problem.targets[i] for i in keep]
-    m = constrained_pick(nodes, targets, lam, E, d)
-    return float(np.linalg.eigvalsh(m.entries)[0])
-
-
-def _objective_factory(problem: Problem, E: int, d: int):
-    """Precompute the lam-independent matrix blocks for the search hot loop.
-
-    Agrees with ``min_eig_objective`` to roundoff; only the Möbius images of
-    the targets depend on lam, so the outer products of the node powers and
-    the denominator are cached across the whole grid.
-    """
-    if d < 1 or E < 1 or E % d != 0:
-        raise InvalidExponent(f"exponents must be positive with d | E, got E={E}, d={d}")
-    z = np.array(problem.nodes)
-    if len(set((z**d).tolist())) != len(z):
-        raise InvalidProblem("nodes and their d-th powers must both be distinct")
-    w = np.array(problem.targets)
-    ze = z**E
-    powers = np.outer(ze, ze.conj())
-    den = 1.0 - np.outer(z, z.conj()) ** d
-
-    def objective(lam: complex) -> float:
-        phi = (w - lam) / (1.0 - np.conjugate(lam) * w)
-        m = (powers - np.outer(phi, phi.conj())) / den
-        m = 0.5 * (m + m.conj().T)
-        return float(np.linalg.eigvalsh(m)[0])
-
-    return objective
+    nodes, targets = zip(*kept)
+    return PickBuilder(nodes, targets, E, d).min_eigenvalue(lam)
 
 
 def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = None) -> FeasibilityResult:
@@ -201,12 +175,12 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
         )
 
     evaluations = 0
-    raw_objective = _objective_factory(problem, E, d)
+    pick = PickBuilder(problem.nodes, problem.targets, E, d)
 
     def objective(lam: complex) -> float:
         nonlocal evaluations
         evaluations += 1
-        return raw_objective(lam)
+        return pick.min_eigenvalue(lam)
 
     scored: list[tuple[float, int, int, complex]] = []
     seen: set[complex] = set()

@@ -33,7 +33,8 @@ from .errors import InvalidProblem, NotFound, NotPrefixK, Unsupported
 from .kset import KSpec, complement_structure, contains, is_algebra, smallest_missing, _conductor
 from .analytic import SchurFunction, evaluate, np_solve, sup_norm_estimate, taylor_coeffs
 from .bruno import compose_derivative
-from .feasibility import Problem, SearchConfig, find_lambda
+from .feasibility import FeasibilityResult, Problem, SearchConfig, find_lambda
+from .pickmat import _mobius
 
 __all__ = [
     "Interpolant",
@@ -78,9 +79,7 @@ class Interpolant:
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         w = z**self.d
-        inner = w**self.m * evaluate(self.h, w)
-        lam = complex(self.lambda_)
-        out = (inner + lam) / (1.0 + np.conj(lam) * inner)
+        out = _mobius(-complex(self.lambda_), w**self.m * evaluate(self.h, w))
         return complex(out) if out.ndim == 0 else out
 
 
@@ -143,6 +142,14 @@ def _require_algebra(k: KSpec) -> None:
         raise Unsupported("constraint set is empty")
 
 
+def _certified_negative(result: FeasibilityResult, mode: Mode) -> bool:
+    """Whether a failed search proves that no interpolant exists.
+
+    Only a pinned (exact) search does, and only for a criterion necessary for existence.
+    """
+    return not result.feasible and result.pinned and mode in ("iff", "necessary")
+
+
 def _is_prefix(k: KSpec) -> bool:
     return k.d == 1 and bool(k.gaps) and k.gaps == tuple(range(1, len(k.gaps) + 1))
 
@@ -199,7 +206,7 @@ def construct(
         raise NotFound(
             f"no feasible parameter found (best eigenvalue {result.best_min_eigenvalue:.3e})",
             result=result,
-            certified=result.pinned and mode == "iff",
+            certified=_certified_negative(result, mode),
         )
     lam = result.lambda_
     h_nodes = []
@@ -207,7 +214,7 @@ def construct(
     for z, w in zip(problem.nodes, problem.targets):
         if z == 0:
             continue  # its condition is exactly lam = w, consumed by the pinning
-        v = complex((w - lam) / (1.0 - np.conj(lam) * w)) / z**E
+        v = complex(_mobius(lam, w)) / z**E
         mag = abs(v)
         if 1.0 < mag <= 1.0 + TARGET_CLAMP_SLACK:
             v /= mag
@@ -229,7 +236,7 @@ def necessary_check(problem: Problem, k: KSpec, cfg: SearchConfig | None = None)
     return NecessaryReport(
         passes=result.feasible,
         witness=result.lambda_,
-        certified_negative=(not result.feasible) and result.pinned,
+        certified_negative=_certified_negative(result, "necessary"),
         pinned=result.pinned,
         best_min_eigenvalue=result.best_min_eigenvalue,
     )
@@ -337,7 +344,7 @@ def roundtrip_generate(k: KSpec, n: int, seed: int) -> tuple[Problem, Interpolan
     def h_true(v: complex) -> complex:
         out = 0.9
         for a in factors:
-            out *= (v - a) / (1.0 - np.conj(a) * v)
+            out *= _mobius(a, v)
         return complex(out)
 
     nodes: list[complex] = []
@@ -348,10 +355,7 @@ def roundtrip_generate(k: KSpec, n: int, seed: int) -> tuple[Problem, Interpolan
             nodes.append(z)
 
     h_at_nodes = [h_true(z**d) for z in nodes]
-    targets = []
-    for z, hv in zip(nodes, h_at_nodes):
-        inner = z**E * hv
-        targets.append(complex((inner + lam) / (1.0 + np.conj(lam) * inner)))
+    targets = [complex(_mobius(-lam, z**E * hv)) for z, hv in zip(nodes, h_at_nodes)]
     problem = Problem(nodes=tuple(nodes), targets=tuple(targets))
     h = np_solve([z**d for z in nodes], h_at_nodes)
     return problem, Interpolant(lambda_=lam, m=m, d=d, h=h)

@@ -100,7 +100,7 @@ class KSpec:
             gaps = obj["gaps"]
             if not isinstance(gaps, list):
                 raise InvalidK('"gaps" must be a list of positive integers')
-            return KSpec(d=obj["d"], gaps=tuple(sorted(set(int(g) for g in gaps))))
+            return KSpec(d=obj["d"], gaps=tuple(sorted(set(_integers(gaps, "gaps")))))
         raise InvalidK('constraint set needs either {"K": [...]} or {"d":..., "gaps": [...]}')
 
 
@@ -118,9 +118,17 @@ class ComplementStructure:
     n0: int
 
 
+def _integers(values, field: str) -> list[int]:
+    """``values`` converted by ``int``; ``InvalidK`` names the field otherwise."""
+    try:
+        return [int(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise InvalidK(f'"{field}" entries must be integers, got {values!r}') from exc
+
+
 def from_finite_set(k_list) -> KSpec:
     """Build the KSpec of a finite constraint set (scale 1, gaps = the set)."""
-    members = sorted(set(int(n) for n in k_list))
+    members = sorted(set(_integers(k_list, "K")))
     if not members:
         raise InvalidK("finite constraint set must be nonempty")
     if members[0] < 1:

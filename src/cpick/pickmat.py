@@ -1,4 +1,11 @@
-"""Pick matrices for classical and derivative-constrained interpolation.
+"""Pick matrices, the Möbius map they are built from, and the PSD verdict.
+
+This module is the one home of three objects.  The disk automorphism
+phi_lam(z) = (z - lam) / (1 - conj(lam) z) is the unchecked kernel
+``_mobius`` that every module calls; ``mobius`` checks its arguments first.
+The constrained Pick matrix is ``PickBuilder``, used by ``constrained_pick``,
+``feasibility.min_eig_objective`` and the parameter search.  The PSD verdict
+is ``psd_check``; ``analytic.np_solve`` applies it too.
 
 The classical matrix [(1 - w_i conj(w_j)) / (1 - z_i conj(z_j))] decides
 plain Nevanlinna-Pick solvability.  The constrained variant replaces the
@@ -25,16 +32,58 @@ from .errors import (
     InvalidProblem,
     NumericalError,
 )
-from .analytic import mobius, mobius_inverse
 
 __all__ = [
     "HermitianMatrix",
     "PsdVerdict",
+    "mobius",
+    "mobius_inverse",
     "classical_pick",
     "constrained_pick",
     "psd_check",
     "factorization_residual",
 ]
+
+# Absolute slack when testing membership of the closed disk / circle.
+BOUNDARY_TOL = 1e-12
+
+
+def _check_closed_disk(z, label: str):
+    z = np.asarray(z, dtype=complex)
+    if np.any(np.abs(z) > 1.0 + BOUNDARY_TOL):
+        worst = np.max(np.abs(z))
+        raise DomainError(f"{label} must lie in the closed unit disk, got modulus {worst:.6g}")
+    return z
+
+
+def _check_open_disk(z, label: str):
+    """A scalar as a Python complex, a sequence as a complex array."""
+    a = np.asarray(z, dtype=complex)
+    if np.any(np.abs(a) >= 1.0):
+        worst = np.max(np.abs(a))
+        raise DomainError(f"{label} must lie strictly inside the unit disk, got modulus {worst:.6g}")
+    return complex(a) if a.ndim == 0 else a
+
+
+def _mobius(lam, z):
+    """phi_lam(z) without argument checks; ``_mobius(-lam, .)`` is its inverse."""
+    return (z - lam) / (1.0 - lam.conjugate() * z)
+
+
+def mobius(lam: complex, z):
+    """Elementary disk automorphism (z - lam) / (1 - conj(lam) z).
+
+    Vanishes at lam, maps the open disk onto itself and the circle onto the
+    circle.  Accepts a scalar or an ndarray for z (closed disk).
+    """
+    lam = _check_open_disk(lam, "Möbius parameter")
+    out = _mobius(lam, _check_closed_disk(z, "Möbius argument"))
+    return complex(out) if out.ndim == 0 else out
+
+
+def mobius_inverse(lam: complex, z):
+    """The inverse automorphism, i.e. ``mobius(-lam, z)``."""
+    return mobius(-complex(lam), z)
 
 
 class HermitianMatrix:
@@ -78,16 +127,9 @@ class PsdVerdict:
     tolerance_used: float
 
 
-def _as_disk_nodes(nodes, label: str) -> np.ndarray:
-    z = np.asarray([complex(v) for v in nodes], dtype=complex)
-    if np.any(np.abs(z) >= 1.0):
-        raise DomainError(f"{label} must lie strictly inside the unit disk")
-    return z
-
-
 def classical_pick(nodes, values) -> HermitianMatrix:
     """Classical Pick matrix [(1 - v_i conj(v_j)) / (1 - z_i conj(z_j))]."""
-    z = _as_disk_nodes(nodes, "nodes")
+    z = _check_open_disk(nodes, "nodes")
     v = np.asarray([complex(x) for x in values], dtype=complex)
     if len(z) != len(v):
         raise InvalidProblem(f"{len(z)} nodes vs {len(v)} values")
@@ -98,8 +140,8 @@ def classical_pick(nodes, values) -> HermitianMatrix:
     return HermitianMatrix(num / den)
 
 
-def constrained_pick(nodes, targets, lam: complex, E: int, d: int) -> HermitianMatrix:
-    """Constrained Pick matrix with numerator exponent E and scale d.
+class PickBuilder:
+    """Constrained Pick matrix of one problem at exponents (E, d), as a function of lam.
 
     Entry (i, j) is
 
@@ -107,24 +149,44 @@ def constrained_pick(nodes, targets, lam: complex, E: int, d: int) -> HermitianM
         / (1 - (z_i conj(z_j))^d),
 
     defined when d divides E, the nodes and their d-th powers are distinct,
-    and the targets and lam lie in the open disk.
+    and the targets lie in the open disk.  The data are checked once, here,
+    and the lam-independent blocks cached; the methods do not check lam.
     """
-    if d < 1 or E < 1:
-        raise InvalidExponent(f"exponents must be positive, got E={E}, d={d}")
-    if E % d != 0:
-        raise InvalidExponent(f"scale d={d} must divide the numerator exponent E={E}")
-    z = _as_disk_nodes(nodes, "nodes")
-    w = _as_disk_nodes(targets, "targets")
-    if len(z) != len(w):
-        raise InvalidProblem(f"{len(z)} nodes vs {len(w)} targets")
-    powers = z**d
-    if len(set(z.tolist())) != len(z) or len(set(powers.tolist())) != len(z):
-        raise InvalidProblem("nodes and their d-th powers must both be distinct")
-    phi = np.asarray(mobius(lam, w), dtype=complex).reshape(len(w))
-    ze = z**E
-    num = np.outer(ze, ze.conj()) - np.outer(phi, phi.conj())
-    den = 1.0 - np.outer(z, z.conj()) ** d
-    return HermitianMatrix(num / den)
+
+    def __init__(self, nodes, targets, E: int, d: int):
+        if d < 1 or E < 1:
+            raise InvalidExponent(f"exponents must be positive, got E={E}, d={d}")
+        if E % d != 0:
+            raise InvalidExponent(f"scale d={d} must divide the numerator exponent E={E}")
+        z = _check_open_disk(nodes, "nodes")
+        w = _check_open_disk(targets, "targets")
+        if len(z) != len(w):
+            raise InvalidProblem(f"{len(z)} nodes vs {len(w)} targets")
+        if len(set(z.tolist())) != len(z) or len(set((z**d).tolist())) != len(z):
+            raise InvalidProblem("nodes and their d-th powers must both be distinct")
+        ze = z**E
+        self._targets = w
+        self._powers = np.outer(ze, ze.conj())
+        self._den = 1.0 - np.outer(z, z.conj()) ** d
+
+    def entries(self, lam: complex) -> np.ndarray:
+        """The matrix at lam, entry by entry (Hermitian up to roundoff)."""
+        phi = _mobius(lam, self._targets)
+        return (self._powers - np.outer(phi, phi.conj())) / self._den
+
+    def min_eigenvalue(self, lam: complex) -> float:
+        """Smallest eigenvalue at lam: the objective of the parameter search."""
+        m = self.entries(lam)
+        return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
+
+
+def constrained_pick(nodes, targets, lam: complex, E: int, d: int) -> HermitianMatrix:
+    """Constrained Pick matrix with numerator exponent E and scale d at lam.
+
+    Entries and conditions as in ``PickBuilder``; lam must lie in the open disk.
+    """
+    pick = PickBuilder(nodes, targets, E, d)
+    return HermitianMatrix(pick.entries(_check_open_disk(lam, "Möbius parameter")))
 
 
 def psd_check(m, tol: float = 1e-9) -> PsdVerdict:
@@ -154,14 +216,13 @@ def factorization_residual(nodes, h_values, lam: complex, E: int, d: int) -> flo
     h-values on the d-th powers of the nodes; the identity is exact, so the
     residual measures floating-point noise only.
     """
-    z = _as_disk_nodes(nodes, "nodes")
+    z = _check_open_disk(nodes, "nodes")
     if np.any(z == 0):
         raise InvalidProblem("factorization requires nonzero nodes (D must be invertible)")
     h = np.asarray([complex(v) for v in h_values], dtype=complex)
     if len(h) != len(z):
         raise InvalidProblem(f"{len(z)} nodes vs {len(h)} h-values")
-    if np.any(np.abs(h) > 1.0 + 1e-12):
-        raise DomainError("h-values must lie in the closed unit disk")
+    _check_closed_disk(h, "h-values")
     ze = z**E
     targets = np.asarray(mobius_inverse(lam, ze * h), dtype=complex).reshape(len(z))
     m1 = constrained_pick(z, targets, lam, E, d).entries

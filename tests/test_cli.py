@@ -35,7 +35,7 @@ def test_check_algebra_exit_codes(run_cli, write_json):
     assert json.loads(out)["complement_structure"] == {"d": 2, "heads": [2, 3], "n0": 4}
 
 
-def test_parse_errors_exit_2(run_cli, tmp_path):
+def test_parse_errors_exit_2(run_cli, write_json, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     code, _, err = run_cli("check-algebra", str(bad))
@@ -47,6 +47,17 @@ def test_parse_errors_exit_2(run_cli, tmp_path):
 
     code, _, err = run_cli("check-algebra", str(tmp_path / "missing.json"))
     assert code == 2
+
+    # malformed numbers are input defects, not "no" verdicts
+    for name, patch, field in [
+        ("radii.json", {"search": {"radii": 0.5}}, "'radii'"),
+        ("tol.json", {"search": {"tol": None}}, "'tol'"),
+        ("gaps.json", {"K": {"d": 2, "gaps": ["a"]}}, '"gaps"'),
+        ("members.json", {"K": ["x"]}, '"K"'),
+    ]:
+        code, _, err = run_cli("feasible", write_json(name, {**PROBLEM_FEASIBLE, **patch}), "--mode", "iff")
+        assert code == 2, name
+        assert field in err and "Traceback" not in err, err
 
 
 def test_structured_field_errors(run_cli, write_json):
@@ -72,6 +83,23 @@ def test_feasible_fixture_reports(run_cli, write_json):
     doc = json.loads(out)
     assert doc["feasible"] is False and doc["certified"] is True
     assert doc["best_min_eigenvalue"] < 0
+
+
+def test_feasible_sufficient_pinned_negative_is_not_certified(run_cli, write_json, tmp_path):
+    # the sufficient criterion fails at the pinned parameter, yet 0.9 z^2
+    # interpolates in the class: a failed sufficient criterion proves nothing
+    prob = write_json(
+        "p13.json", {"nodes": [[0, 0], [0.5, 0]], "targets": [[0, 0], [0.225, 0]], "K": [1, 3]}
+    )
+    code, out, _ = run_cli("feasible", prob, "--mode", "sufficient")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["feasible"] is False and doc["pinned"] is True
+    assert doc["certified"] is False
+
+    f = write_json("f.json", {"lambda": [0, 0], "m": 2, "d": 1, "schur_steps": [], "tail": [0.9, 0]})
+    code, out, _ = run_cli("verify", "--function", f, "--problem", prob)
+    assert code == 0 and json.loads(out)["passed"] is True
 
 
 def test_mode_incompatible_exit_3(run_cli, write_json):

@@ -14,6 +14,7 @@ from cpick import (
     min_eig_objective,
     psd_check,
 )
+from cpick.pickmat import PickBuilder
 from conftest import disk_point
 
 
@@ -116,8 +117,8 @@ def test_determinism():
 
 
 def test_search_fast_path_matches_public_objective():
-    from cpick.feasibility import _objective_factory
-
+    # the search evaluates one cached builder per problem; it must agree
+    # with a fresh constrained Pick matrix at every parameter
     rng = np.random.default_rng(71)
     for _ in range(20):
         n = int(rng.integers(1, 5))
@@ -131,10 +132,11 @@ def test_search_fast_path_matches_public_objective():
             ):
                 nodes.append(z)
         p = Problem(tuple(nodes), tuple(disk_point(rng, 0.8) for _ in range(n)))
-        objective = _objective_factory(p, 4, 2)
+        pick = PickBuilder(p.nodes, p.targets, 4, 2)
         for _ in range(5):
             lam = disk_point(rng, 0.9)
-            assert abs(objective(lam) - min_eig_objective(lam, p, 4, 2)) <= 1e-12
+            expected = np.linalg.eigvalsh(constrained_pick(p.nodes, p.targets, lam, 4, 2).entries)[0]
+            assert abs(pick.min_eigenvalue(lam) - expected) <= 1e-12
 
 
 def test_search_config_json_and_validation():
