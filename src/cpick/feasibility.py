@@ -9,17 +9,22 @@ a coarse polar grid followed by a derivative-free simplex refinement of the
 smallest eigenvalue.  A positive answer carries a verifiable witness; a
 negative answer is evidence only, except in the pinned case.
 
-The search evaluates one ``pickmat.PickBuilder`` per problem; the final
-verdict is ``psd_check`` of ``constrained_pick`` at the chosen parameter.
+The search evaluates one ``pickmat.PickBuilder`` per problem.  The grid is
+scored one radius ring at a time, each ring in a single stacked Hermitian
+eigensolve whose values equal the one-point objective exactly; the simplex
+steps one point at a time.  The final verdict is ``psd_check`` of
+``constrained_pick`` at the chosen parameter.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InvalidConfig, InvalidProblem
+from .kset import _integer
 from .pickmat import PickBuilder, _check_open_disk, constrained_pick, psd_check
 
 __all__ = [
@@ -82,8 +87,8 @@ class SearchConfig:
             raise InvalidConfig(f"need at least one angle, got {self.angles}")
         if self.refine_iters < 0:
             raise InvalidConfig(f"refinement iterations must be nonnegative, got {self.refine_iters}")
-        if self.tol < 0:
-            raise InvalidConfig(f"tolerance must be nonnegative, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise InvalidConfig(f"tolerance 'tol' must be finite and nonnegative, got {self.tol}")
 
     def to_json(self) -> dict:
         return {
@@ -99,8 +104,8 @@ class SearchConfig:
             raise InvalidConfig(f"search config must be a JSON object, got {type(obj).__name__}")
         casts = {
             "radii": lambda v: tuple(float(r) for r in v),
-            "angles": int,
-            "refine_iters": int,
+            "angles": _integer,
+            "refine_iters": _integer,
             "tol": float,
         }
         unknown = set(obj) - set(casts)
@@ -148,17 +153,39 @@ def min_eig_objective(lam: complex, problem: Problem, E: int, d: int) -> float:
     return PickBuilder(nodes, targets, E, d).min_eigenvalue(lam)
 
 
+def _grid_rings(radii: tuple[float, ...], angles: int) -> list[np.ndarray]:
+    """The polar grid as one array per radius, in angle order.
+
+    A point equal to one already listed is dropped, and a ring left empty
+    (a repeated radius) is omitted.
+    """
+    seen: set[complex] = set()
+    rings = []
+    for r in radii:
+        ring = []
+        for ai in range(angles):
+            lam = complex(r * np.exp(2j * np.pi * ai / angles))
+            if lam not in seen:
+                seen.add(lam)
+                ring.append(lam)
+        if ring:
+            rings.append(np.array(ring))
+    return rings
+
+
 def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = None) -> FeasibilityResult:
     """Search the disk for a parameter with a PSD constrained Pick matrix.
 
     A node at the origin pins the parameter to its target (at most one node
     can be zero), collapsing the search to a single exact evaluation.
-    Otherwise all grid candidates radius x angle are scored by the
-    smallest-eigenvalue objective and the best three start a
-    reflection/contraction simplex capped at ``cfg.refine_iters`` iterations
-    with trial points clamped to modulus 0.999.  Fully deterministic for a
-    fixed config; grid ties resolve to the smallest (radius index, angle
-    index), and any returned witness re-verifies under ``psd_check``.
+    Otherwise all grid candidates radius x angle (exact duplicates dropped)
+    are scored by the smallest-eigenvalue objective, one stacked eigensolve
+    per radius, and the best three start a reflection/contraction simplex
+    capped at ``cfg.refine_iters`` iterations with trial points clamped to
+    modulus 0.999.  ``evaluations`` counts every grid point and simplex
+    trial.  Fully deterministic for a fixed config; grid ties resolve to the
+    smallest (radius index, angle index), and any returned witness
+    re-verifies under ``psd_check``.
     """
     cfg = cfg or SearchConfig()
     zero_idx = [i for i, z in enumerate(problem.nodes) if z == 0]
@@ -174,27 +201,21 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
             pinned=True,
         )
 
-    evaluations = 0
     pick = PickBuilder(problem.nodes, problem.targets, E, d)
+    rings = _grid_rings(cfg.radii, cfg.angles)
+    points = np.concatenate(rings)
+    values = np.concatenate([pick.min_eigenvalues(ring) for ring in rings])
+    evaluations = len(points)
 
     def objective(lam: complex) -> float:
         nonlocal evaluations
         evaluations += 1
         return pick.min_eigenvalue(lam)
 
-    scored: list[tuple[float, int, int, complex]] = []
-    seen: set[complex] = set()
-    for ri, r in enumerate(cfg.radii):
-        for ai in range(cfg.angles):
-            lam = complex(r * np.exp(2j * np.pi * ai / cfg.angles))
-            if lam in seen:
-                continue
-            seen.add(lam)
-            scored.append((objective(lam), ri, ai, lam))
-    scored.sort(key=lambda rec: (-rec[0], rec[1], rec[2]))
-
-    best_obj, _, _, best_lam = scored[0]
-    simplex = [np.array([rec[3].real, rec[3].imag]) for rec in scored[:3]]
+    # points are in (radius, angle) order, so a stable sort keeps that tie-break
+    top = np.argsort(-values, kind="stable")[:3]
+    best_obj, best_lam = float(values[top[0]]), complex(points[top[0]])
+    simplex = [np.array([points[i].real, points[i].imag]) for i in top]
     while len(simplex) < 3:  # degenerate user grids: pad around the best point
         simplex.append(simplex[0] + 0.01 * np.eye(2)[len(simplex) - 1])
 

@@ -118,10 +118,17 @@ class ComplementStructure:
     n0: int
 
 
+def _integer(value) -> int:
+    """``int(value)``, refusing with ``ValueError`` a float it would truncate."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _integers(values, field: str) -> list[int]:
-    """``values`` converted by ``int``; ``InvalidK`` names the field otherwise."""
+    """``values`` converted by ``_integer``; ``InvalidK`` names the field otherwise."""
     try:
-        return [int(v) for v in values]
+        return [_integer(v) for v in values]
     except (TypeError, ValueError) as exc:
         raise InvalidK(f'"{field}" entries must be integers, got {values!r}') from exc
 

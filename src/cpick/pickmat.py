@@ -4,8 +4,9 @@ This module is the one home of three objects.  The disk automorphism
 phi_lam(z) = (z - lam) / (1 - conj(lam) z) is the unchecked kernel
 ``_mobius`` that every module calls; ``mobius`` checks its arguments first.
 The constrained Pick matrix is ``PickBuilder``, used by ``constrained_pick``,
-``feasibility.min_eig_objective`` and the parameter search.  The PSD verdict
-is ``psd_check``; ``analytic.np_solve`` applies it too.
+``feasibility.min_eig_objective`` and the parameter search, which scores
+its grid over arrays of lam.  The PSD verdict is ``psd_check``;
+``analytic.np_solve`` applies it too.
 
 The classical matrix [(1 - w_i conj(w_j)) / (1 - z_i conj(z_j))] decides
 plain Nevanlinna-Pick solvability.  The constrained variant replaces the
@@ -169,15 +170,30 @@ class PickBuilder:
         self._powers = np.outer(ze, ze.conj())
         self._den = 1.0 - np.outer(z, z.conj()) ** d
 
+    def _entries(self, phi: np.ndarray) -> np.ndarray:
+        """Entries at phi = phi_lam(targets): (n, n) for phi of shape (n,), (k, n, n) for (k, n)."""
+        return (self._powers - phi[..., :, None] * phi[..., None, :].conj()) / self._den
+
     def entries(self, lam: complex) -> np.ndarray:
         """The matrix at lam, entry by entry (Hermitian up to roundoff)."""
-        phi = _mobius(lam, self._targets)
-        return (self._powers - np.outer(phi, phi.conj())) / self._den
+        return self._entries(_mobius(lam, self._targets))
 
     def min_eigenvalue(self, lam: complex) -> float:
         """Smallest eigenvalue at lam: the objective of the parameter search."""
-        m = self.entries(lam)
-        return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
+        return float(_min_eigenvalues(self.entries(lam)))
+
+    def min_eigenvalues(self, lams: np.ndarray) -> np.ndarray:
+        """``min_eigenvalue`` at each point of a 1-d array, in one stacked eigensolve.
+
+        The arithmetic is the scalar path's, element for element, so each
+        value equals ``min_eigenvalue`` at that point exactly.
+        """
+        return _min_eigenvalues(self._entries(_mobius(lams[:, None], self._targets)))
+
+
+def _min_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part 0.5 (m + m*) of each matrix in m."""
+    return np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))[..., 0]
 
 
 def constrained_pick(nodes, targets, lam: complex, E: int, d: int) -> HermitianMatrix:

@@ -54,10 +54,19 @@ def test_parse_errors_exit_2(run_cli, write_json, tmp_path):
         ("tol.json", {"search": {"tol": None}}, "'tol'"),
         ("gaps.json", {"K": {"d": 2, "gaps": ["a"]}}, '"gaps"'),
         ("members.json", {"K": ["x"]}, '"K"'),
+        ("tolnan.json", {"search": {"tol": float("nan")}}, "'tol'"),
+        ("tolinf.json", {"search": {"tol": float("inf")}}, "'tol'"),
+        ("kfloat.json", {"K": [1.7, 3.2]}, '"K"'),
+        ("angles.json", {"search": {"angles": 8.7}}, "'angles'"),
     ]:
         code, _, err = run_cli("feasible", write_json(name, {**PROBLEM_FEASIBLE, **patch}), "--mode", "iff")
         assert code == 2, name
         assert field in err and "Traceback" not in err, err
+
+    code, _, err = run_cli("feasible", write_json("p.json", PROBLEM_FEASIBLE), "--mode", "iff", "--tol", "nan")
+    assert code == 2 and "'tol'" in err and "Traceback" not in err, err
+    code, _, err = run_cli("check-algebra", write_json("kfloat-only.json", {"K": [1.7, 3.2]}))
+    assert code == 2 and '"K"' in err and "Traceback" not in err, err
 
 
 def test_structured_field_errors(run_cli, write_json):

@@ -158,3 +158,102 @@ def test_small_grid_still_refines():
     # the coarse grid misses, the simplex walk recovers the feasible spot
     assert r.feasible
     assert abs(r.lambda_ - 0.61) <= 0.2
+
+
+def _looped_find_lambda(problem, E, d, cfg):
+    """Reference search with the grid scored one parameter at a time.
+
+    The grid points, their exact-value dedup and the order by (-value,
+    radius index, angle index) are rebuilt here, followed by a copy of the
+    search's simplex; returns (lambda, best value, evaluations).
+    """
+    pick = PickBuilder(problem.nodes, problem.targets, E, d)
+    scored, seen = [], set()
+    for ri, r in enumerate(cfg.radii):
+        for ai in range(cfg.angles):
+            lam = complex(r * np.exp(2j * np.pi * ai / cfg.angles))
+            if lam not in seen:
+                seen.add(lam)
+                scored.append((pick.min_eigenvalue(lam), ri, ai, lam))
+    scored.sort(key=lambda rec: (-rec[0], rec[1], rec[2]))
+    best_obj, best_lam, evaluations = scored[0][0], scored[0][3], len(scored)
+
+    def score(x):
+        nonlocal best_obj, best_lam, evaluations
+        lam = complex(x[0], x[1])
+        evaluations += 1
+        val = pick.min_eigenvalue(lam)
+        if val > best_obj:
+            best_obj, best_lam = val, lam
+        return val
+
+    def clamp(x):
+        r = float(np.hypot(x[0], x[1]))
+        return x * (0.999 / r) if r > 0.999 else x
+
+    simplex = [np.array([rec[3].real, rec[3].imag]) for rec in scored[:3]]
+    while len(simplex) < 3:
+        simplex.append(simplex[0] + 0.01 * np.eye(2)[len(simplex) - 1])
+    simplex = [clamp(x) for x in simplex]
+    vals = [score(x) for x in simplex]
+    for _ in range(cfg.refine_iters):
+        order = sorted(range(3), key=lambda i: -vals[i])
+        simplex, vals = [simplex[i] for i in order], [vals[i] for i in order]
+        if max(np.max(np.abs(simplex[0] - simplex[i])) for i in (1, 2)) < 1e-12:
+            break
+        centroid = 0.5 * (simplex[0] + simplex[1])
+        reflected = clamp(centroid + (centroid - simplex[2]))
+        f_r = score(reflected)
+        if f_r > vals[0]:
+            expanded = clamp(centroid + 2.0 * (centroid - simplex[2]))
+            f_e = score(expanded)
+            simplex[2], vals[2] = (expanded, f_e) if f_e > f_r else (reflected, f_r)
+        elif f_r > vals[1]:
+            simplex[2], vals[2] = reflected, f_r
+        else:
+            contracted = clamp(centroid + 0.5 * (simplex[2] - centroid))
+            f_c = score(contracted)
+            if f_c > vals[2]:
+                simplex[2], vals[2] = contracted, f_c
+            else:
+                for i in (1, 2):
+                    simplex[i] = clamp(simplex[0] + 0.5 * (simplex[i] - simplex[0]))
+                    vals[i] = score(simplex[i])
+    return best_lam, best_obj, evaluations
+
+
+def _grid_problems():
+    rng = np.random.default_rng(97)
+    problems = [
+        # |phi_lam(0)| = |lam|: every point of a ring ties up to roundoff
+        (Problem(nodes=(0.5,), targets=(0.0,)), 2, 1),
+        (Problem(nodes=(0.3j, -0.6), targets=(0.0, 0.0)), 1, 1),
+    ]
+    for n, (E, d) in zip([1, 2, 3, 4, 6, 8], [(1, 1), (2, 1), (4, 2), (2, 1), (3, 3), (1, 1)]):
+        nodes = []
+        while len(nodes) < n:
+            z = disk_point(rng, 0.9)
+            if abs(z) > 0.1 and all(abs(z - w) > 0.1 and abs(z**d - w**d) > 0.05 for w in nodes):
+                nodes.append(z)
+        problems.append((Problem(tuple(nodes), tuple(disk_point(rng, 0.8) for _ in range(n))), E, d))
+    return problems
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SearchConfig(),
+        SearchConfig(radii=(0.0,), angles=1),  # one point: the simplex is padded
+        SearchConfig(radii=(0.5, 0.5)),  # the second ring is all duplicates
+        SearchConfig(radii=(0.0, 0.3), angles=1),
+    ],
+)
+def test_stacked_grid_matches_looped_grid(cfg):
+    for p, E, d in _grid_problems():
+        r = find_lambda(p, E, d, cfg)
+        lam, best, evaluations = _looped_find_lambda(p, E, d, cfg)
+        assert not r.pinned
+        assert r.evaluations == evaluations
+        assert r.best_min_eigenvalue == best
+        assert r.lambda_ == (lam if r.feasible else None)
+        assert r.feasible == psd_check(constrained_pick(p.nodes, p.targets, lam, E, d), cfg.tol).is_psd

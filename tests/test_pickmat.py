@@ -15,6 +15,7 @@ from cpick import (
     mobius_inverse,
     psd_check,
 )
+from cpick.pickmat import PickBuilder
 from conftest import disk_point
 
 
@@ -87,6 +88,19 @@ def test_constrained_pick_validation():
         constrained_pick([0.5], [1.1], 0, 2, 1)
     with pytest.raises(DomainError):
         constrained_pick([0.5], [0.1], 1.0, 2, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("E,d", [(1, 1), (4, 2), (9, 3)])
+def test_stacked_min_eigenvalues_equal_scalar_path_exactly(n, E, d):
+    # the grid is scored in stacked eigensolves; the arithmetic is the scalar
+    # objective's, so the values must agree bit for bit, not within a tolerance
+    rng = np.random.default_rng(1000 * n + 10 * E + d)
+    pick = PickBuilder(random_nodes(rng, n, d=d), [disk_point(rng, 0.9) for _ in range(n)], E, d)
+    lams = np.array([0j, 0.99 * np.exp(0.7j)] + [disk_point(rng, 0.99) for _ in range(30)])
+    stacked = pick.min_eigenvalues(lams)
+    assert stacked.shape == lams.shape
+    assert np.array_equal(stacked, [pick.min_eigenvalue(complex(lam)) for lam in lams])
 
 
 def test_psd_check_examples():
