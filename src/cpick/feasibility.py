@@ -9,15 +9,20 @@ a coarse polar grid followed by a derivative-free simplex refinement of the
 smallest eigenvalue.  A positive answer carries a verifiable witness; a
 negative answer is evidence only, except in the pinned case.
 
-The search evaluates one ``pickmat.PickBuilder`` per problem.  The grid is
-scored one radius ring at a time, each ring in a single stacked Hermitian
-eigensolve whose values equal the one-point objective exactly; the simplex
-steps one point at a time.  The final verdict is ``psd_check`` of
+The search evaluates one ``pickmat.PickBuilder`` per problem.  The grid
+points are built once per ``(radii, angles)`` and shared by every later
+search with that config.  The grid is scored one radius ring at a time, each
+ring in a single stacked Hermitian eigensolve whose values equal the
+one-point objective exactly.  The simplex keeps its vertices as Python
+floats and scores each iteration's reflection and contraction together in
+one stacked eigensolve; a contraction the simplex does not go on to use is
+neither counted nor recorded.  The final verdict is ``psd_check`` of
 ``constrained_pick`` at the chosen parameter.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,10 +84,17 @@ class SearchConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        radii = tuple(float(r) for r in self.radii)
+        # + 0.0 turns a -0.0 radius into 0.0: configs that compare equal share one grid
+        radii = tuple(float(r) + 0.0 for r in self.radii)
         object.__setattr__(self, "radii", radii)
         if not radii or any(not 0.0 <= r < 1.0 for r in radii):
             raise InvalidConfig(f"radii must be nonempty and lie in [0, 1), got {radii}")
+        for field in ("angles", "refine_iters"):
+            value = getattr(self, field)
+            try:
+                object.__setattr__(self, field, _integer(value))
+            except (TypeError, ValueError) as exc:
+                raise InvalidConfig(f"{field!r} must be an integer, got {value!r}") from exc
         if self.angles < 1:
             raise InvalidConfig(f"need at least one angle, got {self.angles}")
         if self.refine_iters < 0:
@@ -153,11 +165,13 @@ def min_eig_objective(lam: complex, problem: Problem, E: int, d: int) -> float:
     return PickBuilder(nodes, targets, E, d).min_eigenvalue(lam)
 
 
-def _grid_rings(radii: tuple[float, ...], angles: int) -> list[np.ndarray]:
-    """The polar grid as one array per radius, in angle order.
+@functools.lru_cache(maxsize=8)
+def _grid_rings(radii: tuple[float, ...], angles: int) -> tuple[np.ndarray, ...]:
+    """The polar grid as one read-only array per radius, in angle order.
 
     A point equal to one already listed is dropped, and a ring left empty
-    (a repeated radius) is omitted.
+    (a repeated radius) is omitted.  Cached: equal arguments return the
+    same arrays, which is why they cannot be written to.
     """
     seen: set[complex] = set()
     rings = []
@@ -169,8 +183,10 @@ def _grid_rings(radii: tuple[float, ...], angles: int) -> list[np.ndarray]:
                 seen.add(lam)
                 ring.append(lam)
         if ring:
-            rings.append(np.array(ring))
-    return rings
+            a = np.array(ring)
+            a.flags.writeable = False
+            rings.append(a)
+    return tuple(rings)
 
 
 def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = None) -> FeasibilityResult:
@@ -178,12 +194,15 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
 
     A node at the origin pins the parameter to its target (at most one node
     can be zero), collapsing the search to a single exact evaluation.
-    Otherwise all grid candidates radius x angle (exact duplicates dropped)
-    are scored by the smallest-eigenvalue objective, one stacked eigensolve
-    per radius, and the best three start a reflection/contraction simplex
-    capped at ``cfg.refine_iters`` iterations with trial points clamped to
-    modulus 0.999.  ``evaluations`` counts every grid point and simplex
-    trial.  Fully deterministic for a fixed config; grid ties resolve to the
+    Otherwise all grid candidates radius x angle (exact duplicates dropped,
+    built once per config) are scored by the smallest-eigenvalue objective,
+    one stacked eigensolve per radius, and the best three start a
+    reflection/contraction simplex capped at ``cfg.refine_iters`` iterations
+    with trial points clamped to modulus 0.999.  Each iteration scores its
+    reflection and contraction in one stacked eigensolve.  ``evaluations``
+    counts every grid point and every simplex trial the simplex uses; a
+    contraction scored alongside an accepted reflection is not counted.
+    Fully deterministic for a fixed config; grid ties resolve to the
     smallest (radius index, angle index), and any returned witness
     re-verifies under ``psd_check``.
     """
@@ -207,59 +226,56 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
     values = np.concatenate([pick.min_eigenvalues(ring) for ring in rings])
     evaluations = len(points)
 
-    def objective(lam: complex) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return pick.min_eigenvalue(lam)
-
     # points are in (radius, angle) order, so a stable sort keeps that tie-break
     top = np.argsort(-values, kind="stable")[:3]
     best_obj, best_lam = float(values[top[0]]), complex(points[top[0]])
-    simplex = [np.array([points[i].real, points[i].imag]) for i in top]
-    while len(simplex) < 3:  # degenerate user grids: pad around the best point
-        simplex.append(simplex[0] + 0.01 * np.eye(2)[len(simplex) - 1])
 
-    def clamp(x: np.ndarray) -> np.ndarray:
-        r = float(np.hypot(x[0], x[1]))
-        return x * (LAMBDA_CLAMP / r) if r > LAMBDA_CLAMP else x
+    def clamp(x: float, y: float) -> tuple[float, float]:
+        r = float(np.hypot(x, y))
+        return (x * (LAMBDA_CLAMP / r), y * (LAMBDA_CLAMP / r)) if r > LAMBDA_CLAMP else (x, y)
 
-    def score(x: np.ndarray) -> float:
-        nonlocal best_obj, best_lam
-        lam = complex(x[0], x[1])
-        val = objective(lam)
+    def solve(*xys: tuple[float, float]) -> list[float]:
+        """The objective at each vertex, in one stacked eigensolve; nothing is recorded."""
+        return pick.min_eigenvalues(np.array([complex(x, y) for x, y in xys])).tolist()
+
+    def record(xy: tuple[float, float], val: float) -> float:
+        """Count a scored vertex the simplex uses, and keep it if it is the best so far."""
+        nonlocal best_obj, best_lam, evaluations
+        evaluations += 1
         if val > best_obj:
-            best_obj, best_lam = val, lam
+            best_obj, best_lam = val, complex(*xy)
         return val
 
-    simplex = [clamp(x) for x in simplex]
-    vals = [score(x) for x in simplex]
+    simplex = [(float(points[i].real), float(points[i].imag)) for i in top]
+    x0, y0 = simplex[0]
+    # degenerate user grids: pad around the best point
+    simplex += [(x0 + 0.01, y0 + 0.0), (x0 + 0.0, y0 + 0.01)][len(simplex) - 1 :]
+    simplex = [clamp(x, y) for x, y in simplex]
+    vals = [record(xy, val) for xy, val in zip(simplex, solve(*simplex))]
     for _ in range(cfg.refine_iters):
         order = sorted(range(3), key=lambda i: -vals[i])
         simplex = [simplex[i] for i in order]
         vals = [vals[i] for i in order]
-        if max(np.max(np.abs(simplex[0] - simplex[i])) for i in (1, 2)) < 1e-12:
+        (x0, y0), (x1, y1), (x2, y2) = simplex
+        if max(abs(x0 - x1), abs(y0 - y1), abs(x0 - x2), abs(y0 - y2)) < 1e-12:
             break
-        centroid = 0.5 * (simplex[0] + simplex[1])
-        reflected = clamp(centroid + (centroid - simplex[2]))
-        f_r = score(reflected)
+        cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        reflected = clamp(cx + (cx - x2), cy + (cy - y2))
+        contracted = clamp(cx + 0.5 * (x2 - cx), cy + 0.5 * (y2 - cy))
+        f_r, f_c = solve(reflected, contracted)
+        record(reflected, f_r)
         if f_r > vals[0]:
-            expanded = clamp(centroid + 2.0 * (centroid - simplex[2]))
-            f_e = score(expanded)
-            if f_e > f_r:
-                simplex[2], vals[2] = expanded, f_e
-            else:
-                simplex[2], vals[2] = reflected, f_r
+            expanded = clamp(cx + 2.0 * (cx - x2), cy + 2.0 * (cy - y2))
+            f_e = record(expanded, pick.min_eigenvalue(complex(*expanded)))
+            simplex[2], vals[2] = (expanded, f_e) if f_e > f_r else (reflected, f_r)
         elif f_r > vals[1]:
             simplex[2], vals[2] = reflected, f_r
+        elif record(contracted, f_c) > vals[2]:  # only now is the contraction used
+            simplex[2], vals[2] = contracted, f_c
         else:
-            contracted = clamp(centroid + 0.5 * (simplex[2] - centroid))
-            f_c = score(contracted)
-            if f_c > vals[2]:
-                simplex[2], vals[2] = contracted, f_c
-            else:
-                for i in (1, 2):
-                    simplex[i] = clamp(simplex[0] + 0.5 * (simplex[i] - simplex[0]))
-                    vals[i] = score(simplex[i])
+            shrunk = [clamp(x0 + 0.5 * (x - x0), y0 + 0.5 * (y - y0)) for x, y in simplex[1:]]
+            simplex[1:] = shrunk
+            vals[1:] = [record(xy, val) for xy, val in zip(shrunk, solve(*shrunk))]
 
     verdict = psd_check(constrained_pick(problem.nodes, problem.targets, best_lam, E, d), cfg.tol)
     return FeasibilityResult(

@@ -1,5 +1,7 @@
 """Parameter search: closed-form pinned cases, grids, determinism."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from cpick import (
     min_eig_objective,
     psd_check,
 )
+from cpick.feasibility import _grid_rings
 from cpick.pickmat import PickBuilder
 from conftest import disk_point
 
@@ -151,6 +154,47 @@ def test_search_config_json_and_validation():
         SearchConfig(angles=0)
 
 
+@pytest.mark.parametrize("field", ["angles", "refine_iters"])
+@pytest.mark.parametrize("value", [8.7, 2.5, float("nan"), float("inf"), None, "eight"])
+def test_search_config_rejects_non_integers(field, value):
+    with pytest.raises(InvalidConfig, match=field):
+        SearchConfig(**{field: value})
+
+
+def test_search_config_stores_plain_ints():
+    cfg = SearchConfig(angles=np.int64(8), refine_iters=10.0)
+    assert type(cfg.angles) is int and type(cfg.refine_iters) is int
+    assert cfg.to_json()["angles"] == 8 and type(cfg.to_json()["angles"]) is int
+    assert cfg == SearchConfig(angles=8, refine_iters=10)
+    # a -0.0 radius compares equal to 0.0, so it must also search the same grid
+    assert np.copysign(1.0, SearchConfig(radii=(-0.0, 0.5)).radii[0]) == 1.0
+
+
+def test_grid_is_cached_and_read_only():
+    rings = _grid_rings((0.0, 0.5), 8)
+    assert isinstance(rings, tuple) and [len(ring) for ring in rings] == [1, 8]
+    for ring in rings:
+        with pytest.raises(ValueError):
+            ring[0] = 0.25
+    assert _grid_rings((0.0, 0.5), 8) is rings
+    cfg = SearchConfig(radii=[0.0, 0.5], angles=np.int64(8))
+    assert _grid_rings(cfg.radii, cfg.angles) is rings
+    other_angles, other_radii = _grid_rings((0.0, 0.5), 9), _grid_rings((0.0, 0.6), 8)
+    assert [len(ring) for ring in other_angles] == [1, 9]
+    assert not np.array_equal(other_radii[1], rings[1])
+
+
+def test_cold_and_warm_grid_give_the_same_search():
+    cfg = SearchConfig(radii=(0.0, 0.35, 0.7), angles=24)
+    p = Problem(nodes=(0.3, -0.2 + 0.4j), targets=(0.1, 0.2j))
+    _grid_rings.cache_clear()
+    cold = find_lambda(p, 2, 1, cfg)
+    assert _grid_rings.cache_info().currsize == 1
+    warm = find_lambda(p, 2, 1, cfg)
+    assert _grid_rings.cache_info().hits >= 1
+    assert cold == warm
+
+
 def test_small_grid_still_refines():
     cfg = SearchConfig(radii=(0.0, 0.5), angles=4, refine_iters=60, tol=1e-8)
     p = Problem(nodes=(0.5,), targets=(0.61,))
@@ -165,7 +209,8 @@ def _looped_find_lambda(problem, E, d, cfg):
 
     The grid points, their exact-value dedup and the order by (-value,
     radius index, angle index) are rebuilt here, followed by a copy of the
-    search's simplex; returns (lambda, best value, evaluations).
+    search's simplex, one scalar evaluation per trial point; returns
+    (lambda, best value, evaluations, Counter of simplex moves).
     """
     pick = PickBuilder(problem.nodes, problem.targets, E, d)
     scored, seen = [], set()
@@ -177,6 +222,7 @@ def _looped_find_lambda(problem, E, d, cfg):
                 scored.append((pick.min_eigenvalue(lam), ri, ai, lam))
     scored.sort(key=lambda rec: (-rec[0], rec[1], rec[2]))
     best_obj, best_lam, evaluations = scored[0][0], scored[0][3], len(scored)
+    moves = Counter()
 
     def score(x):
         nonlocal best_obj, best_lam, evaluations
@@ -189,7 +235,10 @@ def _looped_find_lambda(problem, E, d, cfg):
 
     def clamp(x):
         r = float(np.hypot(x[0], x[1]))
-        return x * (0.999 / r) if r > 0.999 else x
+        if r > 0.999:
+            moves["clamp"] += 1
+            return x * (0.999 / r)
+        return x
 
     simplex = [np.array([rec[3].real, rec[3].imag]) for rec in scored[:3]]
     while len(simplex) < 3:
@@ -207,19 +256,23 @@ def _looped_find_lambda(problem, E, d, cfg):
         if f_r > vals[0]:
             expanded = clamp(centroid + 2.0 * (centroid - simplex[2]))
             f_e = score(expanded)
+            moves["expand" if f_e > f_r else "reflect"] += 1
             simplex[2], vals[2] = (expanded, f_e) if f_e > f_r else (reflected, f_r)
         elif f_r > vals[1]:
+            moves["reflect"] += 1
             simplex[2], vals[2] = reflected, f_r
         else:
             contracted = clamp(centroid + 0.5 * (simplex[2] - centroid))
             f_c = score(contracted)
             if f_c > vals[2]:
+                moves["contract"] += 1
                 simplex[2], vals[2] = contracted, f_c
             else:
+                moves["shrink"] += 1
                 for i in (1, 2):
                     simplex[i] = clamp(simplex[0] + 0.5 * (simplex[i] - simplex[0]))
                     vals[i] = score(simplex[i])
-    return best_lam, best_obj, evaluations
+    return best_lam, best_obj, evaluations, moves
 
 
 def _grid_problems():
@@ -228,6 +281,11 @@ def _grid_problems():
         # |phi_lam(0)| = |lam|: every point of a ring ties up to roundoff
         (Problem(nodes=(0.5,), targets=(0.0,)), 2, 1),
         (Problem(nodes=(0.3j, -0.6), targets=(0.0, 0.0)), 1, 1),
+        # the optimum lies past the clamp radius, so the simplex presses against it
+        (Problem(nodes=(0.5,), targets=(0.9995,)), 2, 1),
+        # real data make the objective symmetric under conjugation; with one grid
+        # point two shrink points tie exactly, and the first one scored must win
+        (Problem(nodes=(-0.8, 0.1), targets=(0.0, 0.2)), 2, 1),
     ]
     for n, (E, d) in zip([1, 2, 3, 4, 6, 8], [(1, 1), (2, 1), (4, 2), (2, 1), (3, 3), (1, 1)]):
         nodes = []
@@ -249,11 +307,15 @@ def _grid_problems():
     ],
 )
 def test_stacked_grid_matches_looped_grid(cfg):
+    moves = Counter()
     for p, E, d in _grid_problems():
         r = find_lambda(p, E, d, cfg)
-        lam, best, evaluations = _looped_find_lambda(p, E, d, cfg)
+        lam, best, evaluations, problem_moves = _looped_find_lambda(p, E, d, cfg)
+        moves += problem_moves
         assert not r.pinned
         assert r.evaluations == evaluations
         assert r.best_min_eigenvalue == best
         assert r.lambda_ == (lam if r.feasible else None)
         assert r.feasible == psd_check(constrained_pick(p.nodes, p.targets, lam, E, d), cfg.tol).is_psd
+    # every simplex move is exercised, so the match above guards each of them
+    assert all(moves[m] > 0 for m in ("expand", "reflect", "contract", "shrink", "clamp")), moves
