@@ -13,6 +13,7 @@ partitions of k (b_l counts the parts equal to l).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,6 +110,23 @@ def has_K_factor(t: CompositionTuple, k: KSpec) -> bool:
     return any(mult > 0 and contains(k, l) for l, mult in enumerate(t.b, start=1))
 
 
+@functools.lru_cache(maxsize=MAX_ORDER)
+def _expansion(k: int) -> tuple[tuple[complex, int, tuple[tuple[int, int], ...]], ...]:
+    """The order-k expansion as (weight, outer order, ((l, b_l), ...)) per tuple.
+
+    Tuples come in ``composition_tuples`` order and zero multiplicities are
+    dropped.  Cached and immutable, so every call shares one copy.
+    """
+    return tuple(
+        (
+            complex(bruno_coefficient(t)),
+            t.total,
+            tuple((l, mult) for l, mult in enumerate(t.b, start=1) if mult),
+        )
+        for t in composition_tuples(k)
+    )
+
+
 def compose_derivative(g_derivs, f_derivs, k: int) -> complex:
     """k-th derivative of g(f(.)) at the base point from raw derivative lists.
 
@@ -123,10 +141,9 @@ def compose_derivative(g_derivs, f_derivs, k: int) -> complex:
     if len(g_derivs) < k + 1 or len(f_derivs) < k + 1:
         raise ValueError(f"need derivatives up to order {k} for both functions")
     total = complex(0)
-    for t in composition_tuples(k):
-        term = complex(bruno_coefficient(t)) * complex(g_derivs[t.total])
-        for l, mult in enumerate(t.b, start=1):
-            if mult:
-                term *= complex(f_derivs[l]) ** mult
+    for weight, outer, factors in _expansion(k):
+        term = weight * complex(g_derivs[outer])
+        for l, mult in factors:
+            term *= complex(f_derivs[l]) ** mult
         total += term
     return total

@@ -11,13 +11,16 @@ negative answer is evidence only, except in the pinned case.
 
 The search evaluates one ``pickmat.PickBuilder`` per problem.  The grid
 points are built once per ``(radii, angles)`` and shared by every later
-search with that config.  The grid is scored one radius ring at a time, each
-ring in a single stacked Hermitian eigensolve whose values equal the
-one-point objective exactly.  The simplex keeps its vertices as Python
-floats and scores each iteration's reflection and contraction together in
-one stacked eigensolve; a contraction the simplex does not go on to use is
-neither counted nor recorded.  The final verdict is ``psd_check`` of
-``constrained_pick`` at the chosen parameter.
+search with that config.  Every grid point is ranked by a cheap upper bound
+on its smallest eigenvalue, the smallest diagonal entry plus a roundoff
+margin; only the points whose bound can still reach the third-best value are
+eigensolved, in two stacked Hermitian eigensolves whose values equal the
+one-point objective exactly, so the three best points are those of the full
+grid.  The simplex keeps its vertices as Python floats and scores each
+iteration's reflection and contraction together in one stacked eigensolve;
+a contraction the simplex does not go on to use is neither counted nor
+recorded.  The final verdict is ``psd_check`` of ``constrained_pick`` at the
+chosen parameter.
 """
 
 from __future__ import annotations
@@ -140,6 +143,8 @@ class FeasibilityResult:
     under ``psd_check`` at the search tolerance.  ``pinned`` marks the exact
     single-point search forced by a node at the origin; only then can a
     negative verdict be certified, and only for a necessary criterion.
+    ``evaluations`` counts every grid point, each ranked whether or not its
+    bound ruled out an eigensolve, plus every simplex trial the simplex used.
     """
 
     feasible: bool
@@ -195,13 +200,17 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
     A node at the origin pins the parameter to its target (at most one node
     can be zero), collapsing the search to a single exact evaluation.
     Otherwise all grid candidates radius x angle (exact duplicates dropped,
-    built once per config) are scored by the smallest-eigenvalue objective,
-    one stacked eigensolve per radius, and the best three start a
-    reflection/contraction simplex capped at ``cfg.refine_iters`` iterations
-    with trial points clamped to modulus 0.999.  Each iteration scores its
-    reflection and contraction in one stacked eigensolve.  ``evaluations``
-    counts every grid point and every simplex trial the simplex uses; a
-    contraction scored alongside an accepted reflection is not counted.
+    built once per config) are ranked by ``PickBuilder.min_eigenvalue_bounds``.
+    The three with the largest bounds are scored by the smallest-eigenvalue
+    objective, then every other point whose bound is not below the smallest
+    of those three values; a point skipped has value at most its bound, so
+    it cannot be among the three best, which are the full grid's.  They
+    start a reflection/contraction simplex capped at ``cfg.refine_iters``
+    iterations with trial points clamped to modulus 0.999.  Each iteration
+    scores its reflection and contraction in one stacked eigensolve.
+    ``evaluations`` counts every grid point, scored or ruled out by its
+    bound, and every simplex trial the simplex uses; a contraction scored
+    alongside an accepted reflection is not counted.
     Fully deterministic for a fixed config; grid ties resolve to the
     smallest (radius index, angle index), and any returned witness
     re-verifies under ``psd_check``.
@@ -221,14 +230,22 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
         )
 
     pick = PickBuilder(problem.nodes, problem.targets, E, d)
-    rings = _grid_rings(cfg.radii, cfg.angles)
-    points = np.concatenate(rings)
-    values = np.concatenate([pick.min_eigenvalues(ring) for ring in rings])
+    points = np.concatenate(_grid_rings(cfg.radii, cfg.angles))
     evaluations = len(points)
 
-    # points are in (radius, angle) order, so a stable sort keeps that tie-break
-    top = np.argsort(-values, kind="stable")[:3]
-    best_obj, best_lam = float(values[top[0]]), complex(points[top[0]])
+    # A point whose bound is below the third-best value seen cannot reach the
+    # top three: its value is at most its bound.  A NaN bound is never below.
+    bounds = pick.min_eigenvalue_bounds(points)
+    by_bound = np.argsort(-bounds, kind="stable")
+    first, others = by_bound[:3], by_bound[3:]
+    first_values = pick.min_eigenvalues(points[first])
+    rest = others[~(bounds[others] < np.min(first_values))]
+    scored = np.concatenate([first, rest])
+    values = np.concatenate([first_values, pick.min_eigenvalues(points[rest])])
+    # grid indices follow (radius, angle) order, which breaks ties in value
+    ranked = np.lexsort((scored, -values))[:3]
+    top = scored[ranked]
+    best_obj, best_lam = float(values[ranked[0]]), complex(points[top[0]])
 
     def clamp(x: float, y: float) -> tuple[float, float]:
         r = float(np.hypot(x, y))

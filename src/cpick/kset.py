@@ -29,8 +29,11 @@ criterion; a complete characterization of the admissible K remains open.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import InvalidK, Unsupported
 
@@ -119,10 +122,19 @@ class ComplementStructure:
 
 
 def _integer(value) -> int:
-    """``int(value)``, refusing with ``ValueError`` a float it would truncate."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+    """``value`` as a plain int: an integer type, or a real float with no fractional part.
+
+    Anything ``operator.index`` accepts (``int``, ``np.int64``, ...) passes, as
+    does a float or ``np.floating`` for which ``is_integer()`` holds.  Booleans,
+    strings and every other float raise ``TypeError`` or ``ValueError``.
+    """
+    if isinstance(value, bool):  # operator.index accepts it, numpy's bool it refuses
+        raise TypeError(f"{value!r} is a boolean, not an integer")
+    if isinstance(value, (float, np.floating)):
+        if not value.is_integer():
+            raise ValueError(f"{value!r} is not an integer")
+        return int(value)
+    return operator.index(value)
 
 
 def _integers(values, field: str) -> list[int]:

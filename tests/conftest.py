@@ -9,6 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Tier-1 runs the same examples on every run from a clean checkout: no
+# random seed, no example database carried between runs, no wall-clock limit.
+settings.register_profile("cpick", derandomize=True, deadline=None, database=None)
+settings.load_profile("cpick")
 
 # Constraint sets exercised throughout: the regression set from worked
 # examples plus one scaled (infinite) set.

@@ -17,6 +17,7 @@ from cpick import (
     has_K_factor,
     is_algebra,
 )
+from cpick.bruno import MAX_ORDER
 from conftest import fixture_kspecs
 
 
@@ -136,6 +137,34 @@ def test_against_polynomial_composition(k):
         expected = comp[k]
         got = compose_derivative(g_at_f0, f_derivs, k) / math.factorial(k)
         assert got == pytest.approx(expected, abs=1e-9)
+
+
+def _reference_compose(g_derivs, f_derivs, k):
+    """The expansion rebuilt from the public tuples and weights on every call."""
+    total = complex(0)
+    for t in composition_tuples(k):
+        term = complex(bruno_coefficient(t)) * complex(g_derivs[t.total])
+        for l, mult in enumerate(t.b, start=1):
+            if mult:
+                term *= complex(f_derivs[l]) ** mult
+        total += term
+    return total
+
+
+def test_cached_expansion_equals_reference_exactly():
+    # the expansion is cached per order; the arithmetic must not change at all
+    rng = np.random.default_rng(11)
+    for k in range(1, MAX_ORDER + 1):
+        for _ in range(3):
+            g = list(rng.uniform(-1, 1, k + 1) + 1j * rng.uniform(-1, 1, k + 1))
+            f = list(rng.uniform(-1, 1, k + 1) + 1j * rng.uniform(-1, 1, k + 1))
+            assert compose_derivative(g, f, k) == _reference_compose(g, f, k)
+    g, f = [0.5, 1.0, -0.25, 2.0], [0.0, 0.3j, 1.5, -0.7]
+    before = compose_derivative(g, f, 3)
+    tuples = composition_tuples(3)
+    tuples.clear()
+    assert len(composition_tuples(3)) == 3
+    assert compose_derivative(g, f, 3) == before
 
 
 def test_composition_closure_exact_zero():

@@ -58,6 +58,8 @@ def test_parse_errors_exit_2(run_cli, write_json, tmp_path):
         ("tolinf.json", {"search": {"tol": float("inf")}}, "'tol'"),
         ("kfloat.json", {"K": [1.7, 3.2]}, '"K"'),
         ("angles.json", {"search": {"angles": 8.7}}, "'angles'"),
+        ("anglesbool.json", {"search": {"angles": True}}, "'angles'"),
+        ("kbool.json", {"K": [True]}, '"K"'),
     ]:
         code, _, err = run_cli("feasible", write_json(name, {**PROBLEM_FEASIBLE, **patch}), "--mode", "iff")
         assert code == 2, name

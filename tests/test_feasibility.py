@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cpick import (
     DomainError,
@@ -14,6 +16,8 @@ from cpick import (
     constrained_pick,
     find_lambda,
     min_eig_objective,
+    mobius,
+    mobius_inverse,
     psd_check,
 )
 from cpick.feasibility import _grid_rings
@@ -155,7 +159,9 @@ def test_search_config_json_and_validation():
 
 
 @pytest.mark.parametrize("field", ["angles", "refine_iters"])
-@pytest.mark.parametrize("value", [8.7, 2.5, float("nan"), float("inf"), None, "eight"])
+@pytest.mark.parametrize(
+    "value", [8.7, 2.5, float("nan"), float("inf"), None, "eight", np.float32(8.7), "8", True]
+)
 def test_search_config_rejects_non_integers(field, value):
     with pytest.raises(InvalidConfig, match=field):
         SearchConfig(**{field: value})
@@ -297,15 +303,15 @@ def _grid_problems():
     return problems
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        SearchConfig(),
-        SearchConfig(radii=(0.0,), angles=1),  # one point: the simplex is padded
-        SearchConfig(radii=(0.5, 0.5)),  # the second ring is all duplicates
-        SearchConfig(radii=(0.0, 0.3), angles=1),
-    ],
-)
+GRID_CONFIGS = [
+    SearchConfig(),
+    SearchConfig(radii=(0.0,), angles=1),  # one point: the simplex is padded
+    SearchConfig(radii=(0.5, 0.5)),  # the second ring is all duplicates
+    SearchConfig(radii=(0.0, 0.3), angles=1),
+]
+
+
+@pytest.mark.parametrize("cfg", GRID_CONFIGS)
 def test_stacked_grid_matches_looped_grid(cfg):
     moves = Counter()
     for p, E, d in _grid_problems():
@@ -319,3 +325,57 @@ def test_stacked_grid_matches_looped_grid(cfg):
         assert r.feasible == psd_check(constrained_pick(p.nodes, p.targets, lam, E, d), cfg.tol).is_psd
     # every simplex move is exercised, so the match above guards each of them
     assert all(moves[m] > 0 for m in ("expand", "reflect", "contract", "shrink", "clamp")), moves
+
+
+def test_pruning_keeps_a_top_three_point_whose_bound_is_below_the_best():
+    # Feasible data, targets phi_{-lam}(z^3 h(z)) with h = 0.77 phi_a.  One of
+    # the three best grid points lies outside the three with the largest
+    # bounds, and its bound is below the best of their values: a pruning
+    # threshold at that best value, not the third-best, would drop it.
+    nodes, lam0, a = (-0.08 + 0.68j, 0.32 + 0.03j), 0.56 - 0.34j, -0.06 - 0.48j
+    p = Problem(nodes, tuple(mobius_inverse(lam0, z**3 * 0.77 * mobius(a, z)) for z in nodes))
+    cfg = SearchConfig()
+    pick = PickBuilder(p.nodes, p.targets, 3, 1)
+    points = np.concatenate(_grid_rings(cfg.radii, cfg.angles))
+    values, bounds = pick.min_eigenvalues(points), pick.min_eigenvalue_bounds(points)
+    first = np.argsort(-bounds, kind="stable")[:3]
+    top = np.lexsort((np.arange(len(points)), -values))[:3]
+    assert any(i not in first and bounds[i] < values[first].max() for i in top)
+    r = find_lambda(p, 3, 1, cfg)
+    lam, best, evaluations, _ = _looped_find_lambda(p, 3, 1, cfg)
+    assert (r.lambda_, r.best_min_eigenvalue, r.evaluations) == (lam if r.feasible else None, best, evaluations)
+
+
+_disk_points = st.builds(
+    lambda r, t: complex(r * np.cos(t), r * np.sin(t)),
+    st.floats(0.01, 0.97),
+    st.floats(0.0, 2 * np.pi),
+)
+
+
+@settings(max_examples=100)
+@given(
+    data=st.lists(st.tuples(_disk_points, _disk_points), min_size=1, max_size=8),
+    exponents=st.sampled_from([(1, 1), (2, 1), (3, 1), (5, 1), (4, 2), (3, 3)]),
+    cfg=st.sampled_from(GRID_CONFIGS),
+    induced=st.none() | st.tuples(_disk_points, _disk_points, st.floats(0.01, 1.0)),
+)
+def test_pruned_grid_matches_looped_search(data, exponents, cfg, induced):
+    # The grid eigensolves only the points whose diagonal bound can reach the
+    # top three; the search must still equal the one scoring every point.
+    # Induced targets phi_{-lam0}(z^E h(z^d)), h a scaled disk automorphism,
+    # are feasible, so the grid's best values crowd a peak as on solve data.
+    E, d = exponents
+    nodes = [z for z, _ in data]
+    assume(all(abs(z**d - w**d) > 1e-3 for i, z in enumerate(nodes) for w in nodes[:i]))
+    targets = [w for _, w in data]
+    if induced is not None:
+        lam0, a, scale = induced
+        targets = [mobius_inverse(lam0, z**E * scale * mobius(a, z**d)) for z in nodes]
+    p = Problem(tuple(nodes), tuple(targets))
+    r = find_lambda(p, E, d, cfg)
+    lam, best, evaluations, _ = _looped_find_lambda(p, E, d, cfg)
+    assert not r.pinned
+    assert (r.evaluations, r.best_min_eigenvalue) == (evaluations, best)
+    assert r.lambda_ == (lam if r.feasible else None)
+    assert r.feasible == psd_check(constrained_pick(p.nodes, p.targets, lam, E, d), cfg.tol).is_psd

@@ -103,6 +103,43 @@ def test_stacked_min_eigenvalues_equal_scalar_path_exactly(n, E, d):
     assert np.array_equal(stacked, [pick.min_eigenvalue(complex(lam)) for lam in lams])
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("E,d", [(1, 1), (4, 2), (9, 3)])
+def test_min_eigenvalue_bounds_hold(n, E, d):
+    # the grid skips a point whose bound is below a computed value, so the
+    # bound must hold for the computed eigenvalue, not only the exact one
+    rng = np.random.default_rng(2000 * n + 10 * E + d)
+    pick = PickBuilder(random_nodes(rng, n, d=d), [disk_point(rng, 0.9) for _ in range(n)], E, d)
+    lams = np.array([0j, 0.999, 0.999 * np.exp(2.1j)] + [disk_point(rng, 0.999) for _ in range(200)])
+    assert np.all(pick.min_eigenvalues(lams) <= pick.min_eigenvalue_bounds(lams))
+
+
+def _tiny_nodes():
+    # |z| = 0.05 with distinct 12th powers: |z|^(2E) is about 2e-94
+    return [0.05 * np.exp(2j * np.pi * k / (12 * 16)) for k in range(16)], 36, 12
+
+
+def _near_duplicate_nodes():
+    base = [0.9, 0.3 + 0.5j, -0.7j, 0.998 * np.exp(0.4j)]
+    return base + [z + 1e-7 for z in base], 2, 1
+
+
+def _boundary_nodes():
+    return [0.999 * np.exp(2j * np.pi * k / 18) for k in range(6)], 6, 3
+
+
+@pytest.mark.parametrize("make", [_tiny_nodes, _near_duplicate_nodes, _boundary_nodes])
+def test_min_eigenvalue_bounds_hold_in_extreme_regimes(make):
+    rng = np.random.default_rng(53)
+    nodes, E, d = make()
+    circle = [0.999 * np.exp(2j * np.pi * k / 64) for k in range(64)]
+    lams = np.array(circle + [disk_point(rng, 0.999) for _ in range(64)])
+    for radius in (0.05, 0.9, 0.999):
+        targets = [radius * np.exp(2j * np.pi * rng.uniform()) for _ in nodes]
+        pick = PickBuilder(nodes, targets, E, d)
+        assert np.all(pick.min_eigenvalues(lams) <= pick.min_eigenvalue_bounds(lams))
+
+
 def test_psd_check_examples():
     v = psd_check(HermitianMatrix(np.eye(3)))
     assert v.is_psd and v.min_eigenvalue == pytest.approx(1.0)
