@@ -9,18 +9,23 @@ a coarse polar grid followed by a derivative-free simplex refinement of the
 smallest eigenvalue.  A positive answer carries a verifiable witness; a
 negative answer is evidence only, except in the pinned case.
 
-The search evaluates one ``pickmat.PickBuilder`` per problem.  The grid
-points are built once per ``(radii, angles)`` and shared by every later
-search with that config.  Every grid point is ranked by a cheap upper bound
-on its smallest eigenvalue, the smallest diagonal entry plus a roundoff
-margin; only the points whose bound can still reach the third-best value are
-eigensolved, in two stacked Hermitian eigensolves whose values equal the
-one-point objective exactly, so the three best points are those of the full
-grid.  The simplex keeps its vertices as Python floats and scores each
+The search builds one ``pickmat.PickBuilder`` per problem.  A pinned search
+takes both of its numbers from the one matrix at the pinned parameter: the
+objective is the smallest eigenvalue left after dropping the pinned node's
+row and column, the verdict ``psd_check`` of the whole matrix, which is the
+one ``constrained_pick`` builds.  The default config is built once, at
+import.  The grid points are built once per ``(radii, angles)`` and shared
+by every later search with that config.  Every grid point is ranked by a
+cheap upper bound on its smallest eigenvalue, the smallest diagonal entry
+plus a roundoff margin; only the points whose bound can still reach the
+third-best value are eigensolved, in two stacked Hermitian eigensolves
+whose values equal the one-point objective exactly, so the three best
+points are those of the full grid.  The simplex keeps its vertices as Python floats and scores each
 iteration's reflection and contraction together in one stacked eigensolve;
 a contraction the simplex does not go on to use is neither counted nor
-recorded.  The final verdict is ``psd_check`` of ``constrained_pick`` at the
-chosen parameter.
+recorded, and a trial point well inside the clamp radius skips ``np.hypot``.
+The final verdict is ``psd_check`` of ``constrained_pick`` at the chosen
+parameter.
 """
 
 from __future__ import annotations
@@ -33,7 +38,14 @@ import numpy as np
 
 from .errors import DomainError, InvalidConfig, InvalidProblem
 from .kset import _integer
-from .pickmat import PickBuilder, _check_open_disk, constrained_pick, psd_check
+from .pickmat import (
+    HermitianMatrix,
+    PickBuilder,
+    _check_open_disk,
+    _min_eigenvalues,
+    constrained_pick,
+    psd_check,
+)
 
 __all__ = [
     "Problem",
@@ -46,7 +58,16 @@ __all__ = [
 DEFAULT_RADII = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 # Witnesses are kept strictly inside the disk; the criterion requires it.
 LAMBDA_CLAMP = 0.999
+# Below this squared modulus a simplex trial point needs no clamp; see _clamp.
+_UNCLAMPED_SQ = LAMBDA_CLAMP * LAMBDA_CLAMP * (1.0 - 1e-12)
 MAX_POINTS = 16
+
+
+def _real(value) -> float:
+    """``value`` as a float; a boolean raises ``TypeError`` where ``float`` would give 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a boolean, not a number")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -87,11 +108,16 @@ class SearchConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        # + 0.0 turns a -0.0 radius into 0.0: configs that compare equal share one grid
-        radii = tuple(float(r) + 0.0 for r in self.radii)
+        try:
+            # + 0.0 turns a -0.0 radius into 0.0: configs that compare equal share one grid
+            radii = tuple(_real(r) + 0.0 for r in self.radii)
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfig(f"'radii' must be a list of numbers, got {self.radii!r}") from exc
         object.__setattr__(self, "radii", radii)
         if not radii or any(not 0.0 <= r < 1.0 for r in radii):
-            raise InvalidConfig(f"radii must be nonempty and lie in [0, 1), got {radii}")
+            raise InvalidConfig(f"'radii' must be nonempty and lie in [0, 1), got {radii}")
+        if isinstance(self.tol, bool):
+            raise InvalidConfig(f"tolerance 'tol' must be a number, got {self.tol!r}")
         for field in ("angles", "refine_iters"):
             value = getattr(self, field)
             try:
@@ -118,10 +144,10 @@ class SearchConfig:
         if not isinstance(obj, dict):
             raise InvalidConfig(f"search config must be a JSON object, got {type(obj).__name__}")
         casts = {
-            "radii": lambda v: tuple(float(r) for r in v),
+            "radii": tuple,
             "angles": _integer,
             "refine_iters": _integer,
-            "tol": float,
+            "tol": _real,
         }
         unknown = set(obj) - set(casts)
         if unknown:
@@ -133,6 +159,10 @@ class SearchConfig:
             except (TypeError, ValueError) as exc:
                 raise InvalidConfig(f"search config field {key!r} is malformed, got {value!r}") from exc
         return SearchConfig(**kwargs)
+
+
+# Shared by every search given no config; frozen, so sharing is safe.
+DEFAULT_CONFIG = SearchConfig()
 
 
 @dataclass(frozen=True)
@@ -163,11 +193,21 @@ def min_eig_objective(lam: complex, problem: Problem, E: int, d: int) -> float:
     nothing remains).  Continuous in lam on the open disk.
     """
     lam = _check_open_disk(lam, "Möbius parameter")
-    kept = [(z, w) for z, w in zip(problem.nodes, problem.targets) if not (z == 0 and w == lam)]
-    if not kept:
+    dropped = [i for i, (z, w) in enumerate(zip(problem.nodes, problem.targets)) if z == 0 and w == lam]
+    return _reduced_min_eigenvalue(PickBuilder(problem.nodes, problem.targets, E, d).entries(lam), dropped)
+
+
+def _reduced_min_eigenvalue(entries: np.ndarray, dropped: list[int]) -> float:
+    """Smallest eigenvalue of ``entries`` without the rows and columns in ``dropped``, 0.0 if none remain.
+
+    The entries of ``PickBuilder`` are computed elementwise, so the block
+    kept equals, bit for bit, the matrix of a builder on the kept nodes
+    alone, and so does its smallest eigenvalue.
+    """
+    keep = [i for i in range(len(entries)) if i not in dropped]
+    if not keep:
         return 0.0
-    nodes, targets = zip(*kept)
-    return PickBuilder(nodes, targets, E, d).min_eigenvalue(lam)
+    return float(_min_eigenvalues(entries.take(keep, 0).take(keep, 1)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -194,6 +234,26 @@ def _grid_rings(radii: tuple[float, ...], angles: int) -> tuple[np.ndarray, ...]
     return tuple(rings)
 
 
+def _clamp(x: float, y: float) -> tuple[float, float]:
+    """The point (x, y) pulled radially onto modulus ``LAMBDA_CLAMP`` if ``np.hypot`` puts it outside.
+
+    Points well inside skip ``np.hypot``, with the same answer.  Write
+    u = 2^-53 and c = LAMBDA_CLAMP.  The computed threshold ``_UNCLAMPED_SQ``
+    is at most c^2 (1 - 1e-12)(1 + u)^3, give or take the 1e-28 by which
+    the literal 1e-12 rounds, and the computed x*x + y*y is at least
+    (x^2 + y^2)(1 - u)^2.  So passing the test gives
+    x^2 + y^2 < c^2 (1 - 1e-12 + 6u) and sqrt(x^2 + y^2) < c (1 - 4.9e-13).
+    Underflow in x*x or y*y loses at most 2^-1074 each, far inside that
+    margin.  ``np.hypot`` returns sqrt(x^2 + y^2) to within an ulp, and
+    even 2000 ulps would stay below c, so it would not clamp the point
+    either.  NaN fails the test and takes the ``np.hypot`` path.
+    """
+    if x * x + y * y < _UNCLAMPED_SQ:
+        return (x, y)
+    r = float(np.hypot(x, y))
+    return (x * (LAMBDA_CLAMP / r), y * (LAMBDA_CLAMP / r)) if r > LAMBDA_CLAMP else (x, y)
+
+
 def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = None) -> FeasibilityResult:
     """Search the disk for a parameter with a PSD constrained Pick matrix.
 
@@ -215,12 +275,16 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
     smallest (radius index, angle index), and any returned witness
     re-verifies under ``psd_check``.
     """
-    cfg = cfg or SearchConfig()
+    cfg = cfg or DEFAULT_CONFIG
+    pick = PickBuilder(problem.nodes, problem.targets, E, d)
     zero_idx = [i for i, z in enumerate(problem.nodes) if z == 0]
     if zero_idx:
+        # one matrix gives both numbers: the objective drops the pinned node's
+        # row and column, which vanish; the verdict is constrained_pick's matrix
         lam = problem.targets[zero_idx[0]]
-        best = min_eig_objective(lam, problem, E, d)
-        verdict = psd_check(constrained_pick(problem.nodes, problem.targets, lam, E, d), cfg.tol)
+        entries = pick.entries(lam)
+        best = _reduced_min_eigenvalue(entries, zero_idx[:1])
+        verdict = psd_check(HermitianMatrix(entries), cfg.tol)
         return FeasibilityResult(
             feasible=verdict.is_psd,
             lambda_=lam if verdict.is_psd else None,
@@ -229,7 +293,6 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
             pinned=True,
         )
 
-    pick = PickBuilder(problem.nodes, problem.targets, E, d)
     points = np.concatenate(_grid_rings(cfg.radii, cfg.angles))
     evaluations = len(points)
 
@@ -247,10 +310,6 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
     top = scored[ranked]
     best_obj, best_lam = float(values[ranked[0]]), complex(points[top[0]])
 
-    def clamp(x: float, y: float) -> tuple[float, float]:
-        r = float(np.hypot(x, y))
-        return (x * (LAMBDA_CLAMP / r), y * (LAMBDA_CLAMP / r)) if r > LAMBDA_CLAMP else (x, y)
-
     def solve(*xys: tuple[float, float]) -> list[float]:
         """The objective at each vertex, in one stacked eigensolve; nothing is recorded."""
         return pick.min_eigenvalues(np.array([complex(x, y) for x, y in xys])).tolist()
@@ -267,7 +326,7 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
     x0, y0 = simplex[0]
     # degenerate user grids: pad around the best point
     simplex += [(x0 + 0.01, y0 + 0.0), (x0 + 0.0, y0 + 0.01)][len(simplex) - 1 :]
-    simplex = [clamp(x, y) for x, y in simplex]
+    simplex = [_clamp(x, y) for x, y in simplex]
     vals = [record(xy, val) for xy, val in zip(simplex, solve(*simplex))]
     for _ in range(cfg.refine_iters):
         order = sorted(range(3), key=lambda i: -vals[i])
@@ -277,12 +336,12 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
         if max(abs(x0 - x1), abs(y0 - y1), abs(x0 - x2), abs(y0 - y2)) < 1e-12:
             break
         cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        reflected = clamp(cx + (cx - x2), cy + (cy - y2))
-        contracted = clamp(cx + 0.5 * (x2 - cx), cy + 0.5 * (y2 - cy))
+        reflected = _clamp(cx + (cx - x2), cy + (cy - y2))
+        contracted = _clamp(cx + 0.5 * (x2 - cx), cy + 0.5 * (y2 - cy))
         f_r, f_c = solve(reflected, contracted)
         record(reflected, f_r)
         if f_r > vals[0]:
-            expanded = clamp(cx + 2.0 * (cx - x2), cy + 2.0 * (cy - y2))
+            expanded = _clamp(cx + 2.0 * (cx - x2), cy + 2.0 * (cy - y2))
             f_e = record(expanded, pick.min_eigenvalue(complex(*expanded)))
             simplex[2], vals[2] = (expanded, f_e) if f_e > f_r else (reflected, f_r)
         elif f_r > vals[1]:
@@ -290,7 +349,7 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
         elif record(contracted, f_c) > vals[2]:  # only now is the contraction used
             simplex[2], vals[2] = contracted, f_c
         else:
-            shrunk = [clamp(x0 + 0.5 * (x - x0), y0 + 0.5 * (y - y0)) for x, y in simplex[1:]]
+            shrunk = [_clamp(x0 + 0.5 * (x - x0), y0 + 0.5 * (y - y0)) for x, y in simplex[1:]]
             simplex[1:] = shrunk
             vals[1:] = [record(xy, val) for xy, val in zip(shrunk, solve(*shrunk))]
 

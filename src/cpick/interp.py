@@ -33,7 +33,7 @@ from .errors import InvalidProblem, NotFound, NotPrefixK, Unsupported
 from .kset import KSpec, complement_structure, contains, is_algebra, smallest_missing, _conductor
 from .analytic import SchurFunction, evaluate, np_solve, sup_norm_estimate, taylor_coeffs
 from .bruno import compose_derivative
-from .feasibility import FeasibilityResult, Problem, SearchConfig, find_lambda
+from .feasibility import DEFAULT_CONFIG, FeasibilityResult, Problem, SearchConfig, find_lambda
 from .pickmat import _mobius
 
 __all__ = [
@@ -198,7 +198,7 @@ def construct(
     """
     if mode not in ("iff", "sufficient"):
         raise ValueError(f"construction mode must be 'iff' or 'sufficient', got {mode!r}")
-    cfg = cfg or SearchConfig()
+    cfg = cfg or DEFAULT_CONFIG
     m, d = exponent_plan(k, mode)
     E = m * d
     result = find_lambda(problem, E, d, cfg)
@@ -232,7 +232,7 @@ def necessary_check(problem: Problem, k: KSpec, cfg: SearchConfig | None = None)
     contains no interpolant for this data.
     """
     m, d = exponent_plan(k, "necessary")
-    result = find_lambda(problem, m * d, d, cfg or SearchConfig())
+    result = find_lambda(problem, m * d, d, cfg)
     return NecessaryReport(
         passes=result.feasible,
         witness=result.lambda_,

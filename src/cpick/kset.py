@@ -68,12 +68,17 @@ class KSpec:
     gaps: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 1:
-            raise InvalidK(f"scale d must be a positive integer, got {self.d!r}")
-        gaps = tuple(self.gaps)
+        try:
+            d = _integer(self.d)
+        except (TypeError, ValueError) as exc:
+            raise InvalidK(f'scale "d" must be a positive integer, got {self.d!r}') from exc
+        if d < 1:
+            raise InvalidK(f'scale "d" must be a positive integer, got {d!r}')
+        gaps = tuple(_integers(self.gaps, "gaps"))
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "gaps", gaps)
         for g in gaps:
-            if not isinstance(g, int) or g < 1:
+            if g < 1:
                 raise InvalidK(f"gap entries must be positive integers, got {g!r}")
         if any(a >= b for a, b in zip(gaps, gaps[1:])):
             raise InvalidK(f"gaps must be strictly increasing, got {gaps}")

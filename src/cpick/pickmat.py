@@ -3,11 +3,14 @@
 This module is the one home of three objects.  The disk automorphism
 phi_lam(z) = (z - lam) / (1 - conj(lam) z) is the unchecked kernel
 ``_mobius`` that every module calls; ``mobius`` checks its arguments first.
-The constrained Pick matrix is ``PickBuilder``, used by ``constrained_pick``,
-``feasibility.min_eig_objective`` and the parameter search, which ranks
-its grid by a cheap upper bound on the smallest eigenvalue and scores only
-the points that bound cannot rule out, over arrays of lam.  The PSD verdict
-is ``psd_check``; ``analytic.np_solve`` applies it too.
+The constrained Pick matrix is ``PickBuilder``, used by ``constrained_pick``
+and by the parameter search, which builds one per search.  A pinned search
+reads its objective and its verdict from one matrix of it; a free search
+ranks its grid by a cheap upper bound on the smallest eigenvalue and scores
+only the points that bound cannot rule out, over arrays of lam.
+``feasibility.min_eig_objective`` reads the matrix of a builder on the whole
+problem, as the pinned search does.  The PSD verdict is ``psd_check``;
+``analytic.np_solve`` applies it too.
 
 The classical matrix [(1 - w_i conj(w_j)) / (1 - z_i conj(z_j))] decides
 plain Nevanlinna-Pick solvability.  The constrained variant replaces the

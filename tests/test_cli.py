@@ -60,6 +60,10 @@ def test_parse_errors_exit_2(run_cli, write_json, tmp_path):
         ("angles.json", {"search": {"angles": 8.7}}, "'angles'"),
         ("anglesbool.json", {"search": {"angles": True}}, "'angles'"),
         ("kbool.json", {"K": [True]}, '"K"'),
+        ("dbool.json", {"K": {"d": True, "gaps": [1]}}, '"d"'),
+        ("gapsbool.json", {"K": {"d": 1, "gaps": [True]}}, '"gaps"'),
+        ("tolbool.json", {"search": {"tol": True}}, "'tol'"),
+        ("radiibool.json", {"search": {"radii": [False, 0.5]}}, "'radii'"),
     ]:
         code, _, err = run_cli("feasible", write_json(name, {**PROBLEM_FEASIBLE, **patch}), "--mode", "iff")
         assert code == 2, name

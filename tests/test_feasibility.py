@@ -1,10 +1,11 @@
 """Parameter search: closed-form pinned cases, grids, determinism."""
 
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cpick import (
@@ -20,7 +21,7 @@ from cpick import (
     mobius_inverse,
     psd_check,
 )
-from cpick.feasibility import _grid_rings
+from cpick.feasibility import LAMBDA_CLAMP, _UNCLAMPED_SQ, _clamp, _grid_rings
 from cpick.pickmat import PickBuilder
 from conftest import disk_point
 
@@ -379,3 +380,74 @@ def test_pruned_grid_matches_looped_search(data, exponents, cfg, induced):
     assert (r.evaluations, r.best_min_eigenvalue) == (evaluations, best)
     assert r.lambda_ == (lam if r.feasible else None)
     assert r.feasible == psd_check(constrained_pick(p.nodes, p.targets, lam, E, d), cfg.tol).is_psd
+
+
+def _two_builder_pinned_search(problem, E, d, tol):
+    """The pinned search with one builder per number: (lambda, objective, verdict).
+
+    The objective is a fresh builder on the nodes other than the one at 0,
+    the verdict ``psd_check`` of a fresh ``constrained_pick`` on all of them.
+    """
+    i = problem.nodes.index(0)
+    lam = problem.targets[i]
+    kept = [k for k in range(problem.n) if k != i]
+    best = 0.0
+    if kept:
+        kept_nodes, kept_targets = [problem.nodes[k] for k in kept], [problem.targets[k] for k in kept]
+        best = PickBuilder(kept_nodes, kept_targets, E, d).min_eigenvalue(lam)
+    verdict = psd_check(constrained_pick(problem.nodes, problem.targets, lam, E, d), tol)
+    return lam, best, verdict.is_psd
+
+
+@settings(max_examples=150)
+@given(
+    data=st.lists(st.tuples(_disk_points, _disk_points), min_size=0, max_size=15),
+    position=st.integers(0, 15),
+    lam=_disk_points,
+    exponents=st.sampled_from([(1, 1), (2, 1), (3, 1), (2, 2), (4, 2), (3, 3), (6, 3)]),
+    tol=st.sampled_from([0.0, 1e-8]),
+    induced=st.none() | st.tuples(_disk_points, st.floats(0.01, 1.0)),
+)
+@example(data=[], position=0, lam=0.3 + 0.4j, exponents=(2, 1), tol=1e-8, induced=None)
+def test_pinned_search_matches_two_builders(data, position, lam, exponents, tol, induced):
+    # The pinned search takes its objective and its verdict from one matrix;
+    # both must equal what a builder per number gives.  Induced targets
+    # phi_{-lam}(z^E h(z^d)), h a scaled disk automorphism, are feasible with
+    # f(0) = lam, so the verdict sits near the boundary of the PSD cone.
+    E, d = exponents
+    nodes = [z for z, _ in data]
+    assume(all(abs(z**d - w**d) > 1e-3 for i, z in enumerate(nodes) for w in nodes[:i]))
+    targets = [w for _, w in data]
+    if induced is not None:
+        a, scale = induced
+        targets = [mobius_inverse(lam, z**E * scale * mobius(a, z**d)) for z in nodes]
+    position %= len(nodes) + 1
+    nodes.insert(position, 0j)
+    targets.insert(position, lam)
+    p = Problem(tuple(nodes), tuple(targets))
+    r = find_lambda(p, E, d, SearchConfig(tol=tol))
+    lam_ref, best, feasible = _two_builder_pinned_search(p, E, d, tol)
+    assert r.pinned and r.evaluations == 1
+    assert r.best_min_eigenvalue == best
+    assert r.feasible == feasible
+    assert r.lambda_ == (lam_ref if feasible else None)
+
+
+def _hypot_clamp(x, y):
+    """The simplex clamp with ``np.hypot`` on every point."""
+    r = float(np.hypot(x, y))
+    return (x * (LAMBDA_CLAMP / r), y * (LAMBDA_CLAMP / r)) if r > LAMBDA_CLAMP else (x, y)
+
+
+_near_clamp = st.floats(LAMBDA_CLAMP * (1 - 1e-9), LAMBDA_CLAMP * (1 + 1e-9)) | st.integers(-64, 64).map(
+    lambda k: math.sqrt(_UNCLAMPED_SQ) + k * 2.0**-53
+)
+
+
+@settings(max_examples=300)
+@given(modulus=_near_clamp, angle=st.floats(0.0, 2 * np.pi))
+def test_clamp_fast_path_matches_hypot(modulus, angle):
+    x, y = modulus * math.cos(angle), modulus * math.sin(angle)
+    if x * x + y * y < _UNCLAMPED_SQ:  # the fast path's claim
+        assert float(np.hypot(x, y)) <= LAMBDA_CLAMP
+    assert _clamp(x, y) == _hypot_clamp(x, y)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from cpick import (
@@ -74,6 +75,17 @@ def test_kspec_validation():
         KSpec(d=1, gaps=(3, 1))
     with pytest.raises(InvalidK):
         KSpec(d=1, gaps=(-1,))
+
+
+def test_kspec_stores_plain_ints_and_refuses_booleans():
+    k = KSpec(d=np.int64(2), gaps=(1,))
+    assert k == KSpec(d=2, gaps=(1,)) and type(k.d) is int
+    assert type(KSpec(d=1, gaps=(np.int64(1),)).gaps[0]) is int
+    for d, gaps in [(True, (1,)), (1, (True,)), (2.5, (1,)), ("2", (1,))]:
+        with pytest.raises(InvalidK):
+            KSpec(d=d, gaps=gaps)
+    with pytest.raises(InvalidK):
+        KSpec.from_json({"d": True, "gaps": [1]})
 
 
 def test_is_algebra_worked_examples():
