@@ -30,7 +30,6 @@ from .kset import (
     contains,
     from_finite_set,
     is_algebra,
-    monomial_exponents,
     smallest_missing,
 )
 from .bruno import (
@@ -38,14 +37,11 @@ from .bruno import (
     bruno_coefficient,
     compose_derivative,
     composition_tuples,
-    has_K_factor,
 )
 from .analytic import (
     SchurFunction,
     TaylorReport,
     evaluate,
-    mobius,
-    mobius_inverse,
     np_solve,
     sup_norm_estimate,
     taylor_coeffs,
@@ -56,6 +52,8 @@ from .pickmat import (
     classical_pick,
     constrained_pick,
     factorization_residual,
+    mobius,
+    mobius_inverse,
     psd_check,
 )
 from .feasibility import (

@@ -4,7 +4,7 @@ Provides a Schur-Nevanlinna recursion solving the classical Nevanlinna-Pick
 problem, Taylor coefficient extraction by sampling the Cauchy integral on a
 circle, and sup-norm estimation on circles.  The Möbius disk automorphisms,
 the classical Pick matrix and the PSD verdict the solver starts from live in
-``pickmat``; ``mobius`` and ``mobius_inverse`` are re-exported from here.
+``pickmat``.
 
 The solver returns a ``SchurFunction``: a chain of fractional-linear
 reduction records plus a terminal constant.  Each reduction step divides
@@ -20,14 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, InvalidConfig, InvalidProblem
-from .pickmat import BOUNDARY_TOL, _check_closed_disk, _mobius, classical_pick, psd_check
-from .pickmat import mobius, mobius_inverse  # re-exported
+from .pickmat import (
+    BOUNDARY_TOL,
+    CLASSICAL_PSD_TOL,
+    _check_closed_disk,
+    _mobius,
+    classical_pick,
+    psd_check,
+)
 
 __all__ = [
     "SchurFunction",
     "TaylorReport",
-    "mobius",
-    "mobius_inverse",
     "np_solve",
     "evaluate",
     "taylor_coeffs",
@@ -77,7 +81,7 @@ def evaluate(f: SchurFunction, z):
     return complex(g) if scalar else g
 
 
-def np_solve(nodes, values, tol: float = 1e-9) -> SchurFunction:
+def np_solve(nodes, values, tol: float = CLASSICAL_PSD_TOL) -> SchurFunction:
     """Solve the classical Nevanlinna-Pick problem by Schur reduction.
 
     Finds F with |F| <= 1 on the disk and F(nodes[i]) = values[i].  The

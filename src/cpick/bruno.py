@@ -18,14 +18,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import OrderTooLarge
-from .kset import KSpec, contains
 
 __all__ = [
     "MAX_ORDER",
     "CompositionTuple",
     "composition_tuples",
     "bruno_coefficient",
-    "has_K_factor",
     "compose_derivative",
 ]
 
@@ -98,16 +96,6 @@ def bruno_coefficient(t: CompositionTuple) -> int:
     for l, mult in enumerate(t.b, start=1):
         denom *= math.factorial(mult) * math.factorial(l) ** mult
     return math.factorial(k) // denom
-
-
-def has_K_factor(t: CompositionTuple, k: KSpec) -> bool:
-    """True when some nonzero multiplicity sits at an index l in K.
-
-    For an algebra K and any tuple of order in K this always holds, which is
-    what makes the class closed under outer composition: the factor
-    f^(l)(0)^b_l with l in K kills the whole term.
-    """
-    return any(mult > 0 and contains(k, l) for l, mult in enumerate(t.b, start=1))
 
 
 @functools.lru_cache(maxsize=MAX_ORDER)

@@ -16,6 +16,7 @@ logging on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -105,9 +106,7 @@ def _search_config(doc: dict, path: str, args) -> SearchConfig:
             overrides["radii"] = tuple(float(r) for r in args.radii.split(","))
         if args.angles is not None:
             overrides["angles"] = args.angles
-        if overrides:
-            cfg = SearchConfig(**{**cfg.to_json(), **overrides})
-        return cfg
+        return dataclasses.replace(cfg, **overrides)
     except (CPickError, ValueError) as exc:
         raise ParseError(f"{path}: search config: {exc}") from exc
 
@@ -152,12 +151,13 @@ def _interpolant_from_doc(doc: dict, path: str) -> Interpolant:
                 _pair_to_complex(step[1], f"{path}: schur_steps[{i}][1]"),
             )
         )
-    if not isinstance(doc["m"], int) or not isinstance(doc["d"], int):
-        raise ParseError(f"{path}: m and d must be integers")
+    low_confidence = doc.get("low_confidence", False)
+    if not isinstance(low_confidence, bool):
+        raise ParseError(f"{path}: low_confidence must be true or false, got {low_confidence!r}")
     h = SchurFunction(
         steps=tuple(steps),
         tail=_pair_to_complex(doc["tail"], f"{path}: tail"),
-        low_confidence=bool(doc.get("low_confidence", False)),
+        low_confidence=low_confidence,
     )
     try:
         return Interpolant(

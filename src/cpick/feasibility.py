@@ -9,30 +9,17 @@ a coarse polar grid followed by a derivative-free simplex refinement of the
 smallest eigenvalue.  A positive answer carries a verifiable witness; a
 negative answer is evidence only, except in the pinned case.
 
-The search builds one ``pickmat.PickBuilder`` per problem.  A pinned search
-takes both of its numbers from the one matrix at the pinned parameter: the
-objective is the smallest eigenvalue left after dropping the pinned node's
-row and column, the verdict ``psd_check`` of the whole matrix, which is the
-one ``constrained_pick`` builds.  The default config is built once, at
-import.  The grid points are built once per ``(radii, angles)`` and shared
-by every later search with that config.  Every grid point is ranked by a
-cheap upper bound on its smallest eigenvalue, the smallest diagonal entry
-plus a roundoff margin; only the points whose bound can still reach the
-third-best value are eigensolved, in two stacked Hermitian eigensolves
-whose values equal the one-point objective exactly, so the three best
-points are those of the full grid.  The simplex keeps its vertices as Python floats and scores each
-iteration's reflection and contraction together in one stacked eigensolve;
-a contraction the simplex does not go on to use is neither counted nor
-recorded, and a trial point well inside the clamp radius skips ``np.hypot``.
-The final verdict is ``psd_check`` of ``constrained_pick`` at the chosen
-parameter.
+A search builds one ``pickmat.PickBuilder`` and reads every objective value
+from it.  Its verdict is ``psd_check`` of the ``constrained_pick`` matrix at
+the chosen parameter; without a pinned node that verdict judges exactly the
+``best_min_eigenvalue`` the search reports.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,9 +51,9 @@ MAX_POINTS = 16
 
 
 def _real(value) -> float:
-    """``value`` as a float; a boolean raises ``TypeError`` where ``float`` would give 0.0 or 1.0."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is a boolean, not a number")
+    """``value`` as a float; a boolean or a string raises ``TypeError`` where ``float`` would cast or parse it."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"{value!r} is not a number")
     return float(value)
 
 
@@ -100,7 +87,12 @@ class Problem:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Grid and refinement parameters for the parameter search."""
+    """Grid and refinement parameters for the parameter search.
+
+    Every field is converted and checked here, whether it comes from the
+    constructor, ``from_json`` or ``dataclasses.replace``; a field of the
+    wrong type or range raises ``InvalidConfig``.
+    """
 
     radii: tuple[float, ...] = DEFAULT_RADII
     angles: int = 64
@@ -116,8 +108,10 @@ class SearchConfig:
         object.__setattr__(self, "radii", radii)
         if not radii or any(not 0.0 <= r < 1.0 for r in radii):
             raise InvalidConfig(f"'radii' must be nonempty and lie in [0, 1), got {radii}")
-        if isinstance(self.tol, bool):
-            raise InvalidConfig(f"tolerance 'tol' must be a number, got {self.tol!r}")
+        try:
+            object.__setattr__(self, "tol", _real(self.tol))
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfig(f"tolerance 'tol' must be a number, got {self.tol!r}") from exc
         for field in ("angles", "refine_iters"):
             value = getattr(self, field)
             try:
@@ -143,22 +137,10 @@ class SearchConfig:
     def from_json(obj: dict) -> "SearchConfig":
         if not isinstance(obj, dict):
             raise InvalidConfig(f"search config must be a JSON object, got {type(obj).__name__}")
-        casts = {
-            "radii": tuple,
-            "angles": _integer,
-            "refine_iters": _integer,
-            "tol": _real,
-        }
-        unknown = set(obj) - set(casts)
+        unknown = set(obj) - {f.name for f in fields(SearchConfig)}
         if unknown:
             raise InvalidConfig(f"unknown search config keys: {sorted(unknown)}")
-        kwargs = {}
-        for key, value in obj.items():
-            try:
-                kwargs[key] = casts[key](value)
-            except (TypeError, ValueError) as exc:
-                raise InvalidConfig(f"search config field {key!r} is malformed, got {value!r}") from exc
-        return SearchConfig(**kwargs)
+        return SearchConfig(**obj)
 
 
 # Shared by every search given no config; frozen, so sharing is safe.
@@ -211,27 +193,16 @@ def _reduced_min_eigenvalue(entries: np.ndarray, dropped: list[int]) -> float:
 
 
 @functools.lru_cache(maxsize=8)
-def _grid_rings(radii: tuple[float, ...], angles: int) -> tuple[np.ndarray, ...]:
-    """The polar grid as one read-only array per radius, in angle order.
+def _grid_points(radii: tuple[float, ...], angles: int) -> np.ndarray:
+    """The polar grid as one read-only array in (radius, angle) order.
 
-    A point equal to one already listed is dropped, and a ring left empty
-    (a repeated radius) is omitted.  Cached: equal arguments return the
-    same arrays, which is why they cannot be written to.
+    A point equal to one already listed is dropped.  Cached: equal arguments
+    return the same array, which is why it cannot be written to.
     """
-    seen: set[complex] = set()
-    rings = []
-    for r in radii:
-        ring = []
-        for ai in range(angles):
-            lam = complex(r * np.exp(2j * np.pi * ai / angles))
-            if lam not in seen:
-                seen.add(lam)
-                ring.append(lam)
-        if ring:
-            a = np.array(ring)
-            a.flags.writeable = False
-            rings.append(a)
-    return tuple(rings)
+    points = dict.fromkeys(complex(r * np.exp(2j * np.pi * ai / angles)) for r in radii for ai in range(angles))
+    a = np.array(list(points))
+    a.flags.writeable = False
+    return a
 
 
 def _clamp(x: float, y: float) -> tuple[float, float]:
@@ -293,7 +264,7 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
             pinned=True,
         )
 
-    points = np.concatenate(_grid_rings(cfg.radii, cfg.angles))
+    points = _grid_points(cfg.radii, cfg.angles)
     evaluations = len(points)
 
     # A point whose bound is below the third-best value seen cannot reach the

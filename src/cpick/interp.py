@@ -30,11 +30,11 @@ from typing import Literal
 import numpy as np
 
 from .errors import InvalidProblem, NotFound, NotPrefixK, Unsupported
-from .kset import KSpec, complement_structure, contains, is_algebra, smallest_missing, _conductor
+from .kset import KSpec, complement_structure, contains, is_algebra, smallest_missing, _conductor, _integer
 from .analytic import SchurFunction, evaluate, np_solve, sup_norm_estimate, taylor_coeffs
 from .bruno import compose_derivative
 from .feasibility import DEFAULT_CONFIG, FeasibilityResult, Problem, SearchConfig, find_lambda
-from .pickmat import _mobius
+from .pickmat import CLASSICAL_PSD_TOL, _mobius
 
 __all__ = [
     "Interpolant",
@@ -71,6 +71,12 @@ class Interpolant:
     h: SchurFunction
 
     def __post_init__(self):
+        for field in ("m", "d"):
+            value = getattr(self, field)
+            try:
+                object.__setattr__(self, field, _integer(value))
+            except (TypeError, ValueError) as exc:
+                raise InvalidProblem(f"exponent {field!r} must be an integer, got {value!r}") from exc
         if self.m < 1 or self.d < 1:
             raise InvalidProblem(f"exponents must be positive, got m={self.m}, d={self.d}")
         if abs(self.lambda_) >= 1.0:
@@ -220,7 +226,7 @@ def construct(
             v /= mag
         h_nodes.append(z**d)
         h_values.append(v)
-    h = np_solve(h_nodes, h_values, tol=max(cfg.tol, 1e-9))
+    h = np_solve(h_nodes, h_values, tol=max(cfg.tol, CLASSICAL_PSD_TOL))
     return Interpolant(lambda_=lam, m=m, d=d, h=h)
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "is_algebra",
     "smallest_missing",
     "complement_structure",
-    "monomial_exponents",
 ]
 
 
@@ -235,14 +234,3 @@ def complement_structure(k: KSpec) -> ComplementStructure:
         heads.append(n0)
         n0 += 1
     return ComplementStructure(d=k.d, heads=tuple(heads), n0=n0)
-
-
-def monomial_exponents(k: KSpec, bound: int) -> list[int]:
-    """Admissible power-series exponents up to ``bound``: {0} plus [1, bound] \\ K.
-
-    >>> monomial_exponents(from_finite_set([1]), 5)
-    [0, 2, 3, 4, 5]
-    """
-    if not is_algebra(k):
-        raise Unsupported("monomial support is only meaningful for algebras")
-    return [0] + [e for e in range(1, bound + 1) if not contains(k, e)]

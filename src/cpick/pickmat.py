@@ -4,13 +4,10 @@ This module is the one home of three objects.  The disk automorphism
 phi_lam(z) = (z - lam) / (1 - conj(lam) z) is the unchecked kernel
 ``_mobius`` that every module calls; ``mobius`` checks its arguments first.
 The constrained Pick matrix is ``PickBuilder``, used by ``constrained_pick``
-and by the parameter search, which builds one per search.  A pinned search
-reads its objective and its verdict from one matrix of it; a free search
-ranks its grid by a cheap upper bound on the smallest eigenvalue and scores
-only the points that bound cannot rule out, over arrays of lam.
-``feasibility.min_eig_objective`` reads the matrix of a builder on the whole
-problem, as the pinned search does.  The PSD verdict is ``psd_check``;
-``analytic.np_solve`` applies it too.
+and by the parameter search, which evaluates it over arrays of lam.  The
+PSD verdict is ``psd_check``.  Every smallest eigenvalue, the search's and
+the verdict's, is taken of the Hermitian part ``_hermitian_part`` in one
+place, ``_min_eigenvalues``, so a verdict judges the value a search reports.
 
 The classical matrix [(1 - w_i conj(w_j)) / (1 - z_i conj(z_j))] decides
 plain Nevanlinna-Pick solvability.  The constrained variant replaces the
@@ -52,6 +49,13 @@ __all__ = [
 
 # Absolute slack when testing membership of the closed disk / circle.
 BOUNDARY_TOL = 1e-12
+# Relative slack of the PSD verdict on the classical Pick matrix that
+# ``analytic.np_solve`` reduces.  Its data carry rounding error (``construct``
+# divides the transformed targets by z^E), so the singular matrix of a witness
+# on the edge of feasibility computes to a slightly negative eigenvalue.
+# ``construct`` takes it as a floor under the search tolerance, so a search
+# run at a smaller one, even 0, leaves the solver this much slack.
+CLASSICAL_PSD_TOL = 1e-9
 
 
 def _check_closed_disk(z, label: str):
@@ -93,12 +97,12 @@ def mobius_inverse(lam: complex, z):
 
 
 class HermitianMatrix:
-    """Square complex matrix with conjugate symmetry enforced by mirroring.
+    """The Hermitian part 0.5 (m + m*) of a square complex matrix m.
 
-    The strict upper triangle of the input is copied, the lower triangle is
-    its exact conjugate transpose, and the diagonal keeps only its real
-    part, so ``entries[i, j] == conj(entries[j, i])`` holds exactly.  The
-    backing array is frozen after construction.
+    It is exactly Hermitian, ``entries[i, j] == conj(entries[j, i])``
+    with a real diagonal, and is the matrix whose smallest eigenvalue the
+    parameter search computes.  The backing array is frozen after
+    construction.
     """
 
     def __init__(self, entries):
@@ -107,8 +111,7 @@ class HermitianMatrix:
             raise InvalidProblem(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] == 0:
             raise InvalidProblem("matrix order must be at least 1")
-        upper = np.triu(a, 1)
-        m = upper + upper.conj().T + np.diag(a.diagonal().real.astype(complex))
+        m = _hermitian_part(a)
         m.flags.writeable = False
         self._m = m
 
@@ -232,9 +235,14 @@ class PickBuilder:
         return diagonal.min(axis=1) + margin
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """0.5 (m + m*) of each matrix in m: exactly Hermitian, and equal to m when m already is."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
 def _min_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the Hermitian part 0.5 (m + m*) of each matrix in m."""
-    return np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))[..., 0]
+    """Smallest eigenvalue of the Hermitian part of each matrix in m."""
+    return np.linalg.eigvalsh(_hermitian_part(m))[..., 0]
 
 
 def constrained_pick(nodes, targets, lam: complex, E: int, d: int) -> HermitianMatrix:
@@ -246,10 +254,10 @@ def constrained_pick(nodes, targets, lam: complex, E: int, d: int) -> HermitianM
     return HermitianMatrix(pick.entries(_check_open_disk(lam, "Möbius parameter")))
 
 
-def psd_check(m, tol: float = 1e-9) -> PsdVerdict:
+def psd_check(m, tol: float = CLASSICAL_PSD_TOL) -> PsdVerdict:
     """Smallest eigenvalue with a relative positive-semidefiniteness verdict.
 
-    Uses a Hermitian eigensolver; the verdict is
+    The eigenvalue is ``_min_eigenvalues`` of the Hermitian part; the verdict is
     min_eigenvalue >= -tol * max(1, s) with s the Gershgorin bound
     max_i sum_j |m_ij|, a cheap spectral-norm overestimate.
     """
@@ -258,7 +266,7 @@ def psd_check(m, tol: float = 1e-9) -> PsdVerdict:
     a = m.entries if isinstance(m, HermitianMatrix) else HermitianMatrix(m).entries
     if not np.all(np.isfinite(a.view(float))):
         raise NumericalError("matrix contains non-finite entries")
-    min_eig = float(np.linalg.eigvalsh(a)[0])
+    min_eig = float(_min_eigenvalues(a))
     scale = float(np.max(np.sum(np.abs(a), axis=1)))
     tol_used = tol * max(1.0, scale)
     return PsdVerdict(is_psd=min_eig >= -tol_used, min_eigenvalue=min_eig, tolerance_used=tol_used)

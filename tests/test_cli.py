@@ -64,6 +64,8 @@ def test_parse_errors_exit_2(run_cli, write_json, tmp_path):
         ("gapsbool.json", {"K": {"d": 1, "gaps": [True]}}, '"gaps"'),
         ("tolbool.json", {"search": {"tol": True}}, "'tol'"),
         ("radiibool.json", {"search": {"radii": [False, 0.5]}}, "'radii'"),
+        ("tolstr.json", {"search": {"tol": "1e-8"}}, "'tol'"),
+        ("radiistr.json", {"search": {"radii": ["0.5"]}}, "'radii'"),
     ]:
         code, _, err = run_cli("feasible", write_json(name, {**PROBLEM_FEASIBLE, **patch}), "--mode", "iff")
         assert code == 2, name
@@ -83,6 +85,19 @@ def test_structured_field_errors(run_cli, write_json):
     path = write_json("badpair.json", {"nodes": [[0, 0], [1]], "targets": [[0, 0], [0, 0]], "K": [1]})
     code, _, err = run_cli("feasible", path, "--mode", "iff")
     assert code == 2 and "nodes[1]" in err
+
+    # stored interpolants: m and d must be integers, low_confidence a JSON boolean
+    problem = write_json("p.json", PROBLEM_FEASIBLE)
+    interpolant = {"lambda": [0, 0], "m": 2, "d": 1, "schur_steps": [], "tail": [0.8, 0]}
+    for name, patch, field in [
+        ("mbool.json", {"m": True}, "'m'"),
+        ("dbool.json", {"d": True}, "'d'"),
+        ("mfloat.json", {"m": 1.5}, "'m'"),
+        ("lowconf.json", {"low_confidence": "false"}, "low_confidence"),
+    ]:
+        code, _, err = run_cli("verify", "--function", write_json(name, {**interpolant, **patch}), "--problem", problem)
+        assert code == 2, name
+        assert field in err and "Traceback" not in err, err
 
 
 def test_feasible_fixture_reports(run_cli, write_json):

@@ -21,7 +21,7 @@ from cpick import (
     mobius_inverse,
     psd_check,
 )
-from cpick.feasibility import LAMBDA_CLAMP, _UNCLAMPED_SQ, _clamp, _grid_rings
+from cpick.feasibility import LAMBDA_CLAMP, _UNCLAMPED_SQ, _clamp, _grid_points
 from cpick.pickmat import PickBuilder
 from conftest import disk_point
 
@@ -157,6 +157,8 @@ def test_search_config_json_and_validation():
         SearchConfig(radii=(1.0,))
     with pytest.raises(InvalidConfig):
         SearchConfig(angles=0)
+    with pytest.raises(InvalidConfig, match="'tol'"):
+        SearchConfig(tol="1e-8")
 
 
 @pytest.mark.parametrize("field", ["angles", "refine_iters"])
@@ -178,27 +180,27 @@ def test_search_config_stores_plain_ints():
 
 
 def test_grid_is_cached_and_read_only():
-    rings = _grid_rings((0.0, 0.5), 8)
-    assert isinstance(rings, tuple) and [len(ring) for ring in rings] == [1, 8]
-    for ring in rings:
-        with pytest.raises(ValueError):
-            ring[0] = 0.25
-    assert _grid_rings((0.0, 0.5), 8) is rings
+    points = _grid_points((0.0, 0.5), 8)
+    # the radius-0 ring collapses to one point, listed first
+    assert points.shape == (9,) and points[0] == 0 and np.allclose(np.abs(points[1:]), 0.5)
+    with pytest.raises(ValueError):
+        points[0] = 0.25
+    assert _grid_points((0.0, 0.5), 8) is points
     cfg = SearchConfig(radii=[0.0, 0.5], angles=np.int64(8))
-    assert _grid_rings(cfg.radii, cfg.angles) is rings
-    other_angles, other_radii = _grid_rings((0.0, 0.5), 9), _grid_rings((0.0, 0.6), 8)
-    assert [len(ring) for ring in other_angles] == [1, 9]
-    assert not np.array_equal(other_radii[1], rings[1])
+    assert _grid_points(cfg.radii, cfg.angles) is points
+    assert len(_grid_points((0.0, 0.5), 9)) == 10
+    assert np.array_equal(_grid_points((0.5, 0.5, 0.0), 8), np.append(points[1:], 0))
+    assert not np.array_equal(_grid_points((0.0, 0.6), 8), points)
 
 
 def test_cold_and_warm_grid_give_the_same_search():
     cfg = SearchConfig(radii=(0.0, 0.35, 0.7), angles=24)
     p = Problem(nodes=(0.3, -0.2 + 0.4j), targets=(0.1, 0.2j))
-    _grid_rings.cache_clear()
+    _grid_points.cache_clear()
     cold = find_lambda(p, 2, 1, cfg)
-    assert _grid_rings.cache_info().currsize == 1
+    assert _grid_points.cache_info().currsize == 1
     warm = find_lambda(p, 2, 1, cfg)
-    assert _grid_rings.cache_info().hits >= 1
+    assert _grid_points.cache_info().hits >= 1
     assert cold == warm
 
 
@@ -323,7 +325,9 @@ def test_stacked_grid_matches_looped_grid(cfg):
         assert r.evaluations == evaluations
         assert r.best_min_eigenvalue == best
         assert r.lambda_ == (lam if r.feasible else None)
-        assert r.feasible == psd_check(constrained_pick(p.nodes, p.targets, lam, E, d), cfg.tol).is_psd
+        verdict = psd_check(constrained_pick(p.nodes, p.targets, lam, E, d), cfg.tol)
+        assert r.feasible == verdict.is_psd
+        assert verdict.min_eigenvalue == r.best_min_eigenvalue
     # every simplex move is exercised, so the match above guards each of them
     assert all(moves[m] > 0 for m in ("expand", "reflect", "contract", "shrink", "clamp")), moves
 
@@ -337,7 +341,7 @@ def test_pruning_keeps_a_top_three_point_whose_bound_is_below_the_best():
     p = Problem(nodes, tuple(mobius_inverse(lam0, z**3 * 0.77 * mobius(a, z)) for z in nodes))
     cfg = SearchConfig()
     pick = PickBuilder(p.nodes, p.targets, 3, 1)
-    points = np.concatenate(_grid_rings(cfg.radii, cfg.angles))
+    points = _grid_points(cfg.radii, cfg.angles)
     values, bounds = pick.min_eigenvalues(points), pick.min_eigenvalue_bounds(points)
     first = np.argsort(-bounds, kind="stable")[:3]
     top = np.lexsort((np.arange(len(points)), -values))[:3]
@@ -379,7 +383,9 @@ def test_pruned_grid_matches_looped_search(data, exponents, cfg, induced):
     assert not r.pinned
     assert (r.evaluations, r.best_min_eigenvalue) == (evaluations, best)
     assert r.lambda_ == (lam if r.feasible else None)
-    assert r.feasible == psd_check(constrained_pick(p.nodes, p.targets, lam, E, d), cfg.tol).is_psd
+    verdict = psd_check(constrained_pick(p.nodes, p.targets, lam, E, d), cfg.tol)
+    assert r.feasible == verdict.is_psd
+    assert verdict.min_eigenvalue == r.best_min_eigenvalue
 
 
 def _two_builder_pinned_search(problem, E, d, tol):

@@ -13,7 +13,6 @@ from cpick import (
     contains,
     from_finite_set,
     is_algebra,
-    monomial_exponents,
     smallest_missing,
 )
 from conftest import fixture_kspecs
@@ -158,14 +157,6 @@ def test_complement_structure_rejects_non_algebra():
         complement_structure(from_finite_set([2]))
     with pytest.raises(Unsupported):
         complement_structure(KSpec(d=1, gaps=()))  # empty K
-
-
-def test_monomial_exponents_examples():
-    assert monomial_exponents(from_finite_set([1]), 5) == [0, 2, 3, 4, 5]
-    assert monomial_exponents(from_finite_set([1, 3]), 6) == [0, 2, 4, 5, 6]
-    assert monomial_exponents(KSpec(d=2, gaps=(1,)), 10) == [0, 4, 6, 8, 10]
-    with pytest.raises(Unsupported):
-        monomial_exponents(from_finite_set([2]), 5)
 
 
 @pytest.mark.parametrize("k", [k for k in fixture_kspecs() if is_algebra(k)], ids=str)
