@@ -15,6 +15,7 @@ construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,9 +165,7 @@ def taylor_coeffs(f, count: int, radius: float = 0.5, samples: int = 1024) -> Ta
         raise InvalidConfig(
             f"samples must be a power of two with samples >= 4 * count, got {samples}"
         )
-    t = np.arange(samples)
-    ring = radius * np.exp(2j * np.pi * t / samples)
-    vals = _sample(f, ring)
+    vals = _sample(f, _circle(radius, samples))
     spectrum = np.fft.fft(vals)[: count + 1]
     coeffs = spectrum / (samples * radius ** np.arange(count + 1))
     return TaylorReport(radius=radius, samples=samples, coeffs=tuple(complex(c) for c in coeffs))
@@ -182,9 +181,20 @@ def sup_norm_estimate(f, radius: float = 0.999, samples: int = 4096) -> float:
         raise InvalidConfig(f"sampling radius must lie in (0, 1), got {radius}")
     if samples < 1:
         raise InvalidConfig(f"need at least one sample, got {samples}")
+    return float(np.max(np.abs(_sample(f, _circle(radius, samples)))))
+
+
+@functools.lru_cache(maxsize=8)
+def _circle(radius: float, samples: int) -> np.ndarray:
+    """The points radius * exp(2 pi i t / samples), t = 0 .. samples - 1, as a read-only array.
+
+    Cached: equal arguments return the same array, which is why it cannot
+    be written to.  Callers validate the arguments first.
+    """
     t = np.arange(samples)
     ring = radius * np.exp(2j * np.pi * t / samples)
-    return float(np.max(np.abs(_sample(f, ring))))
+    ring.flags.writeable = False
+    return ring
 
 
 def _sample(f, points: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 
@@ -47,7 +48,14 @@ def _pair_to_complex(value, where: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
     ):
         raise ParseError(f"{where}: expected a [re, im] pair, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+    # json.load reads NaN, Infinity and integers too large for a float; none is valid input
+    try:
+        z = complex(float(value[0]), float(value[1]))
+    except OverflowError:
+        z = complex("inf")
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ParseError(f"{where}: expected finite numbers, got {value!r}")
+    return z
 
 
 def _complex_to_pair(z: complex) -> list[float]:

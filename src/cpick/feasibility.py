@@ -75,9 +75,10 @@ class Problem:
             raise InvalidProblem(f"problem size must lie in [1, {MAX_POINTS}], got {len(nodes)}")
         if len(set(nodes)) != len(nodes):
             raise InvalidProblem("nodes must be distinct")
-        if any(abs(z) >= 1.0 for z in nodes):
+        # written as not |z| < 1 so that NaN is refused too
+        if any(not abs(z) < 1.0 for z in nodes):
             raise DomainError("nodes must lie strictly inside the unit disk")
-        if any(abs(w) >= 1.0 for w in targets):
+        if any(not abs(w) < 1.0 for w in targets):
             raise DomainError("targets must lie strictly inside the unit disk")
 
     @property
@@ -304,6 +305,10 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
         simplex = [simplex[i] for i in order]
         vals = [vals[i] for i in order]
         (x0, y0), (x1, y1), (x2, y2) = simplex
+        # Loosening this stop (1e-9, say) moves lam, and acceptance criterion 5
+        # then fails: np_solve refuses the lam it would choose.  It carries that
+        # weight until the search judges PSD on the scale np_solve uses
+        # (ROADMAP item 1).
         if max(abs(x0 - x1), abs(y0 - y1), abs(x0 - x2), abs(y0 - y2)) < 1e-12:
             break
         cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)

@@ -79,7 +79,7 @@ class Interpolant:
                 raise InvalidProblem(f"exponent {field!r} must be an integer, got {value!r}") from exc
         if self.m < 1 or self.d < 1:
             raise InvalidProblem(f"exponents must be positive, got m={self.m}, d={self.d}")
-        if abs(self.lambda_) >= 1.0:
+        if not abs(self.lambda_) < 1.0:  # NaN fails too
             raise InvalidProblem("the base value lambda must lie strictly inside the disk")
 
     def __call__(self, z):

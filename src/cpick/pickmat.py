@@ -8,6 +8,11 @@ and by the parameter search, which evaluates it over arrays of lam.  The
 PSD verdict is ``psd_check``.  Every smallest eigenvalue, the search's and
 the verdict's, is taken of the Hermitian part ``_hermitian_part`` in one
 place, ``_min_eigenvalues``, so a verdict judges the value a search reports.
+It calls LAPACK's stacked Hermitian eigensolver directly, through numpy's
+gufunc ``_umath_linalg.eigvalsh_lo``, without the per-call argument handling
+of ``np.linalg.eigvalsh``; a stack that comes back with a NaN minimum, which
+is how the gufunc reports a failure to converge, is redone through
+``np.linalg.eigvalsh``, so such a failure still raises ``LinAlgError``.
 
 The classical matrix [(1 - w_i conj(w_j)) / (1 - z_i conj(z_j))] decides
 plain Nevanlinna-Pick solvability.  The constrained variant replaces the
@@ -24,10 +29,12 @@ directions of the criterion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     DomainError,
@@ -56,11 +63,16 @@ BOUNDARY_TOL = 1e-12
 # ``construct`` takes it as a floor under the search tolerance, so a search
 # run at a smaller one, even 0, leaves the solver this much slack.
 CLASSICAL_PSD_TOL = 1e-9
+# The LAPACK gufunc (zheevd on the lower triangle) that ``np.linalg.eigvalsh``
+# calls for complex input with UPLO='L', bound once so that each eigensolve
+# skips the wrapper's argument handling.  It is private to numpy: if a numpy
+# release moves it, importing cpick fails here.
+_eigvalsh_lo = _umath_linalg.eigvalsh_lo
 
 
 def _check_closed_disk(z, label: str):
     z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) > 1.0 + BOUNDARY_TOL):
+    if not np.all(np.abs(z) <= 1.0 + BOUNDARY_TOL):  # written so that NaN fails
         worst = np.max(np.abs(z))
         raise DomainError(f"{label} must lie in the closed unit disk, got modulus {worst:.6g}")
     return z
@@ -69,7 +81,7 @@ def _check_closed_disk(z, label: str):
 def _check_open_disk(z, label: str):
     """A scalar as a Python complex, a sequence as a complex array."""
     a = np.asarray(z, dtype=complex)
-    if np.any(np.abs(a) >= 1.0):
+    if not np.all(np.abs(a) < 1.0):  # written so that NaN fails
         worst = np.max(np.abs(a))
         raise DomainError(f"{label} must lie strictly inside the unit disk, got modulus {worst:.6g}")
     return complex(a) if a.ndim == 0 else a
@@ -241,8 +253,21 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def _min_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the Hermitian part of each matrix in m."""
-    return np.linalg.eigvalsh(_hermitian_part(m))[..., 0]
+    """Smallest eigenvalue of the Hermitian part of each matrix in m.
+
+    Calls LAPACK through ``_eigvalsh_lo``, with the bits ``np.linalg.eigvalsh``
+    would return.  The gufunc reports a failure to converge as NaN (numpy
+    may also warn of an invalid value) where the wrapper raises, so a stack
+    with a NaN minimum is redone by ``np.linalg.eigvalsh``, which raises
+    ``LinAlgError``, or returns the same NaN for NaN input.
+    """
+    h = _hermitian_part(m)
+    lo = _eigvalsh_lo(h, signature="D->d")[..., 0]
+    # one cheap NaN test: a Python sum of the minima, with no ufunc reduction
+    s = sum(lo.tolist()) if lo.ndim else float(lo)
+    if s != s:
+        lo = np.linalg.eigvalsh(h)[..., 0]
+    return lo
 
 
 def constrained_pick(nodes, targets, lam: complex, E: int, d: int) -> HermitianMatrix:
@@ -261,8 +286,8 @@ def psd_check(m, tol: float = CLASSICAL_PSD_TOL) -> PsdVerdict:
     min_eigenvalue >= -tol * max(1, s) with s the Gershgorin bound
     max_i sum_j |m_ij|, a cheap spectral-norm overestimate.
     """
-    if tol < 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     a = m.entries if isinstance(m, HermitianMatrix) else HermitianMatrix(m).entries
     if not np.all(np.isfinite(a.view(float))):
         raise NumericalError("matrix contains non-finite entries")

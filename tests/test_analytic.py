@@ -17,6 +17,7 @@ from cpick import (
     sup_norm_estimate,
     taylor_coeffs,
 )
+from cpick.analytic import _circle
 from conftest import blaschke_product, disk_point
 
 
@@ -49,6 +50,10 @@ def test_mobius_domain_errors():
         mobius(0.2, 1.5)
     with pytest.raises(DomainError):
         mobius(1.0, 0.2)
+    with pytest.raises(DomainError):
+        mobius(0.1, float("nan"))
+    with pytest.raises(DomainError):
+        mobius(complex(float("nan"), 0.0), 0.2)
 
 
 def test_np_solve_single_point_is_constant():
@@ -77,6 +82,12 @@ def test_np_solve_rejects_bad_input():
         np_solve([0.3], [0.1, 0.2])
     with pytest.raises(DomainError):
         np_solve([1.0], [0.5])
+    with pytest.raises(DomainError):
+        np_solve([0.3], [float("nan")])
+    # a PD Pick matrix (min eigenvalue 2.7e-2): a NaN tolerance must not turn it into Infeasible
+    for tol in (float("nan"), float("inf"), -1e-9):
+        with pytest.raises(ValueError):
+            np_solve([0.3, 0.5], [0.1, 0.2], tol=tol)
 
 
 def test_np_solve_infeasible_data():
@@ -231,3 +242,12 @@ def test_sup_norm_examples():
 def test_scalar_only_callables_are_supported():
     rep = taylor_coeffs(lambda z: complex(z) ** 3, 4, 0.5, 64)
     assert abs(rep.coeffs[3] - 1) <= 1e-10
+
+
+@pytest.mark.parametrize("radius,samples", [(0.999, 4096), (0.5, 1024), (0.9, 8)])
+def test_sampling_circle_is_built_once(radius, samples):
+    ring = _circle(radius, samples)
+    assert _circle(radius, samples) is ring
+    assert not ring.flags.writeable
+    t = np.arange(samples)
+    assert np.array_equal(ring, radius * np.exp(2j * np.pi * t / samples))

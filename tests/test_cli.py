@@ -66,6 +66,9 @@ def test_parse_errors_exit_2(run_cli, write_json, tmp_path):
         ("radiibool.json", {"search": {"radii": [False, 0.5]}}, "'radii'"),
         ("tolstr.json", {"search": {"tol": "1e-8"}}, "'tol'"),
         ("radiistr.json", {"search": {"radii": ["0.5"]}}, "'radii'"),
+        # json.load reads NaN and Infinity; they are malformed numbers too
+        ("nannode.json", {"nodes": [[float("nan"), 0], [0.5, 0]]}, "nodes[0]: expected finite"),
+        ("inftarget.json", {"targets": [[0, 0], [0.2, float("inf")]]}, "targets[1]: expected finite"),
     ]:
         code, _, err = run_cli("feasible", write_json(name, {**PROBLEM_FEASIBLE, **patch}), "--mode", "iff")
         assert code == 2, name
@@ -94,6 +97,9 @@ def test_structured_field_errors(run_cli, write_json):
         ("dbool.json", {"d": True}, "'d'"),
         ("mfloat.json", {"m": 1.5}, "'m'"),
         ("lowconf.json", {"low_confidence": "false"}, "low_confidence"),
+        ("nanlam.json", {"lambda": [float("nan"), 0]}, "lambda: expected finite"),
+        ("nanstep.json", {"schur_steps": [[[0.1, 0], [0, float("nan")]]]}, "schur_steps[0][1]: expected finite"),
+        ("inftl.json", {"tail": [float("inf"), 0]}, "tail: expected finite"),
     ]:
         code, _, err = run_cli("verify", "--function", write_json(name, {**interpolant, **patch}), "--problem", problem)
         assert code == 2, name

@@ -37,6 +37,11 @@ def test_problem_validation():
         Problem(nodes=(1.0,), targets=(0.2,))
     with pytest.raises(DomainError):
         Problem(nodes=(0.5,), targets=(1.0,))
+    # NaN is in no disk: abs(nan) >= 1 is false, so the checks are written as not abs(z) < 1
+    with pytest.raises(DomainError):
+        Problem(nodes=(float("nan"), 0.5), targets=(0.1, 0.2))
+    with pytest.raises(DomainError):
+        Problem(nodes=(0.1, 0.5), targets=(complex(0.1, float("nan")), 0.2))
 
 
 def test_objective_closed_forms():

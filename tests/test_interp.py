@@ -204,4 +204,6 @@ def test_interpolant_validation():
     with pytest.raises(InvalidProblem):
         Interpolant(lambda_=1.0, m=2, d=1, h=SchurFunction(steps=(), tail=0))
     with pytest.raises(InvalidProblem):
+        Interpolant(lambda_=float("nan"), m=2, d=1, h=SchurFunction(steps=(), tail=0))
+    with pytest.raises(InvalidProblem):
         Interpolant(lambda_=0.0, m=0, d=1, h=SchurFunction(steps=(), tail=0))

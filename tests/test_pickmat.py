@@ -15,6 +15,7 @@ from cpick import (
     mobius_inverse,
     psd_check,
 )
+from cpick import pickmat
 from cpick.pickmat import PickBuilder
 from conftest import disk_point
 
@@ -88,6 +89,10 @@ def test_constrained_pick_validation():
         constrained_pick([0.5], [1.1], 0, 2, 1)
     with pytest.raises(DomainError):
         constrained_pick([0.5], [0.1], 1.0, 2, 1)
+    with pytest.raises(DomainError):
+        constrained_pick([0.5], [float("nan")], 0, 2, 1)
+    with pytest.raises(DomainError):
+        constrained_pick([0.5], [0.1], float("nan"), 2, 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
@@ -101,6 +106,44 @@ def test_stacked_min_eigenvalues_equal_scalar_path_exactly(n, E, d):
     stacked = pick.min_eigenvalues(lams)
     assert stacked.shape == lams.shape
     assert np.array_equal(stacked, [pick.min_eigenvalue(complex(lam)) for lam in lams])
+
+
+def _public_min_eigenvalues(m):
+    return np.linalg.eigvalsh(pickmat._hermitian_part(m))[..., 0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("k", [1, 2, 3, 64])
+def test_min_eigenvalues_equal_public_eigvalsh_exactly(k, n):
+    # the direct LAPACK call must return the bits np.linalg.eigvalsh returns
+    rng = np.random.default_rng(100 * k + n)
+    m = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+    assert np.array_equal(pickmat._min_eigenvalues(m), _public_min_eigenvalues(m))
+    assert np.array_equal(pickmat._min_eigenvalues(m[0]), _public_min_eigenvalues(m[0]))
+
+
+def test_min_eigenvalues_redo_a_nan_stack_through_numpy(monkeypatch):
+    # the gufunc reports a failure to converge as NaN where np.linalg.eigvalsh raises
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    expected = _public_min_eigenvalues(m)
+    calls = []
+
+    def failed(a, signature):
+        calls.append(signature)
+        return np.full(a.shape[:-1], np.nan)
+
+    monkeypatch.setattr(pickmat, "_eigvalsh_lo", failed)
+    assert np.array_equal(pickmat._min_eigenvalues(m), expected)
+    assert pickmat._min_eigenvalues(m[1]) == expected[1]
+    assert calls == ["D->d", "D->d"]
+
+    def not_converged(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", not_converged)
+    with pytest.raises(np.linalg.LinAlgError):
+        pickmat._min_eigenvalues(m)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
@@ -150,6 +193,10 @@ def test_psd_check_examples():
     assert v.is_psd and v.min_eigenvalue == 0.0
     with pytest.raises(NumericalError):
         psd_check(HermitianMatrix([[np.nan]]))
+    # a NaN tolerance would fail every matrix, an infinite one pass every matrix
+    for tol in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError):
+            psd_check(HermitianMatrix(np.eye(2)), tol)
 
 
 def test_psd_check_permutation_invariance():
