@@ -61,7 +61,6 @@ from .feasibility import (
     Problem,
     SearchConfig,
     find_lambda,
-    min_eig_objective,
 )
 from .interp import (
     Interpolant,

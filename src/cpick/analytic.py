@@ -16,6 +16,7 @@ construction.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +58,24 @@ class SchurFunction:
     immutable and safe to evaluate concurrently.  ``low_confidence`` marks
     solutions extracted from a nearly singular Pick matrix; verification
     tolerances should be widened for those.
+
+    A NaN or infinite node, value or tail raises ``InvalidProblem``.  Finite
+    values outside the disk are accepted, so that ``verify_interpolant`` can
+    reject a tampered chain rather than have it refused as input.
     """
 
     steps: tuple[tuple[complex, complex], ...]
     tail: complex
     low_confidence: bool = False
+
+    def __post_init__(self):
+        named = [("tail", self.tail)]
+        for i, (node, value) in enumerate(self.steps):
+            named += [(f"steps[{i}] node", node), (f"steps[{i}] value", value)]
+        for field, v in named:
+            z = complex(v)
+            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                raise InvalidProblem(f"Schur function {field} must be finite, got {v!r}")
 
     def __call__(self, z):
         return evaluate(self, z)

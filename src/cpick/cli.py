@@ -75,6 +75,15 @@ def _load_json(path: str) -> dict:
     return doc
 
 
+def _write_json(path: str, doc: dict) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def _kspec_from_doc(doc: dict, path: str) -> KSpec:
     if "nodes" in doc or "targets" in doc:  # problem file: constraint set under "K"
         if "K" not in doc:
@@ -213,11 +222,7 @@ def cmd_feasible(args) -> int:
     k = _kspec_from_doc(doc, args.input)
     problem = _problem_from_doc(doc, args.input)
     cfg = _search_config(doc, args.input, args)
-    try:
-        m, d = exponent_plan(k, args.mode)
-    except NotPrefixK as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODE
+    m, d = exponent_plan(k, args.mode)
     result = find_lambda(problem, m * d, d, cfg)
     log.info("mode=%s E=%d d=%d feasible=%s", args.mode, m * d, d, result.feasible)
     _emit(
@@ -244,9 +249,6 @@ def cmd_interpolate(args) -> int:
     cfg = _search_config(doc, args.input, args)
     try:
         f = construct(problem, k, args.mode, cfg)
-    except NotPrefixK as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODE
     except NotFound as exc:
         _emit(
             {
@@ -261,9 +263,7 @@ def cmd_interpolate(args) -> int:
         return EXIT_NO
     report = verify_interpolant(f, problem, k)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(_interpolant_to_json(f), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(args.out, _interpolant_to_json(f))
         log.info("wrote interpolant to %s", args.out)
     _emit(
         {
@@ -343,11 +343,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except NotPrefixK as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CPickError as exc:
-        # Library-level rejection of file contents (bad disk values, sizes...)
+        return EXIT_MODE
+    except (ParseError, CPickError) as exc:
+        # a malformed file, an unwritable --out path, or a library-level
+        # rejection of file contents (bad disk values, sizes...)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -10,9 +10,11 @@ smallest eigenvalue.  A positive answer carries a verifiable witness; a
 negative answer is evidence only, except in the pinned case.
 
 A search builds one ``pickmat.PickBuilder`` and reads every objective value
-from it.  Its verdict is ``psd_check`` of the ``constrained_pick`` matrix at
-the chosen parameter; without a pinned node that verdict judges exactly the
-``best_min_eigenvalue`` the search reports.
+from it.  Its verdict is ``psd_check`` of one matrix, and the
+``best_min_eigenvalue`` it reports is that verdict's eigenvalue: without a
+pinned node the matrix is ``constrained_pick``'s at the chosen parameter;
+with one, it is the block left after removing the pinned node's row and
+column, which vanish exactly.
 """
 
 from __future__ import annotations
@@ -25,20 +27,12 @@ import numpy as np
 
 from .errors import DomainError, InvalidConfig, InvalidProblem
 from .kset import _integer
-from .pickmat import (
-    HermitianMatrix,
-    PickBuilder,
-    _check_open_disk,
-    _min_eigenvalues,
-    constrained_pick,
-    psd_check,
-)
+from .pickmat import PickBuilder, constrained_pick, psd_check
 
 __all__ = [
     "Problem",
     "SearchConfig",
     "FeasibilityResult",
-    "min_eig_objective",
     "find_lambda",
 ]
 
@@ -152,10 +146,15 @@ DEFAULT_CONFIG = SearchConfig()
 class FeasibilityResult:
     """Outcome of a parameter search.
 
-    ``lambda_`` is present exactly when ``feasible`` and then re-verifies
-    under ``psd_check`` at the search tolerance.  ``pinned`` marks the exact
-    single-point search forced by a node at the origin; only then can a
-    negative verdict be certified, and only for a necessary criterion.
+    ``feasible`` is ``psd_check``'s verdict at the search tolerance on one
+    matrix, and ``best_min_eigenvalue`` is the smallest eigenvalue it judged.
+    ``pinned`` marks the exact single-point search forced by a node at the
+    origin; its matrix is the constrained Pick matrix at the pinned parameter
+    without that node's row and column, which vanish there (no matrix and
+    0.0 when no other node is left).  Otherwise the matrix is
+    ``constrained_pick``'s at the best parameter found.  Only a pinned
+    negative can be certified, and only for a necessary criterion.
+    ``lambda_`` is present exactly when ``feasible``.
     ``evaluations`` counts every grid point, each ranked whether or not its
     bound ruled out an eigensolve, plus every simplex trial the simplex used.
     """
@@ -165,32 +164,6 @@ class FeasibilityResult:
     best_min_eigenvalue: float
     evaluations: int
     pinned: bool
-
-
-def min_eig_objective(lam: complex, problem: Problem, E: int, d: int) -> float:
-    """Smallest eigenvalue of the constrained Pick matrix at ``lam``.
-
-    When a node sits at the origin and ``lam`` equals its target exactly,
-    that row and column vanish identically and are dropped, so the value
-    reported is the informative eigenvalue of the reduced block (0.0 if
-    nothing remains).  Continuous in lam on the open disk.
-    """
-    lam = _check_open_disk(lam, "Möbius parameter")
-    dropped = [i for i, (z, w) in enumerate(zip(problem.nodes, problem.targets)) if z == 0 and w == lam]
-    return _reduced_min_eigenvalue(PickBuilder(problem.nodes, problem.targets, E, d).entries(lam), dropped)
-
-
-def _reduced_min_eigenvalue(entries: np.ndarray, dropped: list[int]) -> float:
-    """Smallest eigenvalue of ``entries`` without the rows and columns in ``dropped``, 0.0 if none remain.
-
-    The entries of ``PickBuilder`` are computed elementwise, so the block
-    kept equals, bit for bit, the matrix of a builder on the kept nodes
-    alone, and so does its smallest eigenvalue.
-    """
-    keep = [i for i in range(len(entries)) if i not in dropped]
-    if not keep:
-        return 0.0
-    return float(_min_eigenvalues(entries.take(keep, 0).take(keep, 1)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -230,7 +203,9 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
     """Search the disk for a parameter with a PSD constrained Pick matrix.
 
     A node at the origin pins the parameter to its target (at most one node
-    can be zero), collapsing the search to a single exact evaluation.
+    can be zero), collapsing the search to a single exact evaluation: one
+    ``psd_check`` of the block left after removing that node's row and
+    column, which vanish at the pinned parameter.
     Otherwise all grid candidates radius x angle (exact duplicates dropped,
     built once per config) are ranked by ``PickBuilder.min_eigenvalue_bounds``.
     The three with the largest bounds are scored by the smallest-eigenvalue
@@ -243,23 +218,27 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
     ``evaluations`` counts every grid point, scored or ruled out by its
     bound, and every simplex trial the simplex uses; a contraction scored
     alongside an accepted reflection is not counted.
-    Fully deterministic for a fixed config; grid ties resolve to the
-    smallest (radius index, angle index), and any returned witness
-    re-verifies under ``psd_check``.
+    The verdict is ``psd_check`` of ``constrained_pick`` at the best point,
+    which judges the value the simplex reports.  Fully deterministic for a
+    fixed config; grid ties resolve to the smallest (radius index, angle
+    index).
     """
     cfg = cfg or DEFAULT_CONFIG
     pick = PickBuilder(problem.nodes, problem.targets, E, d)
-    zero_idx = [i for i, z in enumerate(problem.nodes) if z == 0]
-    if zero_idx:
-        # one matrix gives both numbers: the objective drops the pinned node's
-        # row and column, which vanish; the verdict is constrained_pick's matrix
-        lam = problem.targets[zero_idx[0]]
-        entries = pick.entries(lam)
-        best = _reduced_min_eigenvalue(entries, zero_idx[:1])
-        verdict = psd_check(HermitianMatrix(entries), cfg.tol)
+    if 0 in problem.nodes:
+        # At lam = w_0 the pinned node's row and column vanish exactly, so the
+        # matrix is PSD exactly when the block without them is; that block gives
+        # both the verdict and the value reported, in one eigensolve.
+        origin = problem.nodes.index(0)
+        lam = problem.targets[origin]
+        keep = [i for i in range(problem.n) if i != origin]
+        feasible, best = True, 0.0
+        if keep:
+            verdict = psd_check(pick.entries(lam).take(keep, 0).take(keep, 1), cfg.tol)
+            feasible, best = verdict.is_psd, verdict.min_eigenvalue
         return FeasibilityResult(
-            feasible=verdict.is_psd,
-            lambda_=lam if verdict.is_psd else None,
+            feasible=feasible,
+            lambda_=lam if feasible else None,
             best_min_eigenvalue=best,
             evaluations=1,
             pinned=True,

@@ -281,23 +281,17 @@ def _crosscheck_derivatives(f: Interpolant, coeffs, kmax: int = 6) -> float:
     return worst
 
 
-def verify_interpolant(
-    f: Interpolant,
-    problem: Problem,
-    k: KSpec,
-    tolerances: Tolerances | None = None,
-) -> VerificationReport:
+def verify_interpolant(f: Interpolant, problem: Problem, k: KSpec) -> VerificationReport:
     """Re-check interpolation residuals, sup norm and membership.
 
     Residuals come from direct evaluation, the norm from 4096 circle samples
     at radius 0.999, and membership from Taylor coefficients at radius 0.5
     with 1024 samples, checked at every constrained index up to
-    min(64, max(12, 4 * smallest_missing)).  Tolerances widen a hundredfold
-    when the solution is flagged low confidence.  Always returns a report.
+    min(64, max(12, 4 * smallest_missing)).  The default ``Tolerances``
+    widen a hundredfold when the solution is flagged low confidence.  Always
+    returns a report.
     """
-    tol = tolerances or Tolerances()
-    if f.h.low_confidence:
-        tol = tol.widened(100.0)
+    tol = Tolerances().widened(100.0) if f.h.low_confidence else Tolerances()
     residuals = tuple(float(abs(f(z) - w)) for z, w in zip(problem.nodes, problem.targets))
     sup = sup_norm_estimate(f, 0.999, 4096)
     bound = _taylor_bound(k)
@@ -305,7 +299,7 @@ def verify_interpolant(
     violations = tuple(
         (j, abs(report.coeffs[j]))
         for j in range(1, bound + 1)
-        if contains(k, j) and abs(report.coeffs[j]) > tol.taylor
+        if contains(k, j) and not abs(report.coeffs[j]) <= tol.taylor  # a NaN coefficient violates too
     )
     cross = _crosscheck_derivatives(f, report.coeffs)
     passed = (

@@ -1,5 +1,7 @@
 """Möbius maps, the Schur-Nevanlinna solver, Taylor extraction, sup norms."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from cpick import (
     Infeasible,
     InvalidConfig,
     InvalidProblem,
+    SchurFunction,
     classical_pick,
     evaluate,
     mobius,
@@ -186,6 +189,20 @@ def test_evaluate_contract():
     arr = np.array([0.1, 0.2 + 0.1j])
     out = evaluate(f, arr)
     assert out.shape == arr.shape
+
+
+def test_schur_function_refuses_non_finite_fields():
+    nan, inf = float("nan"), float("inf")
+    for kwargs, field in [
+        ({"steps": (), "tail": nan}, "tail"),
+        ({"steps": ((0.5, complex(0.2, nan)),), "tail": 0j}, "steps[0] value"),
+        ({"steps": ((0.1, 0.2), (inf, 0.2)), "tail": 0j}, "steps[1] node"),
+    ]:
+        with pytest.raises(InvalidProblem, match=re.escape(field)):
+            SchurFunction(**kwargs)
+    # finite values off the disk stay constructible: verification rejects them
+    f = SchurFunction(steps=((0.5, 1.5),), tail=2.0)
+    assert f.steps == ((0.5, 1.5),) and f.tail == 2.0
 
 
 def test_taylor_monomial():

@@ -164,6 +164,35 @@ def test_interpolate_writes_artifact_and_verify_roundtrips(run_cli, write_json, 
     assert json.loads(out)["passed"] is True
 
 
+def test_interpolate_unwritable_out_exits_2(run_cli, write_json, tmp_path):
+    prob = write_json("p.json", PROBLEM_FEASIBLE)
+    out_path = tmp_path / "missing-dir" / "f.json"
+    code, out, err = run_cli("interpolate", prob, "--mode", "iff", "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert str(out_path) in err and "Traceback" not in err, err
+
+
+def test_pinned_feasible_at_zero_tolerance(run_cli, write_json, tmp_path):
+    # f(z) = 0.4 z^2 interpolates and the pinned block's eigenvalue is 0.028,
+    # but the full matrix's zero eigenvalue computes slightly negative: tol 0
+    # must judge the block
+    prob = write_json(
+        "r.json", {"nodes": [[0.5, 0], [0, 0], [-0.5, 0]], "targets": [[0.1, 0], [0, 0], [0.1, 0]], "K": [1]}
+    )
+    f = write_json("f.json", {"lambda": [0, 0], "m": 2, "d": 1, "schur_steps": [], "tail": [0.4, 0]})
+    assert run_cli("verify", "--function", f, "--problem", prob)[0] == 0
+
+    code, out, _ = run_cli("feasible", prob, "--mode", "iff", "--tol", "0")
+    doc = json.loads(out)
+    assert code == 0 and doc["feasible"] is True and doc["pinned"] is True
+    assert doc["best_min_eigenvalue"] == pytest.approx(0.028, abs=1e-12)
+
+    out_path = tmp_path / "built.json"
+    assert run_cli("interpolate", prob, "--mode", "iff", "--tol", "0", "--out", str(out_path))[0] == 0
+    code, out, _ = run_cli("verify", "--function", str(out_path), "--problem", prob)
+    assert code == 0 and json.loads(out)["passed"] is True
+
+
 def test_interpolate_infeasible_no_file(run_cli, write_json, tmp_path):
     prob = write_json("q.json", PROBLEM_INFEASIBLE)
     out_path = tmp_path / "never.json"
@@ -185,6 +214,14 @@ def test_verify_detects_tampering(run_cli, write_json, tmp_path):
     code, out, _ = run_cli("verify", "--function", str(tampered), "--problem", prob)
     assert code == 1
     assert max(json.loads(out)["residuals"]) > 1e-3
+
+    # a chain value outside the disk is a rejected function, not unreadable input
+    artifact = json.loads(out_path.read_text())
+    artifact["schur_steps"][0][1] = [1.5, 0.0]
+    tampered.write_text(json.dumps(artifact))
+    code, out, _ = run_cli("verify", "--function", str(tampered), "--problem", prob)
+    assert code == 1
+    assert json.loads(out)["passed"] is False
 
 
 def test_verify_against_stricter_class(run_cli, write_json, tmp_path):

@@ -16,7 +16,6 @@ from cpick import (
     SearchConfig,
     constrained_pick,
     find_lambda,
-    min_eig_objective,
     mobius,
     mobius_inverse,
     psd_check,
@@ -45,21 +44,19 @@ def test_problem_validation():
 
 
 def test_objective_closed_forms():
-    p = Problem(nodes=(0.5,), targets=(0.7,))
+    pick = PickBuilder((0.5,), (0.7,), 2, 1)
     # at lam = w the numerator loses its subtrahend entirely
-    assert min_eig_objective(0.7, p, 2, 1) == pytest.approx(0.0625 / 0.75, abs=1e-12)
-    assert min_eig_objective(0.0, p, 2, 1) == pytest.approx((0.0625 - 0.49) / 0.75, abs=1e-12)
+    assert pick.min_eigenvalue(0.7) == pytest.approx(0.0625 / 0.75, abs=1e-12)
+    assert pick.min_eigenvalue(0.0) == pytest.approx((0.0625 - 0.49) / 0.75, abs=1e-12)
 
 
 def test_objective_drops_pinned_zero_row():
     p = Problem(nodes=(0, 0.5), targets=(0.3, 0.2))
-    reduced = min_eig_objective(0.3, p, 2, 1)
-    # reduced block is the 1x1 entry of the remaining node
-    expected = min_eig_objective(0.3, Problem(nodes=(0.5,), targets=(0.2,)), 2, 1)
-    assert reduced == pytest.approx(expected, abs=1e-14)
-    # at any other parameter the full matrix is used and cannot be PSD
-    full = min_eig_objective(0.1, p, 2, 1)
-    assert full < 0
+    # the pinned value is the 1x1 block of the remaining node, bit for bit
+    r = find_lambda(p, 2, 1)
+    assert r.pinned and r.best_min_eigenvalue == PickBuilder((0.5,), (0.2,), 2, 1).min_eigenvalue(0.3)
+    # at any other parameter the full matrix has the zero node's row and cannot be PSD
+    assert PickBuilder(p.nodes, p.targets, 2, 1).min_eigenvalue(0.1) < 0
 
 
 def test_find_lambda_single_node_lands_near_target():
@@ -396,17 +393,20 @@ def test_pruned_grid_matches_looped_search(data, exponents, cfg, induced):
 def _two_builder_pinned_search(problem, E, d, tol):
     """The pinned search with one builder per number: (lambda, objective, verdict).
 
-    The objective is a fresh builder on the nodes other than the one at 0,
-    the verdict ``psd_check`` of a fresh ``constrained_pick`` on all of them.
+    Both come from the nodes other than the one at 0: the objective from a
+    fresh builder, the verdict from ``psd_check`` of a fresh
+    ``constrained_pick``, whose eigenvalue must be the objective.  With no
+    node left the search is feasible at 0.0.
     """
     i = problem.nodes.index(0)
     lam = problem.targets[i]
     kept = [k for k in range(problem.n) if k != i]
-    best = 0.0
-    if kept:
-        kept_nodes, kept_targets = [problem.nodes[k] for k in kept], [problem.targets[k] for k in kept]
-        best = PickBuilder(kept_nodes, kept_targets, E, d).min_eigenvalue(lam)
-    verdict = psd_check(constrained_pick(problem.nodes, problem.targets, lam, E, d), tol)
+    if not kept:
+        return lam, 0.0, True
+    kept_nodes, kept_targets = [problem.nodes[k] for k in kept], [problem.targets[k] for k in kept]
+    best = PickBuilder(kept_nodes, kept_targets, E, d).min_eigenvalue(lam)
+    verdict = psd_check(constrained_pick(kept_nodes, kept_targets, lam, E, d), tol)
+    assert verdict.min_eigenvalue == best
     return lam, best, verdict.is_psd
 
 
@@ -420,9 +420,13 @@ def _two_builder_pinned_search(problem, E, d, tol):
     induced=st.none() | st.tuples(_disk_points, st.floats(0.01, 1.0)),
 )
 @example(data=[], position=0, lam=0.3 + 0.4j, exponents=(2, 1), tol=1e-8, induced=None)
+# feasible, but the full matrix's zero eigenvalue computes slightly negative,
+# so a verdict on the full matrix refuses it at tol 0
+@example(data=[(0.5, 0.5), (0.71875, 0.5)], position=1, lam=0.5, exponents=(1, 1), tol=0.0, induced=None)
 def test_pinned_search_matches_two_builders(data, position, lam, exponents, tol, induced):
-    # The pinned search takes its objective and its verdict from one matrix;
-    # both must equal what a builder per number gives.  Induced targets
+    # The pinned search takes its objective and its verdict from the block
+    # without the pinned node's row and column; both must equal what a
+    # builder per number gives on the other nodes.  Induced targets
     # phi_{-lam}(z^E h(z^d)), h a scaled disk automorphism, are feasible with
     # f(0) = lam, so the verdict sits near the boundary of the PSD cone.
     E, d = exponents
@@ -441,6 +445,7 @@ def test_pinned_search_matches_two_builders(data, position, lam, exponents, tol,
     assert r.pinned and r.evaluations == 1
     assert r.best_min_eigenvalue == best
     assert r.feasible == feasible
+    assert r.feasible or r.best_min_eigenvalue < 0  # a nonnegative eigenvalue passes at any tol
     assert r.lambda_ == (lam_ref if feasible else None)
 
 

@@ -15,8 +15,8 @@ from cpick import (
     constrained_pick,
     exponent_plan,
     from_finite_set,
-    min_eig_objective,
     necessary_check,
+    psd_check,
     roundtrip_generate,
     smallest_missing,
     taylor_coeffs,
@@ -167,7 +167,7 @@ def test_roundtrip_soundness_and_theorem_consistency(k):
         nec = necessary_check(problem, k)
         assert nec.passes
         m, d = exponent_plan(k, "necessary")
-        assert min_eig_objective(f.lambda_, problem, m * d, d) >= -1e-8
+        assert psd_check(constrained_pick(problem.nodes, problem.targets, f.lambda_, m * d, d), 1e-8).is_psd
 
 
 def test_roundtrip_generator_is_deterministic():
@@ -196,6 +196,20 @@ def test_interior_values_stay_interior():
     problem, f = roundtrip_generate(K1, 3, 99)
     samples = np.array([disk_point(rng, 0.97) for _ in range(1000)])
     assert np.max(np.abs(f(samples))) < 1.0
+
+
+def test_verify_counts_a_nan_coefficient_as_a_violation(monkeypatch):
+    import cpick.interp
+    from cpick.analytic import TaylorReport
+
+    problem = Problem(nodes=(0, 0.5), targets=(0, 0.2))
+    f = construct(problem, K1, "iff")
+    sampled = taylor_coeffs(f, 12, 0.5, 1024)
+    nan_at_1 = TaylorReport(sampled.radius, sampled.samples, (sampled.coeffs[0], complex("nan")) + sampled.coeffs[2:])
+    monkeypatch.setattr(cpick.interp, "taylor_coeffs", lambda *args: nan_at_1)
+    report = verify_interpolant(f, problem, K1)
+    assert [j for j, _ in report.taylor_violations] == [1]
+    assert not report.passed
 
 
 def test_interpolant_validation():
