@@ -277,7 +277,7 @@ def cmd_interpolate(args) -> int:
             "config": _config_echo(cfg, args),
         }
     )
-    return EXIT_YES
+    return EXIT_YES if report.passed else EXIT_NO
 
 
 def cmd_verify(args) -> int:

@@ -154,6 +154,7 @@ def test_criterion_5_roundtrip_completeness_and_soundness(constructed_pipeline):
         assert max(report.residuals) <= 1e-7
         assert report.sup_norm <= 1 + 1e-6
         assert not report.taylor_violations
+        assert report.derivative_crosscheck <= 1e-13
     _verdict(5, f"construct + verify on {len(constructed_pipeline)} seeded instances")
 
 

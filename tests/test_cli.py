@@ -1,10 +1,14 @@
 """End-to-end CLI contract: file formats, reports, exit codes."""
 
+import dataclasses
 import json
 import os
 from pathlib import Path
 
 import pytest
+
+from cpick import KSpec, cli, roundtrip_generate, verify_interpolant
+from conftest import FIXTURE_K_JSON
 
 PROBLEM_FEASIBLE = {
     "nodes": [[0, 0], [0.5, 0]],
@@ -162,6 +166,40 @@ def test_interpolate_writes_artifact_and_verify_roundtrips(run_cli, write_json, 
     code, out, _ = run_cli("verify", "--function", str(out_path), "--problem", prob)
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_interpolate_exits_1_when_its_verification_fails(monkeypatch, capsys, write_json, tmp_path):
+    def failing(f, problem, k):
+        return dataclasses.replace(verify_interpolant(f, problem, k), passed=False)
+
+    monkeypatch.setattr(cli, "verify_interpolant", failing)
+    prob = write_json("p.json", PROBLEM_FEASIBLE)
+    out_path = tmp_path / "f.json"
+    assert cli.main(["interpolate", prob, "--mode", "iff", "--out", str(out_path)]) == 1
+    assert json.loads(capsys.readouterr().out)["verification"]["passed"] is False
+    # the artifact is still written, so that verify can reproduce the rejection
+    assert json.loads(out_path.read_text())["m"] == 2
+
+
+@pytest.mark.parametrize("k_json", FIXTURE_K_JSON, ids=json.dumps)
+def test_interpolate_report_equals_verify_of_its_artifact(capsys, write_json, tmp_path, k_json):
+    k = KSpec.from_json(k_json)
+    problem, _ = roundtrip_generate(k, 3, 5)
+    prob = write_json(
+        "p.json",
+        {
+            "nodes": [[z.real, z.imag] for z in problem.nodes],
+            "targets": [[w.real, w.imag] for w in problem.targets],
+            "K": k_json,
+        },
+    )
+    mode = "iff" if k.d == 1 and k.gaps == tuple(range(1, len(k.gaps) + 1)) else "sufficient"
+    out_path = tmp_path / "f.json"
+    code = cli.main(["interpolate", prob, "--mode", mode, "--out", str(out_path)])
+    printed = json.loads(capsys.readouterr().out)["verification"]
+    assert code == (0 if printed["passed"] else 1)
+    assert cli.main(["verify", "--function", str(out_path), "--problem", prob]) == code
+    assert json.loads(capsys.readouterr().out) == printed
 
 
 def test_interpolate_unwritable_out_exits_2(run_cli, write_json, tmp_path):

@@ -170,6 +170,32 @@ def test_roundtrip_soundness_and_theorem_consistency(k):
         assert psd_check(constrained_pick(problem.nodes, problem.targets, f.lambda_, m * d, d), 1e-8).is_psd
 
 
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_verify_evaluates_the_interpolant_three_times(monkeypatch, n):
+    problem, f = roundtrip_generate(K13, n, n)
+    shapes = []
+    call = Interpolant.__call__
+
+    def counted(self, z):
+        shapes.append(np.shape(z))
+        return call(self, z)
+
+    monkeypatch.setattr(Interpolant, "__call__", counted)
+    assert verify_interpolant(f, problem, K13).passed
+    # all nodes at once, the sup-norm circle, the Taylor circle
+    assert shapes == [(n,), (4096,), (1024,)]
+
+
+@pytest.mark.parametrize("k", ALGEBRA_FIXTURES, ids=str)
+def test_residuals_match_scalar_evaluation(k):
+    for seed in range(3):
+        problem, f = roundtrip_generate(k, 8, seed)
+        residuals = verify_interpolant(f, problem, k).residuals
+        scalar = [abs(f(z) - w) for z, w in zip(problem.nodes, problem.targets)]
+        assert len(residuals) == 8
+        assert max(abs(a - b) for a, b in zip(residuals, scalar)) <= 1e-14
+
+
 def test_roundtrip_generator_is_deterministic():
     a = roundtrip_generate(K13, 4, 123)
     b = roundtrip_generate(K13, 4, 123)
