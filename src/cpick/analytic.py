@@ -2,9 +2,10 @@
 
 Provides a Schur-Nevanlinna recursion solving the classical Nevanlinna-Pick
 problem, Taylor coefficient extraction by sampling the Cauchy integral on a
-circle, and sup-norm estimation on circles.  The Möbius disk automorphisms,
-the classical Pick matrix and the PSD verdict the solver starts from live in
-``pickmat``.
+circle, and sup-norm estimation on circles; both call f once on the array
+of circle points, and f must return an array of that shape.  The Möbius
+disk automorphisms, the classical Pick matrix and the PSD verdict the
+solver starts from live in ``pickmat``.
 
 The solver returns a ``SchurFunction``: a chain of fractional-linear
 reduction records plus a terminal constant.  Each reduction step divides
@@ -89,11 +90,11 @@ def evaluate(f: SchurFunction, z):
     moduli stay at most 1 for |z| <= 1.
     """
     z = _check_closed_disk(z, "evaluation point")
-    scalar = z.ndim == 0
-    g = np.full_like(z, complex(f.tail)) if not scalar else complex(f.tail)
+    w = np.atleast_1d(z)  # a scalar runs the array arithmetic, so it gets the bits an array element gets
+    g = np.full_like(w, complex(f.tail))
     for node, val in reversed(f.steps):
-        g = _mobius(-val, _mobius(node, z) * g)
-    return complex(g) if scalar else g
+        g = _mobius(-val, _mobius(node, w) * g)
+    return complex(g[0]) if z.ndim == 0 else g
 
 
 def np_solve(nodes, values, tol: float = CLASSICAL_PSD_TOL) -> SchurFunction:
@@ -169,7 +170,8 @@ def taylor_coeffs(f, count: int, radius: float = 0.5, samples: int = 1024) -> Ta
     samples >= 4 * count.  For f bounded by 1 the aliasing error in c_j is
     at most r^N / (1 - r^N), negligible at the defaults; the practical
     accuracy limit is roundoff amplified by the r^(-j) factor, so very high
-    indices need a radius closer to 1.
+    indices need a radius closer to 1.  f is called once, on the array of
+    circle points, and must return an array of that shape.
     """
     if count < 0:
         raise InvalidConfig(f"coefficient count must be nonnegative, got {count}")
@@ -189,7 +191,8 @@ def sup_norm_estimate(f, radius: float = 0.999, samples: int = 4096) -> float:
     """Max |f| over ``samples`` equispaced points on the circle |z| = radius.
 
     By the maximum principle this grows with the radius for analytic f, so
-    radius 0.999 with 4096 samples is the standard norm check.
+    radius 0.999 with 4096 samples is the standard norm check.  f is called
+    once, on the array of circle points, and must return an array of that shape.
     """
     if not 0.0 < radius < 1.0:
         raise InvalidConfig(f"sampling radius must lie in (0, 1), got {radius}")
@@ -212,11 +215,8 @@ def _circle(radius: float, samples: int) -> np.ndarray:
 
 
 def _sample(f, points: np.ndarray) -> np.ndarray:
-    """Evaluate a callable on an array, falling back to a scalar loop."""
-    try:
-        vals = np.asarray(f(points), dtype=complex)
-        if vals.shape == points.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([complex(f(z)) for z in points])
+    """f called once on the whole array of points; a result of another shape raises ``ValueError``."""
+    vals = np.asarray(f(points), dtype=complex)
+    if vals.shape != points.shape:
+        raise ValueError(f"f must map an array of shape {points.shape} to one of that shape, got {vals.shape}")
+    return vals

@@ -39,8 +39,6 @@ __all__ = [
 DEFAULT_RADII = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 # Witnesses are kept strictly inside the disk; the criterion requires it.
 LAMBDA_CLAMP = 0.999
-# Below this squared modulus a simplex trial point needs no clamp; see _clamp.
-_UNCLAMPED_SQ = LAMBDA_CLAMP * LAMBDA_CLAMP * (1.0 - 1e-12)
 MAX_POINTS = 16
 
 
@@ -180,22 +178,13 @@ def _grid_points(radii: tuple[float, ...], angles: int) -> np.ndarray:
 
 
 def _clamp(x: float, y: float) -> tuple[float, float]:
-    """The point (x, y) pulled radially onto modulus ``LAMBDA_CLAMP`` if ``np.hypot`` puts it outside.
+    """The point (x, y) pulled radially onto modulus ``LAMBDA_CLAMP`` if it lies outside.
 
-    Points well inside skip ``np.hypot``, with the same answer.  Write
-    u = 2^-53 and c = LAMBDA_CLAMP.  The computed threshold ``_UNCLAMPED_SQ``
-    is at most c^2 (1 - 1e-12)(1 + u)^3, give or take the 1e-28 by which
-    the literal 1e-12 rounds, and the computed x*x + y*y is at least
-    (x^2 + y^2)(1 - u)^2.  So passing the test gives
-    x^2 + y^2 < c^2 (1 - 1e-12 + 6u) and sqrt(x^2 + y^2) < c (1 - 4.9e-13).
-    Underflow in x*x or y*y loses at most 2^-1074 each, far inside that
-    margin.  ``np.hypot`` returns sqrt(x^2 + y^2) to within an ulp, and
-    even 2000 ulps would stay below c, so it would not clamp the point
-    either.  NaN fails the test and takes the ``np.hypot`` path.
+    CPython computes ``abs(complex(x, y))`` with C's ``hypot``, the libm
+    function ``np.hypot`` calls, so the clamp decides bit for bit as
+    ``np.hypot`` would.  NaN compares false and passes through unclamped.
     """
-    if x * x + y * y < _UNCLAMPED_SQ:
-        return (x, y)
-    r = float(np.hypot(x, y))
+    r = abs(complex(x, y))
     return (x * (LAMBDA_CLAMP / r), y * (LAMBDA_CLAMP / r)) if r > LAMBDA_CLAMP else (x, y)
 
 

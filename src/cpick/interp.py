@@ -91,9 +91,9 @@ class Interpolant:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        w = z**self.d
+        w = np.atleast_1d(z) ** self.d  # as in ``evaluate``, a scalar runs the array arithmetic
         out = _mobius(-complex(self.lambda_), w**self.m * evaluate(self.h, w))
-        return complex(out) if out.ndim == 0 else out
+        return complex(out[0]) if z.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -230,6 +230,8 @@ def construct(
     for z, w in zip(problem.nodes, problem.targets):
         if z == 0:
             continue  # its condition is exactly lam = w, consumed by the pinning
+        if z**E == 0:  # underflow; the h-target below would divide by zero
+            raise NotFound(f"node {z!r} to the power {E} underflows to zero", result=result)
         v = complex(_mobius(lam, w)) / z**E
         mag = abs(v)
         if 1.0 < mag <= 1.0 + TARGET_CLAMP_SLACK:

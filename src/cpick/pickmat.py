@@ -131,13 +131,6 @@ class HermitianMatrix:
     def entries(self) -> np.ndarray:
         return self._m
 
-    @property
-    def order(self) -> int:
-        return self._m.shape[0]
-
-    def __repr__(self):
-        return f"HermitianMatrix(order={self.order})"
-
 
 @dataclass(frozen=True)
 class PsdVerdict:

@@ -256,9 +256,34 @@ def test_sup_norm_examples():
         sup_norm_estimate(lambda z: z, radius=1.2)
 
 
-def test_scalar_only_callables_are_supported():
-    rep = taylor_coeffs(lambda z: complex(z) ** 3, 4, 0.5, 64)
-    assert abs(rep.coeffs[3] - 1) <= 1e-10
+def test_samplers_call_f_once_on_the_whole_circle():
+    shapes = []
+
+    def cube(z):
+        shapes.append(np.shape(z))
+        return z**3
+
+    assert abs(taylor_coeffs(cube, 4, 0.5, 64).coeffs[3] - 1) <= 1e-10
+    assert sup_norm_estimate(cube, 0.9, 256) == pytest.approx(0.729)
+    assert shapes == [(64,), (256,)]
+
+
+def test_samplers_refuse_callables_that_do_not_map_arrays():
+    shapes = []
+
+    def scalar_only(z):
+        shapes.append(np.shape(z))
+        return complex(z) ** 3
+
+    with pytest.raises(TypeError):
+        taylor_coeffs(scalar_only, 4, 0.5, 64)
+    with pytest.raises(TypeError):
+        sup_norm_estimate(scalar_only, 0.9, 256)
+    assert shapes == [(64,), (256,)]  # raised at once, never looped over the points
+    with pytest.raises(ValueError, match="shape"):
+        taylor_coeffs(lambda z: 0.5, 4)
+    with pytest.raises(ValueError, match="shape"):
+        sup_norm_estimate(lambda z: z[:-1])
 
 
 @pytest.mark.parametrize("radius,samples", [(0.999, 4096), (0.5, 1024), (0.9, 8)])

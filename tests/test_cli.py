@@ -240,6 +240,19 @@ def test_interpolate_infeasible_no_file(run_cli, write_json, tmp_path):
     assert json.loads(out)["certified"] is True
 
 
+def test_interpolate_underflowing_node_power_exits_1(run_cli, write_json, tmp_path):
+    # iff mode on K = {1, ..., 700} has E = 701, and 0.3**701 underflows to 0.0
+    prob = write_json(
+        "u.json", {"nodes": [[0.3, 0], [0.5, 0.1]], "targets": [[0.1, 0], [0.1, 0]], "K": list(range(1, 701))}
+    )
+    out_path = tmp_path / "never.json"
+    code, out, err = run_cli("interpolate", prob, "--mode", "iff", "--out", str(out_path))
+    assert code == 1 and "Traceback" not in err, err
+    doc = json.loads(out)
+    assert doc["feasible"] is False and doc["certified"] is False
+    assert not out_path.exists()
+
+
 def test_verify_detects_tampering(run_cli, write_json, tmp_path):
     prob = write_json("p.json", PROBLEM_FEASIBLE)
     out_path = tmp_path / "f.json"

@@ -20,7 +20,7 @@ from cpick import (
     mobius_inverse,
     psd_check,
 )
-from cpick.feasibility import LAMBDA_CLAMP, _UNCLAMPED_SQ, _clamp, _grid_points
+from cpick.feasibility import LAMBDA_CLAMP, _clamp, _grid_points
 from cpick.pickmat import PickBuilder
 from conftest import disk_point
 
@@ -450,20 +450,29 @@ def test_pinned_search_matches_two_builders(data, position, lam, exponents, tol,
 
 
 def _hypot_clamp(x, y):
-    """The simplex clamp with ``np.hypot`` on every point."""
+    """The simplex clamp with ``np.hypot`` as the modulus."""
     r = float(np.hypot(x, y))
     return (x * (LAMBDA_CLAMP / r), y * (LAMBDA_CLAMP / r)) if r > LAMBDA_CLAMP else (x, y)
 
 
 _near_clamp = st.floats(LAMBDA_CLAMP * (1 - 1e-9), LAMBDA_CLAMP * (1 + 1e-9)) | st.integers(-64, 64).map(
-    lambda k: math.sqrt(_UNCLAMPED_SQ) + k * 2.0**-53
+    lambda k: LAMBDA_CLAMP + k * 2.0**-53
 )
 
 
 @settings(max_examples=300)
 @given(modulus=_near_clamp, angle=st.floats(0.0, 2 * np.pi))
-def test_clamp_fast_path_matches_hypot(modulus, angle):
+def test_clamp_matches_hypot(modulus, angle):
     x, y = modulus * math.cos(angle), modulus * math.sin(angle)
-    if x * x + y * y < _UNCLAMPED_SQ:  # the fast path's claim
-        assert float(np.hypot(x, y)) <= LAMBDA_CLAMP
     assert _clamp(x, y) == _hypot_clamp(x, y)
+
+
+@pytest.mark.parametrize(
+    "x,y", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.0), (-math.inf, 0.5), (0.0, -math.inf)]
+)
+def test_clamp_matches_hypot_on_nan_and_inf(x, y):
+    """NaN passes through unclamped and an infinite part becomes NaN, as with ``np.hypot``.
+
+    NaN != NaN, so the points are compared by ``repr``.
+    """
+    assert repr(_clamp(x, y)) == repr(_hypot_clamp(x, y))

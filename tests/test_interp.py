@@ -1,5 +1,7 @@
 """Exponent plans, construction, verification, and round trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,18 @@ def test_construct_certified_notfound():
     assert not exc_info.value.certified
 
 
+def test_construct_raises_notfound_when_a_node_power_underflows():
+    # iff mode on K = {1, ..., 700} has E = 701, and 0.3**701 is 0.0 in
+    # doubles: the search rightly finds lam = 0.1 (f = 0.1 interpolates),
+    # but that node's h-target would divide by zero
+    p = Problem(nodes=(0.3, 0.5 + 0.1j), targets=(0.1, 0.1))
+    with pytest.raises(NotFound, match=re.escape("(0.3+0j)")) as exc_info:
+        construct(p, from_finite_set(range(1, 701)), "iff")
+    err = exc_info.value
+    assert not err.certified
+    assert err.result.feasible and not err.result.pinned
+
+
 def test_verify_flags_wrong_class():
     # f(z) = z as a composite: lam 0, inner z^1 * 1
     f = Interpolant(lambda_=0, m=1, d=1, h=SchurFunction(steps=(), tail=1.0))
@@ -194,6 +208,20 @@ def test_residuals_match_scalar_evaluation(k):
         scalar = [abs(f(z) - w) for z, w in zip(problem.nodes, problem.targets)]
         assert len(residuals) == 8
         assert max(abs(a - b) for a, b in zip(residuals, scalar)) <= 1e-14
+
+
+@pytest.mark.parametrize("k", ALGEBRA_FIXTURES, ids=str)
+def test_scalar_evaluation_is_element_0_of_array_evaluation(k):
+    rng = np.random.default_rng(17)
+    for seed in range(4):
+        problem, f = roundtrip_generate(k, 4, seed)
+        points = np.array([0j, 1.0, -1j, *problem.nodes, *(disk_point(rng, 1.0) for _ in range(16))])
+        for g in (f, f.h):  # the interpolant and its Schur chain
+            together = g(points)
+            for z, value in zip(points.tolist(), together):
+                scalar = g(z)
+                assert type(scalar) is complex
+                assert repr(scalar) == repr(complex(g(np.array([z]))[0])) == repr(complex(value)), (k, seed, z)
 
 
 def test_roundtrip_generator_is_deterministic():
