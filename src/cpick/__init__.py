@@ -40,8 +40,6 @@ from .bruno import (
 )
 from .analytic import (
     SchurFunction,
-    TaylorReport,
-    evaluate,
     np_solve,
     sup_norm_estimate,
     taylor_coeffs,
@@ -53,7 +51,6 @@ from .pickmat import (
     constrained_pick,
     factorization_residual,
     mobius,
-    mobius_inverse,
     psd_check,
 )
 from .feasibility import (

@@ -2,16 +2,16 @@
 
 Provides a Schur-Nevanlinna recursion solving the classical Nevanlinna-Pick
 problem, Taylor coefficient extraction by sampling the Cauchy integral on a
-circle, and sup-norm estimation on circles; both call f once on the array
-of circle points, and f must return an array of that shape.  The Möbius
-disk automorphisms, the classical Pick matrix and the PSD verdict the
-solver starts from live in ``pickmat``.
+circle (a plain tuple of coefficients), and sup-norm estimation on circles;
+both call f once on the array of circle points, and f must return an array
+of that shape.  The Möbius disk automorphisms, the classical Pick matrix
+and the PSD verdict the solver starts from live in ``pickmat``.
 
 The solver returns a ``SchurFunction``: a chain of fractional-linear
-reduction records plus a terminal constant.  Each reduction step divides
-out one interpolation condition; unwinding the chain maps the closed disk
-into itself at every stage, so the represented function is Schur class by
-construction.
+reduction records plus a terminal constant, evaluated by calling it.  Each
+reduction step divides out one interpolation condition; unwinding the chain
+maps the closed disk into itself at every stage, so the represented
+function is Schur class by construction.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from .pickmat import (
 
 __all__ = [
     "SchurFunction",
-    "TaylorReport",
     "np_solve",
-    "evaluate",
     "taylor_coeffs",
     "sup_norm_estimate",
 ]
@@ -79,22 +77,18 @@ class SchurFunction:
                 raise InvalidProblem(f"Schur function {field} must be finite, got {v!r}")
 
     def __call__(self, z):
-        return evaluate(self, z)
+        """Evaluate by unwinding the reduction chain (scalar or ndarray input).
 
-
-def evaluate(f: SchurFunction, z):
-    """Evaluate by unwinding the reduction chain (scalar or ndarray input).
-
-    Innermost value is the tail constant; each step wraps it as
-    phi_inverse(value_j, blaschke(node_j, z) * inner).  All intermediate
-    moduli stay at most 1 for |z| <= 1.
-    """
-    z = _check_closed_disk(z, "evaluation point")
-    w = np.atleast_1d(z)  # a scalar runs the array arithmetic, so it gets the bits an array element gets
-    g = np.full_like(w, complex(f.tail))
-    for node, val in reversed(f.steps):
-        g = _mobius(-val, _mobius(node, w) * g)
-    return complex(g[0]) if z.ndim == 0 else g
+        Innermost value is the tail constant; each step wraps it as
+        phi_inverse(value_j, blaschke(node_j, z) * inner).  All intermediate
+        moduli stay at most 1 for |z| <= 1.
+        """
+        z = _check_closed_disk(z, "evaluation point")
+        w = np.atleast_1d(z)  # a scalar runs the array arithmetic, so it gets the bits an array element gets
+        g = np.full_like(w, complex(self.tail))
+        for node, val in reversed(self.steps):
+            g = _mobius(-val, _mobius(node, w) * g)
+        return complex(g[0]) if z.ndim == 0 else g
 
 
 def np_solve(nodes, values, tol: float = CLASSICAL_PSD_TOL) -> SchurFunction:
@@ -152,17 +146,8 @@ def np_solve(nodes, values, tol: float = CLASSICAL_PSD_TOL) -> SchurFunction:
     return SchurFunction(steps=tuple(steps), tail=tail, low_confidence=low_confidence)
 
 
-@dataclass(frozen=True)
-class TaylorReport:
-    """Taylor coefficients c_0 ... c_B recovered from circle samples."""
-
-    radius: float
-    samples: int
-    coeffs: tuple[complex, ...]
-
-
-def taylor_coeffs(f, count: int, radius: float = 0.5, samples: int = 1024) -> TaylorReport:
-    """Coefficients of f at 0 via the discretized Cauchy formula.
+def taylor_coeffs(f, count: int, radius: float = 0.5, samples: int = 1024) -> tuple[complex, ...]:
+    """Taylor coefficients (c_0, ..., c_count) of f at 0 via the discretized Cauchy formula.
 
     c_j = (1/N) sum_t f(r e^{2 pi i t / N}) r^{-j} e^{-2 pi i j t / N}.
 
@@ -184,7 +169,7 @@ def taylor_coeffs(f, count: int, radius: float = 0.5, samples: int = 1024) -> Ta
     vals = _sample(f, _circle(radius, samples))
     spectrum = np.fft.fft(vals)[: count + 1]
     coeffs = spectrum / (samples * radius ** np.arange(count + 1))
-    return TaylorReport(radius=radius, samples=samples, coeffs=tuple(complex(c) for c in coeffs))
+    return tuple(complex(c) for c in coeffs)
 
 
 def sup_norm_estimate(f, radius: float = 0.999, samples: int = 4096) -> float:

@@ -217,11 +217,15 @@ def cmd_check_algebra(args) -> int:
     return EXIT_YES if algebra else EXIT_NO
 
 
-def cmd_feasible(args) -> int:
+def _load_problem(args) -> tuple[KSpec, Problem, SearchConfig]:
+    """The constraint set, problem and search configuration of ``args.input``."""
     doc = _load_json(args.input)
     k = _kspec_from_doc(doc, args.input)
-    problem = _problem_from_doc(doc, args.input)
-    cfg = _search_config(doc, args.input, args)
+    return k, _problem_from_doc(doc, args.input), _search_config(doc, args.input, args)
+
+
+def cmd_feasible(args) -> int:
+    k, problem, cfg = _load_problem(args)
     m, d = exponent_plan(k, args.mode)
     result = find_lambda(problem, m * d, d, cfg)
     log.info("mode=%s E=%d d=%d feasible=%s", args.mode, m * d, d, result.feasible)
@@ -243,10 +247,7 @@ def cmd_feasible(args) -> int:
 
 
 def cmd_interpolate(args) -> int:
-    doc = _load_json(args.input)
-    k = _kspec_from_doc(doc, args.input)
-    problem = _problem_from_doc(doc, args.input)
-    cfg = _search_config(doc, args.input, args)
+    k, problem, cfg = _load_problem(args)
     try:
         f = construct(problem, k, args.mode, cfg)
     except NotFound as exc:
@@ -255,8 +256,9 @@ def cmd_interpolate(args) -> int:
                 "mode": args.mode,
                 "feasible": False,
                 "certified": exc.certified,
-                "best_min_eigenvalue": exc.result.best_min_eigenvalue if exc.result else None,
-                "pinned": exc.result.pinned if exc.result else None,
+                "best_min_eigenvalue": exc.result.best_min_eigenvalue,
+                "pinned": exc.result.pinned,
+                "reason": str(exc),
                 "config": _config_echo(cfg, args),
             }
         )

@@ -30,8 +30,8 @@ from typing import Literal
 import numpy as np
 
 from .errors import InvalidProblem, NotFound, NotPrefixK, Unsupported
-from .kset import KSpec, complement_structure, contains, is_algebra, smallest_missing, _conductor, _integer
-from .analytic import SchurFunction, evaluate, np_solve, sup_norm_estimate, taylor_coeffs
+from .kset import KSpec, contains, is_algebra, smallest_missing, _conductor, _integer
+from .analytic import SchurFunction, np_solve, sup_norm_estimate, taylor_coeffs
 from .bruno import compose_derivative
 from .feasibility import DEFAULT_CONFIG, FeasibilityResult, Problem, SearchConfig, find_lambda
 from .pickmat import CLASSICAL_PSD_TOL, _mobius
@@ -55,11 +55,12 @@ Mode = Literal["iff", "sufficient", "necessary"]
 # feasibility certificate are projected back; anything worse is an error.
 TARGET_CLAMP_SLACK = 1e-6
 
-# Samples of h on the radius-1/2 circle for the derivative cross-check.  It
-# reads h's coefficients up to index (6 - m*d) // d <= 5, so taylor_coeffs
-# needs N >= 4 * 5.  For |h| <= 1 the aliasing error in each coefficient is
-# at most 2^-N / (1 - 2^-N), which is below 2^-52 at N = 64 (Bornemann,
+# The derivative cross-check compares orders 1 .. 6, sampling h at N points on
+# the radius-1/2 circle for h's coefficients up to index (6 - m*d) // d <= 5,
+# so taylor_coeffs needs N >= 4 * 5.  For |h| <= 1 the aliasing error in each
+# coefficient is at most 2^-N / (1 - 2^-N), below 2^-52 at N = 64 (Bornemann,
 # Found. Comput. Math. 2011); more samples only cost evaluations.
+CROSSCHECK_ORDER = 6
 CROSSCHECK_SAMPLES = 64
 
 
@@ -91,8 +92,8 @@ class Interpolant:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        w = np.atleast_1d(z) ** self.d  # as in ``evaluate``, a scalar runs the array arithmetic
-        out = _mobius(-complex(self.lambda_), w**self.m * evaluate(self.h, w))
+        w = np.atleast_1d(z) ** self.d  # as in ``SchurFunction``, a scalar runs the array arithmetic
+        out = _mobius(-complex(self.lambda_), w**self.m * self.h(w))
         return complex(out[0]) if z.ndim == 0 else out
 
 
@@ -190,8 +191,7 @@ def exponent_plan(k: KSpec, mode: Mode) -> tuple[int, int]:
     if mode == "sufficient":
         if k.d == 1:
             return (k.gaps[-1] + 1, 1)
-        structure = complement_structure(k)
-        return (max(structure.heads[0] + 1, _conductor(k)), k.d)
+        return (max(smallest_missing(k) // k.d + 1, _conductor(k)), k.d)
     if mode == "necessary":
         return (smallest_missing(k) // k.d, k.d)
     raise ValueError(f"unknown mode {mode!r}")
@@ -264,7 +264,7 @@ def _taylor_bound(k: KSpec) -> int:
     return min(64, max(12, 4 * smallest_missing(k)))
 
 
-def _crosscheck_derivatives(f: Interpolant, coeffs, kmax: int = 6) -> float:
+def _crosscheck_derivatives(f: Interpolant, coeffs) -> float:
     """Compare sampled Taylor coefficients against the composition expansion.
 
     The inner factor u(z) = z^(m d) h(z^d) has derivative j! * c_t(h) at
@@ -273,21 +273,21 @@ def _crosscheck_derivatives(f: Interpolant, coeffs, kmax: int = 6) -> float:
     (1 - |lam|^2) gives a second, independent route to f^(k)(0).
     """
     E = f.m * f.d
-    u_derivs = [0j] * (kmax + 1)
-    if E <= kmax:
-        h_count = (kmax - E) // f.d
-        h_coeffs = taylor_coeffs(f.h, h_count, 0.5, CROSSCHECK_SAMPLES).coeffs
+    u_derivs = [0j] * (CROSSCHECK_ORDER + 1)
+    if E <= CROSSCHECK_ORDER:
+        h_count = (CROSSCHECK_ORDER - E) // f.d
+        h_coeffs = taylor_coeffs(f.h, h_count, 0.5, CROSSCHECK_SAMPLES)
         for t, c in enumerate(h_coeffs):
             j = E + t * f.d
-            if j <= kmax:
+            if j <= CROSSCHECK_ORDER:
                 u_derivs[j] = math.factorial(j) * c
     lam = complex(f.lambda_)
     g_derivs = [lam] + [
         math.factorial(i) * (-np.conj(lam)) ** (i - 1) * (1.0 - abs(lam) ** 2)
-        for i in range(1, kmax + 1)
+        for i in range(1, CROSSCHECK_ORDER + 1)
     ]
     worst = 0.0
-    for order in range(1, kmax + 1):
+    for order in range(1, CROSSCHECK_ORDER + 1):
         via_bruno = compose_derivative(g_derivs, u_derivs, order) / math.factorial(order)
         worst = max(worst, abs(via_bruno - coeffs[order]))
     return worst
@@ -310,13 +310,13 @@ def verify_interpolant(f: Interpolant, problem: Problem, k: KSpec) -> Verificati
     residuals = tuple(np.abs(f(np.array(problem.nodes)) - np.array(problem.targets)).tolist())
     sup = sup_norm_estimate(f, 0.999, 4096)
     bound = _taylor_bound(k)
-    report = taylor_coeffs(f, bound, 0.5, 1024)
+    coeffs = taylor_coeffs(f, bound, 0.5, 1024)
     violations = tuple(
-        (j, abs(report.coeffs[j]))
+        (j, abs(coeffs[j]))
         for j in range(1, bound + 1)
-        if contains(k, j) and not abs(report.coeffs[j]) <= tol.taylor  # a NaN coefficient violates too
+        if contains(k, j) and not abs(coeffs[j]) <= tol.taylor  # a NaN coefficient violates too
     )
-    cross = _crosscheck_derivatives(f, report.coeffs)
+    cross = _crosscheck_derivatives(f, coeffs)
     passed = (
         all(r <= tol.interp for r in residuals)
         and sup <= 1.0 + tol.norm

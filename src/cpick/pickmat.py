@@ -47,7 +47,6 @@ __all__ = [
     "HermitianMatrix",
     "PsdVerdict",
     "mobius",
-    "mobius_inverse",
     "classical_pick",
     "constrained_pick",
     "psd_check",
@@ -96,16 +95,12 @@ def mobius(lam: complex, z):
     """Elementary disk automorphism (z - lam) / (1 - conj(lam) z).
 
     Vanishes at lam, maps the open disk onto itself and the circle onto the
-    circle.  Accepts a scalar or an ndarray for z (closed disk).
+    circle; ``mobius(-lam, .)`` is its inverse.  Accepts a scalar or an
+    ndarray for z (closed disk).
     """
     lam = _check_open_disk(lam, "Möbius parameter")
     out = _mobius(lam, _check_closed_disk(z, "Möbius argument"))
     return complex(out) if out.ndim == 0 else out
-
-
-def mobius_inverse(lam: complex, z):
-    """The inverse automorphism, i.e. ``mobius(-lam, z)``."""
-    return mobius(-complex(lam), z)
 
 
 class HermitianMatrix:
@@ -198,8 +193,9 @@ class PickBuilder:
     def min_eigenvalues(self, lams: np.ndarray) -> np.ndarray:
         """``min_eigenvalue`` at each point of a 1-d array, in one stacked eigensolve.
 
-        The arithmetic is the scalar path's, element for element, so each
-        value equals ``min_eigenvalue`` at that point exactly.
+        For 2 or more points the arithmetic is the scalar path's element for
+        element, so each value equals ``min_eigenvalue`` exactly; one point at
+        n = 1 can differ in the last bits.
         """
         return _min_eigenvalues(self._entries(_mobius(lams[:, None], self._targets)))
 
@@ -307,7 +303,7 @@ def factorization_residual(nodes, h_values, lam: complex, E: int, d: int) -> flo
         raise InvalidProblem(f"{len(z)} nodes vs {len(h)} h-values")
     _check_closed_disk(h, "h-values")
     ze = z**E
-    targets = np.asarray(mobius_inverse(lam, ze * h), dtype=complex).reshape(len(z))
+    targets = np.asarray(mobius(-complex(lam), ze * h), dtype=complex).reshape(len(z))
     m1 = constrained_pick(z, targets, lam, E, d).entries
     p = classical_pick(z**d, h).entries
     dd = np.diag(ze)

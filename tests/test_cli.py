@@ -250,7 +250,18 @@ def test_interpolate_underflowing_node_power_exits_1(run_cli, write_json, tmp_pa
     assert code == 1 and "Traceback" not in err, err
     doc = json.loads(out)
     assert doc["feasible"] is False and doc["certified"] is False
+    assert doc["reason"] == "node (0.3+0j) to the power 701 underflows to zero"
     assert not out_path.exists()
+
+
+def test_interpolate_reports_why_no_interpolant_was_found(run_cli, write_json):
+    # f(0) = f'(0) = 0 forces |f(0.3)| <= 0.09, so 0.14 is out of reach: a certified negative
+    prob = write_json("n.json", {"nodes": [[0, 0], [0.3, 0]], "targets": [[0, 0], [0.14, 0]], "K": [1]})
+    code, out, _ = run_cli("interpolate", prob, "--mode", "iff")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["feasible"] is False and doc["certified"] is True and doc["pinned"] is True
+    assert doc["reason"].startswith("no feasible parameter found")
 
 
 def test_verify_detects_tampering(run_cli, write_json, tmp_path):

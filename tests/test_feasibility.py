@@ -17,7 +17,6 @@ from cpick import (
     constrained_pick,
     find_lambda,
     mobius,
-    mobius_inverse,
     psd_check,
 )
 from cpick.feasibility import LAMBDA_CLAMP, _clamp, _grid_points
@@ -340,7 +339,7 @@ def test_pruning_keeps_a_top_three_point_whose_bound_is_below_the_best():
     # bounds, and its bound is below the best of their values: a pruning
     # threshold at that best value, not the third-best, would drop it.
     nodes, lam0, a = (-0.08 + 0.68j, 0.32 + 0.03j), 0.56 - 0.34j, -0.06 - 0.48j
-    p = Problem(nodes, tuple(mobius_inverse(lam0, z**3 * 0.77 * mobius(a, z)) for z in nodes))
+    p = Problem(nodes, tuple(mobius(-lam0, z**3 * 0.77 * mobius(a, z)) for z in nodes))
     cfg = SearchConfig()
     pick = PickBuilder(p.nodes, p.targets, 3, 1)
     points = _grid_points(cfg.radii, cfg.angles)
@@ -378,7 +377,7 @@ def test_pruned_grid_matches_looped_search(data, exponents, cfg, induced):
     targets = [w for _, w in data]
     if induced is not None:
         lam0, a, scale = induced
-        targets = [mobius_inverse(lam0, z**E * scale * mobius(a, z**d)) for z in nodes]
+        targets = [mobius(-lam0, z**E * scale * mobius(a, z**d)) for z in nodes]
     p = Problem(tuple(nodes), tuple(targets))
     r = find_lambda(p, E, d, cfg)
     lam, best, evaluations, _ = _looped_find_lambda(p, E, d, cfg)
@@ -435,7 +434,7 @@ def test_pinned_search_matches_two_builders(data, position, lam, exponents, tol,
     targets = [w for _, w in data]
     if induced is not None:
         a, scale = induced
-        targets = [mobius_inverse(lam, z**E * scale * mobius(a, z**d)) for z in nodes]
+        targets = [mobius(-lam, z**E * scale * mobius(a, z**d)) for z in nodes]
     position %= len(nodes) + 1
     nodes.insert(position, 0j)
     targets.insert(position, lam)

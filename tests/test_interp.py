@@ -17,6 +17,7 @@ from cpick import (
     constrained_pick,
     exponent_plan,
     from_finite_set,
+    is_algebra,
     necessary_check,
     psd_check,
     roundtrip_generate,
@@ -24,6 +25,7 @@ from cpick import (
     taylor_coeffs,
     verify_interpolant,
 )
+from cpick.kset import _conductor, complement_structure
 from conftest import disk_point, fixture_kspecs
 
 K1 = from_finite_set([1])
@@ -57,6 +59,20 @@ def test_exponent_plan_rejects_non_algebra():
         exponent_plan(from_finite_set([2]), "sufficient")
 
 
+def test_sufficient_plan_matches_the_complement_structure_formula():
+    # reference: m = max(heads[0] + 1, conductor), heads[0] being the smallest positive non-gap
+    checked = 0
+    for d in range(2, 6):
+        for mask in range(1 << 10):
+            k = KSpec(d=d, gaps=tuple(g for g in range(1, 11) if mask >> (g - 1) & 1))
+            if not is_algebra(k):
+                continue
+            expected = (max(complement_structure(k).heads[0] + 1, _conductor(k)), k.d)
+            assert exponent_plan(k, "sufficient") == expected, k
+            checked += 1
+    assert checked == 320
+
+
 def test_exponent_plan_respects_membership_for_gappy_semigroups():
     """The inner support must avoid every constrained index, so the plan
     must clear the semigroup conductor, not just the first complement
@@ -79,7 +95,7 @@ def test_construct_closed_form_fixture():
     report = verify_interpolant(f, p, K1)
     assert report.passed
     assert max(report.residuals) <= 1e-9
-    assert abs(taylor_coeffs(f, 4).coeffs[1]) <= 1e-10
+    assert abs(taylor_coeffs(f, 4)[1]) <= 1e-10
 
 
 def test_construct_single_node_constant():
@@ -89,7 +105,7 @@ def test_construct_single_node_constant():
         assert f(0.2) == pytest.approx(0.7, abs=1e-12)
         report = verify_interpolant(f, p, k)
         assert report.passed
-        coeffs = taylor_coeffs(f, 12).coeffs
+        coeffs = taylor_coeffs(f, 12)
         assert max(abs(c) for c in coeffs[1:]) <= 1e-12
 
 
@@ -235,7 +251,7 @@ def test_roundtrip_generator_is_deterministic():
 
 def test_roundtrip_membership_by_taylor():
     problem, f = roundtrip_generate(KD2, 2, 7)
-    coeffs = taylor_coeffs(f, 12).coeffs
+    coeffs = taylor_coeffs(f, 12)
     from cpick import contains
 
     for j in range(1, 13):
@@ -254,12 +270,10 @@ def test_interior_values_stay_interior():
 
 def test_verify_counts_a_nan_coefficient_as_a_violation(monkeypatch):
     import cpick.interp
-    from cpick.analytic import TaylorReport
-
     problem = Problem(nodes=(0, 0.5), targets=(0, 0.2))
     f = construct(problem, K1, "iff")
     sampled = taylor_coeffs(f, 12, 0.5, 1024)
-    nan_at_1 = TaylorReport(sampled.radius, sampled.samples, (sampled.coeffs[0], complex("nan")) + sampled.coeffs[2:])
+    nan_at_1 = (sampled[0], complex("nan")) + sampled[2:]
     monkeypatch.setattr(cpick.interp, "taylor_coeffs", lambda *args: nan_at_1)
     report = verify_interpolant(f, problem, K1)
     assert [j for j, _ in report.taylor_violations] == [1]

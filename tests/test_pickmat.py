@@ -12,7 +12,6 @@ from cpick import (
     classical_pick,
     constrained_pick,
     factorization_residual,
-    mobius_inverse,
     psd_check,
 )
 from cpick import pickmat
@@ -106,6 +105,11 @@ def test_stacked_min_eigenvalues_equal_scalar_path_exactly(n, E, d):
     stacked = pick.min_eigenvalues(lams)
     assert stacked.shape == lams.shape
     assert np.array_equal(stacked, [pick.min_eigenvalue(complex(lam)) for lam in lams])
+    # the simplex scores its reflection and contraction points in stacks of 2 and 3
+    for size in (2, 3):
+        for start in range(0, len(lams) - size + 1, size):
+            part = lams[start : start + size]
+            assert np.array_equal(pick.min_eigenvalues(part), stacked[start : start + size])
 
 
 def _public_min_eigenvalues(m):
