@@ -46,6 +46,7 @@ from .analytic import (
 )
 from .pickmat import (
     HermitianMatrix,
+    Problem,
     PsdVerdict,
     classical_pick,
     constrained_pick,
@@ -55,7 +56,6 @@ from .pickmat import (
 )
 from .feasibility import (
     FeasibilityResult,
-    Problem,
     SearchConfig,
     find_lambda,
 )

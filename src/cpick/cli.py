@@ -26,7 +26,8 @@ import sys
 from .errors import CPickError, NotFound, NotPrefixK
 from .kset import KSpec, complement_structure, is_algebra, smallest_missing
 from .analytic import SchurFunction
-from .feasibility import Problem, SearchConfig, find_lambda
+from .feasibility import SearchConfig, find_lambda
+from .pickmat import Problem
 from .interp import Interpolant, _certified_negative, construct, exponent_plan, verify_interpolant
 
 log = logging.getLogger("cpick")

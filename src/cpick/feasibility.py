@@ -25,12 +25,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, InvalidConfig, InvalidProblem
+from .errors import InvalidConfig
 from .kset import _integer
-from .pickmat import PickBuilder, constrained_pick, psd_check
+from .pickmat import PickBuilder, Problem, constrained_pick, psd_check
 
 __all__ = [
-    "Problem",
     "SearchConfig",
     "FeasibilityResult",
     "find_lambda",
@@ -39,7 +38,6 @@ __all__ = [
 DEFAULT_RADII = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 # Witnesses are kept strictly inside the disk; the criterion requires it.
 LAMBDA_CLAMP = 0.999
-MAX_POINTS = 16
 
 
 def _real(value) -> float:
@@ -47,35 +45,6 @@ def _real(value) -> float:
     if isinstance(value, (bool, str)):
         raise TypeError(f"{value!r} is not a number")
     return float(value)
-
-
-@dataclass(frozen=True)
-class Problem:
-    """Distinct interpolation nodes and targets, all strictly inside the disk."""
-
-    nodes: tuple[complex, ...]
-    targets: tuple[complex, ...]
-
-    def __post_init__(self):
-        nodes = tuple(complex(z) for z in self.nodes)
-        targets = tuple(complex(w) for w in self.targets)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "targets", targets)
-        if len(nodes) != len(targets):
-            raise InvalidProblem(f"{len(nodes)} nodes vs {len(targets)} targets")
-        if not 1 <= len(nodes) <= MAX_POINTS:
-            raise InvalidProblem(f"problem size must lie in [1, {MAX_POINTS}], got {len(nodes)}")
-        if len(set(nodes)) != len(nodes):
-            raise InvalidProblem("nodes must be distinct")
-        # written as not |z| < 1 so that NaN is refused too
-        if any(not abs(z) < 1.0 for z in nodes):
-            raise DomainError("nodes must lie strictly inside the unit disk")
-        if any(not abs(w) < 1.0 for w in targets):
-            raise DomainError("targets must lie strictly inside the unit disk")
-
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
 
 
 @dataclass(frozen=True)
@@ -149,8 +118,11 @@ class FeasibilityResult:
     ``pinned`` marks the exact single-point search forced by a node at the
     origin; its matrix is the constrained Pick matrix at the pinned parameter
     without that node's row and column, which vanish there (no matrix and
-    0.0 when no other node is left).  Otherwise the matrix is
-    ``constrained_pick``'s at the best parameter found.  Only a pinned
+    0.0 when no other node is left).  ``psd_check(constrained_pick(<the
+    nodes other than 0>, <their targets>, lam, E, d), tol)`` at the pinned
+    lam re-judges it exactly, its entries being the block's bit for bit; the
+    full matrix's zero eigenvalue can compute negative.  Otherwise the
+    matrix is ``constrained_pick``'s at the best parameter found.  Only a pinned
     negative can be certified, and only for a necessary criterion.
     ``lambda_`` is present exactly when ``feasible``.
     ``evaluations`` counts every grid point, each ranked whether or not its
@@ -213,7 +185,7 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
     index).
     """
     cfg = cfg or DEFAULT_CONFIG
-    pick = PickBuilder(problem.nodes, problem.targets, E, d)
+    pick = PickBuilder(problem, E, d)
     if 0 in problem.nodes:
         # At lam = w_0 the pinned node's row and column vanish exactly, so the
         # matrix is PSD exactly when the block without them is; that block gives

@@ -33,8 +33,8 @@ from .errors import InvalidProblem, NotFound, NotPrefixK, Unsupported
 from .kset import KSpec, contains, is_algebra, smallest_missing, _conductor, _integer
 from .analytic import SchurFunction, np_solve, sup_norm_estimate, taylor_coeffs
 from .bruno import compose_derivative
-from .feasibility import DEFAULT_CONFIG, FeasibilityResult, Problem, SearchConfig, find_lambda
-from .pickmat import CLASSICAL_PSD_TOL, _mobius
+from .feasibility import DEFAULT_CONFIG, FeasibilityResult, SearchConfig, find_lambda
+from .pickmat import CLASSICAL_PSD_TOL, Problem, _mobius
 
 __all__ = [
     "Interpolant",
@@ -62,6 +62,9 @@ TARGET_CLAMP_SLACK = 1e-6
 # Found. Comput. Math. 2011); more samples only cost evaluations.
 CROSSCHECK_ORDER = 6
 CROSSCHECK_SAMPLES = 64
+
+# Node draws before roundtrip_generate gives up: for large d, z^d lies within 0.9^d of 0.
+NODE_DRAWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -338,8 +341,9 @@ def roundtrip_generate(k: KSpec, n: int, seed: int) -> tuple[Problem, Interpolan
     Draws lam, a Schur function (product of up to three Blaschke factors
     scaled by 0.9), and well-separated nodes with distinct d-th powers, then
     reads the targets off the interpolant so the instance is feasible by
-    construction.  The returned h is refit through the classical solver so
-    the interpolant carries the standard chain representation.
+    construction, or raises ``InvalidProblem`` if ``NODE_DRAWS`` draws do not
+    give n such nodes.  The returned h is refit through the classical solver
+    so the interpolant carries the standard chain representation.
     """
     _require_algebra(k)
     if not 1 <= n <= 8:
@@ -363,11 +367,15 @@ def roundtrip_generate(k: KSpec, n: int, seed: int) -> tuple[Problem, Interpolan
         return complex(out)
 
     nodes: list[complex] = []
-    while len(nodes) < n:
+    for _ in range(NODE_DRAWS):
+        if len(nodes) == n:
+            break
         z = disk_sample(0.9)
         powers = [w**d for w in nodes]
         if all(abs(z - w) >= 0.05 for w in nodes) and all(abs(z**d - p) >= 0.05 for p in powers):
             nodes.append(z)
+    if len(nodes) < n:
+        raise InvalidProblem(f"no {n} nodes with d-th powers 0.05 apart in {NODE_DRAWS} draws (d={d}, n={n})")
 
     h_at_nodes = [h_true(z**d) for z in nodes]
     targets = [complex(_mobius(-lam, z**E * hv)) for z, hv in zip(nodes, h_at_nodes)]

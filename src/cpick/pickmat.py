@@ -1,18 +1,20 @@
-"""Pick matrices, the Möbius map they are built from, and the PSD verdict.
+"""Interpolation data, their Pick matrices, the Möbius map and the PSD verdict.
 
-This module is the one home of three objects.  The disk automorphism
+This module is the one home of four objects.  The data are a ``Problem``,
+the one check of nodes and targets.  The disk automorphism
 phi_lam(z) = (z - lam) / (1 - conj(lam) z) is the unchecked kernel
 ``_mobius`` that every module calls; ``mobius`` checks its arguments first.
-The constrained Pick matrix is ``PickBuilder``, used by ``constrained_pick``
-and by the parameter search, which evaluates it over arrays of lam.  The
-PSD verdict is ``psd_check``.  Every smallest eigenvalue, the search's and
-the verdict's, is taken of the Hermitian part ``_hermitian_part`` in one
-place, ``_min_eigenvalues``, so a verdict judges the value a search reports.
-It calls LAPACK's stacked Hermitian eigensolver directly, through numpy's
-gufunc ``_umath_linalg.eigvalsh_lo``, without the per-call argument handling
-of ``np.linalg.eigvalsh``; a stack that comes back with a NaN minimum, which
-is how the gufunc reports a failure to converge, is redone through
-``np.linalg.eigvalsh``, so such a failure still raises ``LinAlgError``.
+The constrained Pick matrix is ``PickBuilder``, built from a ``Problem``
+and used by ``constrained_pick`` and the parameter search, which evaluates
+it over arrays of lam.  The PSD verdict is ``psd_check``.  Every smallest
+eigenvalue, the search's and the verdict's, is taken of the Hermitian part
+``_hermitian_part`` in one place, ``_min_eigenvalues``, so a verdict judges
+the value a search reports.  It calls LAPACK's stacked Hermitian eigensolver
+directly, through numpy's gufunc ``_umath_linalg.eigvalsh_lo``, without the
+per-call argument handling of ``np.linalg.eigvalsh``; a stack that comes
+back with a NaN minimum, which is how the gufunc reports a failure to
+converge, is redone through ``np.linalg.eigvalsh``, so such a failure still
+raises ``LinAlgError``.
 
 The classical matrix [(1 - w_i conj(w_j)) / (1 - z_i conj(z_j))] decides
 plain Nevanlinna-Pick solvability.  The constrained variant replaces the
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -44,6 +45,7 @@ from .errors import (
 )
 
 __all__ = [
+    "Problem",
     "HermitianMatrix",
     "PsdVerdict",
     "mobius",
@@ -53,6 +55,7 @@ __all__ = [
     "factorization_residual",
 ]
 
+MAX_POINTS = 16
 # Absolute slack when testing membership of the closed disk / circle.
 BOUNDARY_TOL = 1e-12
 # Relative slack of the PSD verdict on the classical Pick matrix that
@@ -84,6 +87,32 @@ def _check_open_disk(z, label: str):
         worst = np.max(np.abs(a))
         raise DomainError(f"{label} must lie strictly inside the unit disk, got modulus {worst:.6g}")
     return complex(a) if a.ndim == 0 else a
+
+
+@dataclass(frozen=True)
+class Problem:
+    """Distinct interpolation nodes and targets strictly inside the disk; the one check of the data."""
+
+    nodes: tuple[complex, ...]
+    targets: tuple[complex, ...]
+
+    def __post_init__(self):
+        nodes = tuple(complex(z) for z in self.nodes)
+        targets = tuple(complex(w) for w in self.targets)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "targets", targets)
+        if len(nodes) != len(targets):
+            raise InvalidProblem(f"{len(nodes)} nodes vs {len(targets)} targets")
+        if not 1 <= len(nodes) <= MAX_POINTS:
+            raise InvalidProblem(f"problem size must lie in [1, {MAX_POINTS}], got {len(nodes)}")
+        if len(set(nodes)) != len(nodes):
+            raise InvalidProblem("nodes must be distinct")
+        _check_open_disk(nodes, "nodes")
+        _check_open_disk(targets, "targets")
+
+    @property
+    def n(self) -> int:
+        return len(self.nodes)
 
 
 def _mobius(lam, z):
@@ -157,24 +186,21 @@ class PickBuilder:
         (z_i^E conj(z_j)^E - phi_lam(w_i) conj(phi_lam(w_j)))
         / (1 - (z_i conj(z_j))^d),
 
-    defined when d divides E, the nodes and their d-th powers are distinct,
-    and the targets lie in the open disk.  The data are checked once, here,
-    and the lam-independent blocks cached; the methods do not check lam.
+    defined when d divides E and the nodes' d-th powers are distinct.  The
+    data are checked by ``Problem``; this checks the exponents and distinct
+    d-th powers, and caches the lam-independent blocks.  No method checks lam.
     """
 
-    def __init__(self, nodes, targets, E: int, d: int):
+    def __init__(self, problem: Problem, E: int, d: int):
         if d < 1 or E < 1:
             raise InvalidExponent(f"exponents must be positive, got E={E}, d={d}")
         if E % d != 0:
             raise InvalidExponent(f"scale d={d} must divide the numerator exponent E={E}")
-        z = _check_open_disk(nodes, "nodes")
-        w = _check_open_disk(targets, "targets")
-        if len(z) != len(w):
-            raise InvalidProblem(f"{len(z)} nodes vs {len(w)} targets")
-        if len(set(z.tolist())) != len(z) or len(set((z**d).tolist())) != len(z):
-            raise InvalidProblem("nodes and their d-th powers must both be distinct")
+        z = np.array(problem.nodes)
+        if len(set((z**d).tolist())) != len(z):
+            raise InvalidProblem(f"the nodes' d-th powers must be distinct, d={d}")
         ze = z**E
-        self._targets = w
+        self._targets = np.array(problem.targets)
         self._powers = np.outer(ze, ze.conj())
         self._den = 1.0 - np.outer(z, z.conj()) ** d
 
@@ -199,17 +225,6 @@ class PickBuilder:
         """
         return _min_eigenvalues(self._entries(_mobius(lams[:, None], self._targets)))
 
-    @cached_property
-    def _diagonal_bound_data(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """Diagonals of the numerator powers and the denominator, and the roundoff margin.
-
-        Built on the first ``min_eigenvalue_bounds`` call, so the one-point
-        paths that never ask for a bound do not pay for it.
-        """
-        n = len(self._targets)
-        margin = 1e-12 * 2.0 * n * n / float(np.min(np.abs(self._den)))
-        return self._powers.diagonal().real, self._den.diagonal().real, margin
-
     def min_eigenvalue_bounds(self, lams: np.ndarray) -> np.ndarray:
         """An upper bound on ``min_eigenvalues(lams)`` at each point, in O(n) per point.
 
@@ -228,11 +243,13 @@ class PickBuilder:
         also covers the few ulps by which this diagonal, computed in real
         arithmetic, and the complex entries the eigensolver sees can differ.
         So the computed ``min_eigenvalues`` value at a point does not exceed
-        its bound.  The margin depends on the data only, not on lam.
+        its bound.  The margin depends on the data only, not on lam; it and
+        the diagonals are computed on each call, which the search makes once.
         """
-        powers, den, margin = self._diagonal_bound_data
+        n = len(self._targets)
+        margin = 1e-12 * 2.0 * n * n / float(np.min(np.abs(self._den)))
         phi = _mobius(lams[:, None], self._targets)
-        diagonal = (powers - (phi.real**2 + phi.imag**2)) / den
+        diagonal = (self._powers.diagonal().real - (phi.real**2 + phi.imag**2)) / self._den.diagonal().real
         return diagonal.min(axis=1) + margin
 
 
@@ -262,9 +279,10 @@ def _min_eigenvalues(m: np.ndarray) -> np.ndarray:
 def constrained_pick(nodes, targets, lam: complex, E: int, d: int) -> HermitianMatrix:
     """Constrained Pick matrix with numerator exponent E and scale d at lam.
 
-    Entries and conditions as in ``PickBuilder``; lam must lie in the open disk.
+    The data are checked as a ``Problem`` (1 to ``MAX_POINTS`` nodes), the rest
+    as in ``PickBuilder``; lam must lie in the open disk.
     """
-    pick = PickBuilder(nodes, targets, E, d)
+    pick = PickBuilder(Problem(nodes, targets), E, d)
     return HermitianMatrix(pick.entries(_check_open_disk(lam, "Möbius parameter")))
 
 

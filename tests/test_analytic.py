@@ -95,6 +95,10 @@ def test_np_solve_infeasible_data():
     # |w| > |z| at a single nonzero node with value 0 elsewhere breaks Schwarz
     with pytest.raises(Infeasible):
         np_solve([0.0, 0.5], [0.0, 0.9])
+    # the Pick check passes, and the first Schur step pushes the second target
+    # just past the circle: the data are numerically singular
+    with pytest.raises(Infeasible, match="reduced target left the closed disk"):
+        np_solve([0, 0.5], [0.999, 0.999333423818965 + 0.0008811011606457766j])
 
 
 def test_np_solve_boundary_target_forces_constant():
@@ -103,6 +107,10 @@ def test_np_solve_boundary_target_forces_constant():
     assert f(0.1) == 1.0
     with pytest.raises(Infeasible):
         np_solve([0.2, 0.5], [1.0, 0.3])
+    # here the Pick check passes (the data are nearly the constant 1), and the
+    # constant the boundary target forces misses the other target by 5e-8
+    with pytest.raises(Infeasible, match="boundary target forces a constant solution"):
+        np_solve([0.0, 0.99], [1.0, 1.0 - 5e-8])
 
 
 def test_np_solve_nodes_reproduce_and_schur_bound():

@@ -43,7 +43,7 @@ def test_problem_validation():
 
 
 def test_objective_closed_forms():
-    pick = PickBuilder((0.5,), (0.7,), 2, 1)
+    pick = PickBuilder(Problem((0.5,), (0.7,)), 2, 1)
     # at lam = w the numerator loses its subtrahend entirely
     assert pick.min_eigenvalue(0.7) == pytest.approx(0.0625 / 0.75, abs=1e-12)
     assert pick.min_eigenvalue(0.0) == pytest.approx((0.0625 - 0.49) / 0.75, abs=1e-12)
@@ -53,9 +53,9 @@ def test_objective_drops_pinned_zero_row():
     p = Problem(nodes=(0, 0.5), targets=(0.3, 0.2))
     # the pinned value is the 1x1 block of the remaining node, bit for bit
     r = find_lambda(p, 2, 1)
-    assert r.pinned and r.best_min_eigenvalue == PickBuilder((0.5,), (0.2,), 2, 1).min_eigenvalue(0.3)
+    assert r.pinned and r.best_min_eigenvalue == PickBuilder(Problem((0.5,), (0.2,)), 2, 1).min_eigenvalue(0.3)
     # at any other parameter the full matrix has the zero node's row and cannot be PSD
-    assert PickBuilder(p.nodes, p.targets, 2, 1).min_eigenvalue(0.1) < 0
+    assert PickBuilder(p, 2, 1).min_eigenvalue(0.1) < 0
 
 
 def test_find_lambda_single_node_lands_near_target():
@@ -141,7 +141,7 @@ def test_search_fast_path_matches_public_objective():
             ):
                 nodes.append(z)
         p = Problem(tuple(nodes), tuple(disk_point(rng, 0.8) for _ in range(n)))
-        pick = PickBuilder(p.nodes, p.targets, 4, 2)
+        pick = PickBuilder(p, 4, 2)
         for _ in range(5):
             lam = disk_point(rng, 0.9)
             expected = np.linalg.eigvalsh(constrained_pick(p.nodes, p.targets, lam, 4, 2).entries)[0]
@@ -222,7 +222,7 @@ def _looped_find_lambda(problem, E, d, cfg):
     search's simplex, one scalar evaluation per trial point; returns
     (lambda, best value, evaluations, Counter of simplex moves).
     """
-    pick = PickBuilder(problem.nodes, problem.targets, E, d)
+    pick = PickBuilder(problem, E, d)
     scored, seen = [], set()
     for ri, r in enumerate(cfg.radii):
         for ai in range(cfg.angles):
@@ -341,7 +341,7 @@ def test_pruning_keeps_a_top_three_point_whose_bound_is_below_the_best():
     nodes, lam0, a = (-0.08 + 0.68j, 0.32 + 0.03j), 0.56 - 0.34j, -0.06 - 0.48j
     p = Problem(nodes, tuple(mobius(-lam0, z**3 * 0.77 * mobius(a, z)) for z in nodes))
     cfg = SearchConfig()
-    pick = PickBuilder(p.nodes, p.targets, 3, 1)
+    pick = PickBuilder(p, 3, 1)
     points = _grid_points(cfg.radii, cfg.angles)
     values, bounds = pick.min_eigenvalues(points), pick.min_eigenvalue_bounds(points)
     first = np.argsort(-bounds, kind="stable")[:3]
@@ -403,7 +403,7 @@ def _two_builder_pinned_search(problem, E, d, tol):
     if not kept:
         return lam, 0.0, True
     kept_nodes, kept_targets = [problem.nodes[k] for k in kept], [problem.targets[k] for k in kept]
-    best = PickBuilder(kept_nodes, kept_targets, E, d).min_eigenvalue(lam)
+    best = PickBuilder(Problem(kept_nodes, kept_targets), E, d).min_eigenvalue(lam)
     verdict = psd_check(constrained_pick(kept_nodes, kept_targets, lam, E, d), tol)
     assert verdict.min_eigenvalue == best
     return lam, best, verdict.is_psd
@@ -422,6 +422,9 @@ def _two_builder_pinned_search(problem, E, d, tol):
 # feasible, but the full matrix's zero eigenvalue computes slightly negative,
 # so a verdict on the full matrix refuses it at tol 0
 @example(data=[(0.5, 0.5), (0.71875, 0.5)], position=1, lam=0.5, exponents=(1, 1), tol=0.0, induced=None)
+# the same on nodes (0.5, 0, -0.5): the block's eigenvalue is 0.028 where the
+# full matrix's computes to -1.7e-32
+@example(data=[(0.5, 0.1), (-0.5, 0.1)], position=1, lam=0j, exponents=(2, 1), tol=0.0, induced=None)
 def test_pinned_search_matches_two_builders(data, position, lam, exponents, tol, induced):
     # The pinned search takes its objective and its verdict from the block
     # without the pinned node's row and column; both must equal what a

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from cpick import (
+    DomainError,
     Interpolant,
+    InvalidProblem,
     KSpec,
     NotFound,
     NotPrefixK,
@@ -18,6 +20,7 @@ from cpick import (
     exponent_plan,
     from_finite_set,
     is_algebra,
+    mobius,
     necessary_check,
     psd_check,
     roundtrip_generate,
@@ -25,6 +28,7 @@ from cpick import (
     taylor_coeffs,
     verify_interpolant,
 )
+from cpick import interp
 from cpick.kset import _conductor, complement_structure
 from conftest import disk_point, fixture_kspecs
 
@@ -126,6 +130,22 @@ def test_construct_at_threshold_flags_low_confidence():
     report = verify_interpolant(f, p, K1)
     assert report.passed
     assert report.tolerances.interp == pytest.approx(1e-5)  # widened x100
+
+
+def test_construct_projects_a_target_just_outside_the_disk(monkeypatch):
+    # The pinned search accepts this within its tolerance, and the h-target
+    # at 0.3 is v = 1 + 5e-7: construct projects it onto the circle, so h is
+    # the constant it forces.
+    lam = 0.2 + 0.1j
+    p = Problem((0, 0.3), (lam, mobius(-lam, 0.09 * (1 + 5e-7))))
+    f = construct(p, K1, "iff")
+    assert f.h.steps == () and abs(f.h.tail) == pytest.approx(1.0, abs=1e-15)
+    report = verify_interpolant(f, p, K1)
+    assert report.passed and max(report.residuals) <= 1e-7
+    # without the projection the solver refuses the target
+    monkeypatch.setattr(interp, "TARGET_CLAMP_SLACK", 0.0)
+    with pytest.raises(DomainError):
+        construct(p, K1, "iff")
 
 
 def test_construct_certified_notfound():
@@ -247,6 +267,13 @@ def test_roundtrip_generator_is_deterministic():
     assert a[1].lambda_ == b[1].lambda_ and a[1].h == b[1].h
     c = roundtrip_generate(K13, 4, 124)
     assert c[0] != a[0]
+
+
+def test_roundtrip_generator_refuses_nodes_it_cannot_separate():
+    # |z| <= 0.9 puts every 60th power within 0.9**60 < 0.002 of 0, so no two
+    # nodes have 60th powers 0.05 apart
+    with pytest.raises(InvalidProblem, match=re.escape("(d=60, n=2)")):
+        roundtrip_generate(KSpec(d=60, gaps=(1,)), 2, 0)
 
 
 def test_roundtrip_membership_by_taylor():

@@ -9,6 +9,7 @@ from cpick import (
     InvalidExponent,
     InvalidProblem,
     NumericalError,
+    Problem,
     classical_pick,
     constrained_pick,
     factorization_residual,
@@ -100,7 +101,7 @@ def test_stacked_min_eigenvalues_equal_scalar_path_exactly(n, E, d):
     # the grid is scored in stacked eigensolves; the arithmetic is the scalar
     # objective's, so the values must agree bit for bit, not within a tolerance
     rng = np.random.default_rng(1000 * n + 10 * E + d)
-    pick = PickBuilder(random_nodes(rng, n, d=d), [disk_point(rng, 0.9) for _ in range(n)], E, d)
+    pick = PickBuilder(Problem(random_nodes(rng, n, d=d), [disk_point(rng, 0.9) for _ in range(n)]), E, d)
     lams = np.array([0j, 0.99 * np.exp(0.7j)] + [disk_point(rng, 0.99) for _ in range(30)])
     stacked = pick.min_eigenvalues(lams)
     assert stacked.shape == lams.shape
@@ -156,7 +157,7 @@ def test_min_eigenvalue_bounds_hold(n, E, d):
     # the grid skips a point whose bound is below a computed value, so the
     # bound must hold for the computed eigenvalue, not only the exact one
     rng = np.random.default_rng(2000 * n + 10 * E + d)
-    pick = PickBuilder(random_nodes(rng, n, d=d), [disk_point(rng, 0.9) for _ in range(n)], E, d)
+    pick = PickBuilder(Problem(random_nodes(rng, n, d=d), [disk_point(rng, 0.9) for _ in range(n)]), E, d)
     lams = np.array([0j, 0.999, 0.999 * np.exp(2.1j)] + [disk_point(rng, 0.999) for _ in range(200)])
     assert np.all(pick.min_eigenvalues(lams) <= pick.min_eigenvalue_bounds(lams))
 
@@ -183,7 +184,7 @@ def test_min_eigenvalue_bounds_hold_in_extreme_regimes(make):
     lams = np.array(circle + [disk_point(rng, 0.999) for _ in range(64)])
     for radius in (0.05, 0.9, 0.999):
         targets = [radius * np.exp(2j * np.pi * rng.uniform()) for _ in nodes]
-        pick = PickBuilder(nodes, targets, E, d)
+        pick = PickBuilder(Problem(nodes, targets), E, d)
         assert np.all(pick.min_eigenvalues(lams) <= pick.min_eigenvalue_bounds(lams))
 
 
