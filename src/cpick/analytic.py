@@ -26,6 +26,7 @@ from .errors import Infeasible, InvalidConfig, InvalidProblem
 from .pickmat import (
     BOUNDARY_TOL,
     CLASSICAL_PSD_TOL,
+    LOW_CONFIDENCE_EIG,
     _check_closed_disk,
     _mobius,
     classical_pick,
@@ -44,8 +45,6 @@ OVERSHOOT_TOL = 1e-9
 # When a reduced target lands on the circle the remaining data must agree
 # with the forced constant to this accuracy.
 CONSTANT_MATCH_TOL = 1e-8
-# Below this Pick-matrix eigenvalue floor results are flagged low confidence.
-LOW_CONFIDENCE_EIG = 1e-6
 
 
 @dataclass(frozen=True)

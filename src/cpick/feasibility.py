@@ -6,8 +6,13 @@ parameter is pinned exactly (any interpolant satisfies f(0) = target), so a
 single evaluation settles the question up to the PSD tolerance.  Otherwise
 the feasible region has no known description and the search is heuristic:
 a coarse polar grid followed by a derivative-free simplex refinement of the
-smallest eigenvalue.  A positive answer carries a verifiable witness; a
-negative answer is evidence only, except in the pinned case.
+smallest eigenvalue.  The criterion asks for some PSD parameter, not the
+best one, so the search stops at the first point it checks whose smallest
+eigenvalue clears ``pickmat.LOW_CONFIDENCE_EIG``: the best grid point, or
+the best point of a simplex iteration.  Only a search that never clears
+that margin maximises to the simplex's stop.  A positive answer carries a
+verifiable witness; a negative answer is evidence only, except in the
+pinned case.
 
 A search builds one ``pickmat.PickBuilder`` and reads every objective value
 from it.  Its verdict is ``psd_check`` of one matrix, and the
@@ -27,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .kset import _integer
-from .pickmat import PickBuilder, Problem, constrained_pick, psd_check
+from .pickmat import LOW_CONFIDENCE_EIG, PickBuilder, Problem, constrained_pick, psd_check
 
 __all__ = [
     "SearchConfig",
@@ -124,9 +129,14 @@ class FeasibilityResult:
     full matrix's zero eigenvalue can compute negative.  Otherwise the
     matrix is ``constrained_pick``'s at the best parameter found.  Only a pinned
     negative can be certified, and only for a necessary criterion.
-    ``lambda_`` is present exactly when ``feasible``.
+    ``lambda_`` is present exactly when ``feasible``.  A search that clears
+    ``LOW_CONFIDENCE_EIG`` stops there, so its ``best_min_eigenvalue`` is
+    the first value at or above that margin, not the maximum; below the
+    margin it is the largest value the search found.
     ``evaluations`` counts every grid point, each ranked whether or not its
-    bound ruled out an eigensolve, plus every simplex trial the simplex used.
+    bound ruled out an eigensolve, plus every simplex trial the simplex used
+    before it stopped: exactly the grid's size when the best grid point
+    clears the margin.
     """
 
     feasible: bool
@@ -176,11 +186,16 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
     start a reflection/contraction simplex capped at ``cfg.refine_iters``
     iterations with trial points clamped to modulus 0.999.  Each iteration
     scores its reflection and contraction in one stacked eigensolve.
+    The search returns once its best value clears ``LOW_CONFIDENCE_EIG``,
+    checked after the grid (skipping the simplex) and at the top of each
+    simplex iteration, so a feasible parameter is the first point found at
+    that margin, not the maximiser.  Below it the simplex runs until its
+    vertices lie within 1e-12 or the cap is reached.
     ``evaluations`` counts every grid point, scored or ruled out by its
     bound, and every simplex trial the simplex uses; a contraction scored
     alongside an accepted reflection is not counted.
     The verdict is ``psd_check`` of ``constrained_pick`` at the best point,
-    which judges the value the simplex reports.  Fully deterministic for a
+    which judges the value the search reports.  Fully deterministic for a
     fixed config; grid ties resolve to the smallest (radius index, angle
     index).
     """
@@ -234,40 +249,44 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
             best_obj, best_lam = val, complex(*xy)
         return val
 
-    simplex = [(float(points[i].real), float(points[i].imag)) for i in top]
-    x0, y0 = simplex[0]
-    # degenerate user grids: pad around the best point
-    simplex += [(x0 + 0.01, y0 + 0.0), (x0 + 0.0, y0 + 0.01)][len(simplex) - 1 :]
-    simplex = [_clamp(x, y) for x, y in simplex]
-    vals = [record(xy, val) for xy, val in zip(simplex, solve(*simplex))]
-    for _ in range(cfg.refine_iters):
-        order = sorted(range(3), key=lambda i: -vals[i])
-        simplex = [simplex[i] for i in order]
-        vals = [vals[i] for i in order]
-        (x0, y0), (x1, y1), (x2, y2) = simplex
-        # Loosening this stop (1e-9, say) moves lam, and acceptance criterion 5
-        # then fails: np_solve refuses the lam it would choose.  It carries that
-        # weight until the search judges PSD on the scale np_solve uses
-        # (ROADMAP item 1).
-        if max(abs(x0 - x1), abs(y0 - y1), abs(x0 - x2), abs(y0 - y2)) < 1e-12:
-            break
-        cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        reflected = _clamp(cx + (cx - x2), cy + (cy - y2))
-        contracted = _clamp(cx + 0.5 * (x2 - cx), cy + 0.5 * (y2 - cy))
-        f_r, f_c = solve(reflected, contracted)
-        record(reflected, f_r)
-        if f_r > vals[0]:
-            expanded = _clamp(cx + 2.0 * (cx - x2), cy + 2.0 * (cy - y2))
-            f_e = record(expanded, pick.min_eigenvalue(complex(*expanded)))
-            simplex[2], vals[2] = (expanded, f_e) if f_e > f_r else (reflected, f_r)
-        elif f_r > vals[1]:
-            simplex[2], vals[2] = reflected, f_r
-        elif record(contracted, f_c) > vals[2]:  # only now is the contraction used
-            simplex[2], vals[2] = contracted, f_c
-        else:
-            shrunk = [_clamp(x0 + 0.5 * (x - x0), y0 + 0.5 * (y - y0)) for x, y in simplex[1:]]
-            simplex[1:] = shrunk
-            vals[1:] = [record(xy, val) for xy, val in zip(shrunk, solve(*shrunk))]
+    if best_obj < LOW_CONFIDENCE_EIG:  # else the best grid point is the answer
+        simplex = [(float(points[i].real), float(points[i].imag)) for i in top]
+        x0, y0 = simplex[0]
+        # degenerate user grids: pad around the best point
+        simplex += [(x0 + 0.01, y0 + 0.0), (x0 + 0.0, y0 + 0.01)][len(simplex) - 1 :]
+        simplex = [_clamp(x, y) for x, y in simplex]
+        vals = [record(xy, val) for xy, val in zip(simplex, solve(*simplex))]
+        for _ in range(cfg.refine_iters):
+            if best_obj >= LOW_CONFIDENCE_EIG:
+                break
+            order = sorted(range(3), key=lambda i: -vals[i])
+            simplex = [simplex[i] for i in order]
+            vals = [vals[i] for i in order]
+            (x0, y0), (x1, y1), (x2, y2) = simplex
+            # Only a search below the margin gets here: negatives and data on the
+            # boundary of feasibility.  There loosening this stop (1e-9, say) moves
+            # lam, and acceptance criterion 5 then fails: np_solve refuses the lam
+            # it would choose.  It carries that weight until the search judges PSD
+            # on the scale np_solve uses (ROADMAP item 1).
+            if max(abs(x0 - x1), abs(y0 - y1), abs(x0 - x2), abs(y0 - y2)) < 1e-12:
+                break
+            cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+            reflected = _clamp(cx + (cx - x2), cy + (cy - y2))
+            contracted = _clamp(cx + 0.5 * (x2 - cx), cy + 0.5 * (y2 - cy))
+            f_r, f_c = solve(reflected, contracted)
+            record(reflected, f_r)
+            if f_r > vals[0]:
+                expanded = _clamp(cx + 2.0 * (cx - x2), cy + 2.0 * (cy - y2))
+                f_e = record(expanded, pick.min_eigenvalue(complex(*expanded)))
+                simplex[2], vals[2] = (expanded, f_e) if f_e > f_r else (reflected, f_r)
+            elif f_r > vals[1]:
+                simplex[2], vals[2] = reflected, f_r
+            elif record(contracted, f_c) > vals[2]:  # only now is the contraction used
+                simplex[2], vals[2] = contracted, f_c
+            else:
+                shrunk = [_clamp(x0 + 0.5 * (x - x0), y0 + 0.5 * (y - y0)) for x, y in simplex[1:]]
+                simplex[1:] = shrunk
+                vals[1:] = [record(xy, val) for xy, val in zip(shrunk, solve(*shrunk))]
 
     verdict = psd_check(constrained_pick(problem.nodes, problem.targets, best_lam, E, d), cfg.tol)
     return FeasibilityResult(

@@ -63,6 +63,10 @@ TARGET_CLAMP_SLACK = 1e-6
 CROSSCHECK_ORDER = 6
 CROSSCHECK_SAMPLES = 64
 
+# Sampling radius of verify_interpolant's membership coefficients; its
+# docstring gives the error bounds that set it.
+TAYLOR_RADIUS = 0.9
+
 # Node draws before roundtrip_generate gives up: for large d, z^d lies within 0.9^d of 0.
 NODE_DRAWS = 10_000
 
@@ -301,19 +305,24 @@ def verify_interpolant(f: Interpolant, problem: Problem, k: KSpec) -> Verificati
 
     Residuals come from one evaluation of f at all nodes, the norm from 4096
     circle samples at radius 0.999, and membership from Taylor coefficients
-    at radius 0.5 with 1024 samples, checked at every constrained index up
-    to min(64, max(12, 4 * smallest_missing)).  The derivative cross-check
-    samples h at ``CROSSCHECK_SAMPLES`` = 64 points at radius 0.5, where the
-    aliasing error r^N / (1 - r^N) = 2^-64 / (1 - 2^-64) is below machine
-    epsilon.  So f is evaluated three times, at arrays, whatever the number
-    of nodes.  The default ``Tolerances`` widen a hundredfold when the
-    solution is flagged low confidence.  Always returns a report.
+    from 1024 samples at radius ``TAYLOR_RADIUS`` = 0.9, checked at every
+    constrained index j up to min(64, max(12, 4 * smallest_missing)).  For
+    |f| <= 1 the aliasing error is at most 0.9^1024 / (1 - 0.9^1024), about
+    1e-47, and the samples' roundoff is amplified by 0.9^-j, at most
+    0.9^-64, about 850; at radius 0.5 it would be 2^64, enough to reject
+    true interpolants (Bornemann, Found. Comput. Math. 2011).  The
+    derivative cross-check samples h at ``CROSSCHECK_SAMPLES`` = 64 points
+    at radius 0.5, where the aliasing error r^N / (1 - r^N) = 2^-64 /
+    (1 - 2^-64) is below machine epsilon.  So f is evaluated three times,
+    at arrays, whatever the number of nodes.  The default ``Tolerances``
+    widen a hundredfold when the solution is flagged low confidence.
+    Always returns a report.
     """
     tol = Tolerances().widened(100.0) if f.h.low_confidence else Tolerances()
     residuals = tuple(np.abs(f(np.array(problem.nodes)) - np.array(problem.targets)).tolist())
     sup = sup_norm_estimate(f, 0.999, 4096)
     bound = _taylor_bound(k)
-    coeffs = taylor_coeffs(f, bound, 0.5, 1024)
+    coeffs = taylor_coeffs(f, bound, TAYLOR_RADIUS, 1024)
     violations = tuple(
         (j, abs(coeffs[j]))
         for j in range(1, bound + 1)

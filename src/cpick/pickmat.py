@@ -65,6 +65,12 @@ BOUNDARY_TOL = 1e-12
 # ``construct`` takes it as a floor under the search tolerance, so a search
 # run at a smaller one, even 0, leaves the solver this much slack.
 CLASSICAL_PSD_TOL = 1e-9
+# Smallest eigenvalue below which ``analytic.np_solve`` flags its solution low
+# confidence, and the margin at which the parameter search stops.  A constrained
+# matrix M = D P D*, D = diag(z_i^E) with |z_i^E| < 1, has M >= delta I only if
+# the classical P that ``np_solve`` judges has P >= delta I too, so a parameter
+# taken at this margin is neither refused nor flagged there.
+LOW_CONFIDENCE_EIG = 1e-6
 # The LAPACK gufunc (zheevd on the lower triangle) that ``np.linalg.eigvalsh``
 # calls for complex input with UPLO='L', bound once so that each eigensolve
 # skips the wrapper's argument handling.  It is private to numpy: if a numpy

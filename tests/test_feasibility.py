@@ -12,15 +12,21 @@ from cpick import (
     DomainError,
     InvalidConfig,
     InvalidProblem,
+    KSpec,
     Problem,
     SearchConfig,
     constrained_pick,
+    construct,
+    exponent_plan,
     find_lambda,
+    from_finite_set,
     mobius,
     psd_check,
+    roundtrip_generate,
+    verify_interpolant,
 )
 from cpick.feasibility import LAMBDA_CLAMP, _clamp, _grid_points
-from cpick.pickmat import PickBuilder
+from cpick.pickmat import LOW_CONFIDENCE_EIG, PickBuilder
 from conftest import disk_point
 
 
@@ -214,13 +220,16 @@ def test_small_grid_still_refines():
     assert abs(r.lambda_ - 0.61) <= 0.2
 
 
-def _looped_find_lambda(problem, E, d, cfg):
+def _looped_find_lambda(problem, E, d, cfg, margin=LOW_CONFIDENCE_EIG):
     """Reference search with the grid scored one parameter at a time.
 
     The grid points, their exact-value dedup and the order by (-value,
     radius index, angle index) are rebuilt here, followed by a copy of the
-    search's simplex, one scalar evaluation per trial point; returns
-    (lambda, best value, evaluations, Counter of simplex moves).
+    search's simplex, one scalar evaluation per trial point.  Like the
+    search, it stops once the best value reaches ``margin``: after the
+    grid, before any simplex vertex is scored, and at the top of each
+    simplex iteration; ``margin=math.inf`` runs the full maximisation.
+    Returns (lambda, best value, evaluations, Counter of simplex moves).
     """
     pick = PickBuilder(problem, E, d)
     scored, seen = [], set()
@@ -233,6 +242,8 @@ def _looped_find_lambda(problem, E, d, cfg):
     scored.sort(key=lambda rec: (-rec[0], rec[1], rec[2]))
     best_obj, best_lam, evaluations = scored[0][0], scored[0][3], len(scored)
     moves = Counter()
+    if best_obj >= margin:
+        return best_lam, best_obj, evaluations, moves
 
     def score(x):
         nonlocal best_obj, best_lam, evaluations
@@ -256,6 +267,8 @@ def _looped_find_lambda(problem, E, d, cfg):
     simplex = [clamp(x) for x in simplex]
     vals = [score(x) for x in simplex]
     for _ in range(cfg.refine_iters):
+        if best_obj >= margin:
+            break
         order = sorted(range(3), key=lambda i: -vals[i])
         simplex, vals = [simplex[i] for i in order], [vals[i] for i in order]
         if max(np.max(np.abs(simplex[0] - simplex[i])) for i in (1, 2)) < 1e-12:
@@ -387,6 +400,73 @@ def test_pruned_grid_matches_looped_search(data, exponents, cfg, induced):
     verdict = psd_check(constrained_pick(p.nodes, p.targets, lam, E, d), cfg.tol)
     assert r.feasible == verdict.is_psd
     assert verdict.min_eigenvalue == r.best_min_eigenvalue
+
+
+@settings(max_examples=150)
+@given(
+    data=st.lists(_disk_points, min_size=1, max_size=8),
+    plan=st.sampled_from(
+        [
+            (from_finite_set([1]), "iff"),
+            (from_finite_set([1, 2]), "iff"),
+            (from_finite_set([1, 2, 3, 4]), "iff"),
+            (from_finite_set([1, 3]), "sufficient"),
+            (KSpec(d=2, gaps=(1,)), "sufficient"),
+        ]
+    ),
+    induced=st.tuples(_disk_points, _disk_points, st.floats(0.01, 1.0)),
+)
+def test_a_search_stopped_at_the_margin_constructs_and_verifies(data, plan, induced):
+    # A parameter whose constrained matrix clears LOW_CONFIDENCE_EIG leaves
+    # the classical matrix np_solve judges at least that margin too, so the
+    # interpolant built at the early exit is neither refused nor flagged.
+    # The induced targets are those of test_pruned_grid_matches_looped_search.
+    k, mode = plan
+    m, d = exponent_plan(k, mode)
+    E = m * d
+    assume(all(abs(z**d - w**d) > 1e-3 for i, z in enumerate(data) for w in data[:i]))
+    lam0, a, scale = induced
+    p = Problem(tuple(data), tuple(mobius(-lam0, z**E * scale * mobius(a, z**d)) for z in data))
+    r = find_lambda(p, E, d)
+    if r.best_min_eigenvalue < LOW_CONFIDENCE_EIG:
+        return
+    assert r.feasible
+    f = construct(p, k, mode)
+    assert f.lambda_ == r.lambda_ and not f.h.low_confidence
+    assert verify_interpolant(f, p, k).passed
+
+
+def test_a_grid_point_past_the_margin_skips_the_simplex():
+    # at the single node 0.5 the value is (0.5^4 - |lam|^2) / 0.75, largest at
+    # the grid's first point, lam = 0, where it clears the margin
+    cfg = SearchConfig()
+    r = find_lambda(Problem((0.5,), (0.0,)), 2, 1, cfg)
+    assert r.feasible and r.lambda_ == 0
+    assert r.best_min_eigenvalue == pytest.approx(0.0625 / 0.75, abs=1e-15)
+    assert r.evaluations == len(_grid_points(cfg.radii, cfg.angles))
+
+
+def _searches_below_the_margin():
+    # acceptance criterion 5's instance on which a simplex stop at 1e-9, not
+    # 1e-12, moves lam to one that np_solve refuses
+    k = KSpec(d=2, gaps=(1,))
+    m, d = exponent_plan(k, "sufficient")
+    yield roundtrip_generate(k, 4, 43)[0], m * d, d, True
+    # classically infeasible data, infeasible at every exponent
+    yield Problem((0.3, -0.3), (0.9, -0.9)), 2, 1, False
+    yield Problem((0.5, 0.5j, -0.5), (0.0, 0.8, 0.0)), 2, 1, False
+    # the random data of _grid_problems with two or more nodes, all infeasible
+    yield from ((p, E, d, False) for p, E, d in _grid_problems()[5:])
+
+
+@pytest.mark.parametrize("p,E,d,feasible", list(_searches_below_the_margin()))
+def test_a_search_below_the_margin_maximises_in_full(p, E, d, feasible):
+    cfg = SearchConfig()
+    r = find_lambda(p, E, d, cfg)
+    lam, best, evaluations, _ = _looped_find_lambda(p, E, d, cfg, margin=math.inf)
+    assert best < LOW_CONFIDENCE_EIG
+    assert r.feasible == feasible
+    assert (r.lambda_, r.best_min_eigenvalue, r.evaluations) == (lam if feasible else None, best, evaluations)
 
 
 def _two_builder_pinned_search(problem, E, d, tol):
