@@ -54,8 +54,8 @@ class SchurFunction:
     ``steps`` holds (node, value) reduction records in the order they were
     consumed; ``tail`` is the terminal constant (closed disk).  Instances are
     immutable and safe to evaluate concurrently.  ``low_confidence`` marks
-    solutions extracted from a nearly singular Pick matrix; verification
-    tolerances should be widened for those.
+    solutions extracted from a nearly singular Pick matrix; it is reported,
+    and ``verify_interpolant`` checks such a solution at the same tolerances.
 
     A NaN or infinite node, value or tail raises ``InvalidProblem``.  Finite
     values outside the disk are accepted, so that ``verify_interpolant`` can

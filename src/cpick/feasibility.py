@@ -7,11 +7,14 @@ single evaluation settles the question up to the PSD tolerance.  Otherwise
 the feasible region has no known description and the search is heuristic:
 a coarse polar grid followed by a derivative-free simplex refinement of the
 smallest eigenvalue.  The criterion asks for some PSD parameter, not the
-best one, so the search stops at the first point it checks whose smallest
-eigenvalue clears ``pickmat.LOW_CONFIDENCE_EIG``: the best grid point, or
-the best point of a simplex iteration.  Only a search that never clears
-that margin maximises to the simplex's stop.  A positive answer carries a
-verifiable witness; a negative answer is evidence only, except in the
+best one, so the search stops at the first point it checks (the best grid
+point, or the best point of a simplex iteration) where the constrained
+matrix M or the classical matrix P that ``np_solve`` will judge clears
+``pickmat.LOW_CONFIDENCE_EIG``.  M = D P D* with D = diag(z_i^E) shrinks M
+by |z_i|^(2E), so P can clear the margin where M does not; P is judged
+only where M is PSD but inside the margin.  Only a search that clears
+neither margin maximises to the simplex's stop.  A positive answer carries
+a verifiable witness; a negative answer is evidence only, except in the
 pinned case.
 
 A search builds one ``pickmat.PickBuilder`` and reads every objective value
@@ -30,9 +33,17 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, NumericalError
 from .kset import _integer
-from .pickmat import LOW_CONFIDENCE_EIG, PickBuilder, Problem, constrained_pick, psd_check
+from .pickmat import (
+    LOW_CONFIDENCE_EIG,
+    PickBuilder,
+    Problem,
+    classical_pick,
+    constrained_pick,
+    h_data,
+    psd_check,
+)
 
 __all__ = [
     "SearchConfig",
@@ -129,14 +140,17 @@ class FeasibilityResult:
     full matrix's zero eigenvalue can compute negative.  Otherwise the
     matrix is ``constrained_pick``'s at the best parameter found.  Only a pinned
     negative can be certified, and only for a necessary criterion.
-    ``lambda_`` is present exactly when ``feasible``.  A search that clears
-    ``LOW_CONFIDENCE_EIG`` stops there, so its ``best_min_eigenvalue`` is
-    the first value at or above that margin, not the maximum; below the
-    margin it is the largest value the search found.
-    ``evaluations`` counts every grid point, each ranked whether or not its
-    bound ruled out an eigensolve, plus every simplex trial the simplex used
-    before it stopped: exactly the grid's size when the best grid point
-    clears the margin.
+    ``lambda_`` is present exactly when ``feasible``.  A non-pinned search
+    stops at the first point where M clears ``LOW_CONFIDENCE_EIG``, or where
+    M is PSD and the classical P of ``pickmat.h_data`` clears it, so its
+    ``best_min_eigenvalue`` is not the maximum: it is at or above the margin
+    after the first stop, and can lie in [0, LOW_CONFIDENCE_EIG) after the
+    second.  A search that clears neither margin reports the largest value
+    it found.  ``evaluations`` counts every grid point, each ranked whether
+    or not its bound ruled out an eigensolve, plus every simplex trial the
+    simplex used before it stopped; the grid's three best points start the
+    simplex without being scored or counted again.  It is exactly the
+    grid's size when the search stops at the best grid point.
     """
 
     feasible: bool
@@ -184,13 +198,17 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
     of those three values; a point skipped has value at most its bound, so
     it cannot be among the three best, which are the full grid's.  They
     start a reflection/contraction simplex capped at ``cfg.refine_iters``
-    iterations with trial points clamped to modulus 0.999.  Each iteration
-    scores its reflection and contraction in one stacked eigensolve.
-    The search returns once its best value clears ``LOW_CONFIDENCE_EIG``,
-    checked after the grid (skipping the simplex) and at the top of each
-    simplex iteration, so a feasible parameter is the first point found at
-    that margin, not the maximiser.  Below it the simplex runs until its
-    vertices lie within 1e-12 or the cap is reached.
+    iterations with trial points clamped to modulus 0.999; they keep their
+    grid values, and only padding of a grid with fewer than three points,
+    or a point the clamp moved, is scored again.  Each iteration scores its
+    reflection and contraction in one stacked eigensolve.  The search
+    returns once the best value clears ``LOW_CONFIDENCE_EIG``, or is at
+    least 0 while the classical Pick matrix of ``pickmat.h_data`` there,
+    the one ``construct`` hands to ``np_solve``, clears it (judged once per
+    point, skipped on underflow).  This is checked after the grid and at
+    the top of each simplex iteration, so ``np_solve`` neither refuses nor
+    flags the parameter found.  A search that clears neither runs the
+    simplex until its vertices lie within 1e-12 or the cap is reached.
     ``evaluations`` counts every grid point, scored or ruled out by its
     bound, and every simplex trial the simplex uses; a contraction scored
     alongside an accepted reflection is not counted.
@@ -249,25 +267,46 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
             best_obj, best_lam = val, complex(*xy)
         return val
 
-    if best_obj < LOW_CONFIDENCE_EIG:  # else the best grid point is the answer
+    tested = None  # the last parameter whose classical matrix was judged
+
+    def has_answer() -> bool:
+        """Whether M, or else the classical P that ``np_solve`` will judge, clears the margin at the best point."""
+        nonlocal tested
+        if best_obj >= LOW_CONFIDENCE_EIG:
+            return True
+        if not best_obj >= 0.0 or best_lam == tested:
+            return False
+        tested = best_lam
+        try:
+            verdict = psd_check(classical_pick(*h_data(problem, best_lam, E, d)))
+        except NumericalError:
+            return False
+        return verdict.min_eigenvalue >= LOW_CONFIDENCE_EIG
+
+    if not has_answer():  # else the best grid point is the answer
         simplex = [(float(points[i].real), float(points[i].imag)) for i in top]
         x0, y0 = simplex[0]
         # degenerate user grids: pad around the best point
         simplex += [(x0 + 0.01, y0 + 0.0), (x0 + 0.0, y0 + 0.01)][len(simplex) - 1 :]
-        simplex = [_clamp(x, y) for x, y in simplex]
-        vals = [record(xy, val) for xy, val in zip(simplex, solve(*simplex))]
+        clamped = [_clamp(x, y) for x, y in simplex]
+        # the grid scored its own points; only padding, and a grid point the
+        # clamp moved (a user radius past LAMBDA_CLAMP), is scored here
+        fresh = [i for i in range(3) if i >= len(top) or clamped[i] != simplex[i]]
+        scores = dict(zip(fresh, solve(*(clamped[i] for i in fresh)))) if fresh else {}
+        simplex = clamped
+        vals = [record(simplex[i], scores[i]) if i in scores else float(values[ranked[i]]) for i in range(3)]
         for _ in range(cfg.refine_iters):
-            if best_obj >= LOW_CONFIDENCE_EIG:
+            if has_answer():
                 break
             order = sorted(range(3), key=lambda i: -vals[i])
             simplex = [simplex[i] for i in order]
             vals = [vals[i] for i in order]
             (x0, y0), (x1, y1), (x2, y2) = simplex
-            # Only a search below the margin gets here: negatives and data on the
-            # boundary of feasibility.  There loosening this stop (1e-9, say) moves
-            # lam, and acceptance criterion 5 then fails: np_solve refuses the lam
-            # it would choose.  It carries that weight until the search judges PSD
-            # on the scale np_solve uses (ROADMAP item 1).
+            # Only a search that clears neither margin gets here: negatives and
+            # data on the boundary of feasibility.  Loosening this stop (1e-9,
+            # say) fails acceptance criterion 5: its boundary instance then halts
+            # at M = -3.7e-19, before any point where P clears the margin, and
+            # np_solve refuses that lam.  It binds until ROADMAP item 1 lands.
             if max(abs(x0 - x1), abs(y0 - y1), abs(x0 - x2), abs(y0 - y2)) < 1e-12:
                 break
             cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)

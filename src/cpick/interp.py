@@ -29,12 +29,12 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import InvalidProblem, NotFound, NotPrefixK, Unsupported
+from .errors import InvalidProblem, NotFound, NotPrefixK, NumericalError, Unsupported
 from .kset import KSpec, contains, is_algebra, smallest_missing, _conductor, _integer
 from .analytic import SchurFunction, np_solve, sup_norm_estimate, taylor_coeffs
 from .bruno import compose_derivative
 from .feasibility import DEFAULT_CONFIG, FeasibilityResult, SearchConfig, find_lambda
-from .pickmat import CLASSICAL_PSD_TOL, Problem, _mobius
+from .pickmat import CLASSICAL_PSD_TOL, Problem, _mobius, h_data
 
 __all__ = [
     "Interpolant",
@@ -50,10 +50,6 @@ __all__ = [
 ]
 
 Mode = Literal["iff", "sufficient", "necessary"]
-
-# Targets pushed marginally outside the closed disk by a near-singular
-# feasibility certificate are projected back; anything worse is an error.
-TARGET_CLAMP_SLACK = 1e-6
 
 # The derivative cross-check compares orders 1 .. 6, sampling h at N points on
 # the radius-1/2 circle for h's coefficients up to index (6 - m*d) // d <= 5,
@@ -111,9 +107,6 @@ class Tolerances:
     interp: float = 1e-7
     norm: float = 1e-6
     taylor: float = 1e-7
-
-    def widened(self, factor: float) -> "Tolerances":
-        return Tolerances(self.interp * factor, self.norm * factor, self.taylor * factor)
 
     def to_json(self) -> dict:
         return {"interp": self.interp, "norm": self.norm, "taylor": self.taylor}
@@ -214,8 +207,9 @@ def construct(
 
     Runs the feasibility search at the mode's exponents; on success the
     targets transform to h-data v_i = phi(lam, w_i) / z_i^(m*d) on the d-th
-    powers of the nodes (a node at the origin is absorbed by the pinned lam
-    and dropped), and the classical solver produces h.  A ``NotFound`` from
+    powers of the nodes by ``pickmat.h_data`` (a node at the origin is
+    absorbed by the pinned lam and dropped), and the classical solver
+    produces h.  A ``NotFound`` from
     iff mode with a pinned parameter is a certified nonexistence result;
     from sufficient mode it is inconclusive.
     """
@@ -231,22 +225,12 @@ def construct(
             result=result,
             certified=_certified_negative(result, mode),
         )
-    lam = result.lambda_
-    h_nodes = []
-    h_values = []
-    for z, w in zip(problem.nodes, problem.targets):
-        if z == 0:
-            continue  # its condition is exactly lam = w, consumed by the pinning
-        if z**E == 0:  # underflow; the h-target below would divide by zero
-            raise NotFound(f"node {z!r} to the power {E} underflows to zero", result=result)
-        v = complex(_mobius(lam, w)) / z**E
-        mag = abs(v)
-        if 1.0 < mag <= 1.0 + TARGET_CLAMP_SLACK:
-            v /= mag
-        h_nodes.append(z**d)
-        h_values.append(v)
+    try:
+        h_nodes, h_values = h_data(problem, result.lambda_, E, d)
+    except NumericalError as exc:  # a node power underflowed, leaving no h-target
+        raise NotFound(str(exc), result=result) from exc
     h = np_solve(h_nodes, h_values, tol=max(cfg.tol, CLASSICAL_PSD_TOL))
-    return Interpolant(lambda_=lam, m=m, d=d, h=h)
+    return Interpolant(lambda_=result.lambda_, m=m, d=d, h=h)
 
 
 def necessary_check(problem: Problem, k: KSpec, cfg: SearchConfig | None = None) -> NecessaryReport:
@@ -314,11 +298,11 @@ def verify_interpolant(f: Interpolant, problem: Problem, k: KSpec) -> Verificati
     derivative cross-check samples h at ``CROSSCHECK_SAMPLES`` = 64 points
     at radius 0.5, where the aliasing error r^N / (1 - r^N) = 2^-64 /
     (1 - 2^-64) is below machine epsilon.  So f is evaluated three times,
-    at arrays, whatever the number of nodes.  The default ``Tolerances``
-    widen a hundredfold when the solution is flagged low confidence.
-    Always returns a report.
+    at arrays, whatever the number of nodes.  Every check uses the default
+    ``Tolerances``, whatever ``f.h.low_confidence`` says, so an artifact
+    cannot loosen its own check.  Always returns a report.
     """
-    tol = Tolerances().widened(100.0) if f.h.low_confidence else Tolerances()
+    tol = Tolerances()
     residuals = tuple(np.abs(f(np.array(problem.nodes)) - np.array(problem.targets)).tolist())
     sup = sup_norm_estimate(f, 0.999, 4096)
     bound = _taylor_bound(k)

@@ -26,7 +26,8 @@ classes.  The module also checks the congruence
     M = D P D*,    D = diag(z_i^E),
 
 relating the constrained matrix to a classical one, which underpins both
-directions of the criterion.
+directions of the criterion.  ``h_data`` gives P's data at lam, the data
+``np_solve`` reduces, so the parameter search can judge the same P.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ __all__ = [
     "PsdVerdict",
     "mobius",
     "classical_pick",
+    "h_data",
     "constrained_pick",
     "psd_check",
     "factorization_residual",
@@ -66,11 +68,17 @@ BOUNDARY_TOL = 1e-12
 # run at a smaller one, even 0, leaves the solver this much slack.
 CLASSICAL_PSD_TOL = 1e-9
 # Smallest eigenvalue below which ``analytic.np_solve`` flags its solution low
-# confidence, and the margin at which the parameter search stops.  A constrained
-# matrix M = D P D*, D = diag(z_i^E) with |z_i^E| < 1, has M >= delta I only if
-# the classical P that ``np_solve`` judges has P >= delta I too, so a parameter
-# taken at this margin is neither refused nor flagged there.
+# confidence, and the margin at which the parameter search stops: once the
+# constrained matrix M or the classical matrix P of ``h_data``, the one
+# ``np_solve`` judges, clears it.  M = D P D*, D = diag(z_i^E) with
+# |z_i^E| < 1, so M >= delta I implies P >= delta I, while D can shrink M far
+# below a P that clears it; either way a parameter taken at this margin is
+# neither refused nor flagged by ``np_solve``.
 LOW_CONFIDENCE_EIG = 1e-6
+# h-targets pushed marginally outside the closed disk by a near-singular
+# feasibility certificate are projected back by ``h_data``; anything worse is
+# left for ``np_solve`` to refuse.
+TARGET_CLAMP_SLACK = 1e-6
 # The LAPACK gufunc (zheevd on the lower triangle) that ``np.linalg.eigvalsh``
 # calls for complex input with UPLO='L', bound once so that each eigensolve
 # skips the wrapper's argument handling.  It is private to numpy: if a numpy
@@ -182,6 +190,34 @@ def classical_pick(nodes, values) -> HermitianMatrix:
     num = 1.0 - np.outer(v, v.conj())
     den = 1.0 - np.outer(z, z.conj())
     return HermitianMatrix(num / den)
+
+
+def h_data(problem: Problem, lam: complex, E: int, d: int) -> tuple[list[complex], list[complex]]:
+    """The classical data that the constrained problem at lam reduces to.
+
+    Nodes z_i^d carry the values v_i = phi_lam(w_i) / z_i^E, whose classical
+    Pick matrix P satisfies M = D P D* with M the constrained matrix at lam
+    and D = diag(z_i^E).  A node at the origin is dropped: its condition is
+    exactly lam = w_i.  A value of modulus in (1, 1 + ``TARGET_CLAMP_SLACK``]
+    is projected onto the circle.  A node whose E-th power underflows to
+    zero, leaving no value, raises ``NumericalError`` naming it.  ``construct``
+    hands these data to ``np_solve``, and the parameter search judges their
+    P, so both see the same matrix bit for bit.
+    """
+    h_nodes, h_values = [], []
+    for z, w in zip(problem.nodes, problem.targets):
+        if z == 0:
+            continue
+        ze = z**E
+        if ze == 0:
+            raise NumericalError(f"node {z!r} to the power {E} underflows to zero")
+        v = complex(_mobius(lam, w)) / ze
+        mag = abs(v)
+        if 1.0 < mag <= 1.0 + TARGET_CLAMP_SLACK:
+            v /= mag
+        h_nodes.append(z**d)
+        h_values.append(v)
+    return h_nodes, h_values
 
 
 class PickBuilder:

@@ -286,6 +286,25 @@ def test_verify_detects_tampering(run_cli, write_json, tmp_path):
     assert json.loads(out)["passed"] is False
 
 
+@pytest.mark.parametrize("low_confidence", [False, True])
+def test_verify_low_confidence_flag_does_not_loosen_the_check(run_cli, write_json, tmp_path, low_confidence):
+    # README's problem with lambda moved by 5e-6: the residual, 5e-6, fails the
+    # default 1e-7 whatever the file says of its own confidence
+    prob = write_json("p.json", PROBLEM_FEASIBLE)
+    out_path = tmp_path / "f.json"
+    assert run_cli("interpolate", prob, "--mode", "iff", "--out", str(out_path))[0] == 0
+    artifact = json.loads(out_path.read_text())
+    artifact["lambda"] = [5e-6, 0.0]
+    artifact["low_confidence"] = low_confidence
+    shifted = tmp_path / "shifted.json"
+    shifted.write_text(json.dumps(artifact))
+    code, out, _ = run_cli("verify", "--function", str(shifted), "--problem", prob)
+    report = json.loads(out)
+    assert code == 1 and report["passed"] is False
+    assert report["tolerances"]["interp"] == 1e-7
+    assert max(report["residuals"]) == pytest.approx(5e-6, rel=1e-3)
+
+
 def test_verify_against_stricter_class(run_cli, write_json, tmp_path):
     prob = write_json("p.json", PROBLEM_FEASIBLE)
     out_path = tmp_path / "f.json"

@@ -13,8 +13,10 @@ from cpick import (
     InvalidConfig,
     InvalidProblem,
     KSpec,
+    NumericalError,
     Problem,
     SearchConfig,
+    classical_pick,
     constrained_pick,
     construct,
     exponent_plan,
@@ -25,8 +27,9 @@ from cpick import (
     roundtrip_generate,
     verify_interpolant,
 )
+from cpick import feasibility
 from cpick.feasibility import LAMBDA_CLAMP, _clamp, _grid_points
-from cpick.pickmat import LOW_CONFIDENCE_EIG, PickBuilder
+from cpick.pickmat import LOW_CONFIDENCE_EIG, PickBuilder, h_data
 from conftest import disk_point
 
 
@@ -225,11 +228,15 @@ def _looped_find_lambda(problem, E, d, cfg, margin=LOW_CONFIDENCE_EIG):
 
     The grid points, their exact-value dedup and the order by (-value,
     radius index, angle index) are rebuilt here, followed by a copy of the
-    search's simplex, one scalar evaluation per trial point.  Like the
-    search, it stops once the best value reaches ``margin``: after the
-    grid, before any simplex vertex is scored, and at the top of each
-    simplex iteration; ``margin=math.inf`` runs the full maximisation.
-    Returns (lambda, best value, evaluations, Counter of simplex moves).
+    search's simplex, one scalar evaluation per trial point; the grid's top
+    three start it with their grid values, and only padding or a point the
+    clamp moved is scored again.  Like the search, it stops once the best
+    value reaches ``margin``, or, where that value is in [0, margin), once
+    the classical Pick matrix of ``h_data`` at the best point does: after
+    the grid and at the top of each simplex iteration.  ``margin=math.inf``
+    runs the full maximisation.  Returns (lambda, best value, evaluations,
+    Counter of simplex moves), and ``moves["p_test"]`` counts the classical
+    matrices judged.
     """
     pick = PickBuilder(problem, E, d)
     scored, seen = [], set()
@@ -242,7 +249,22 @@ def _looped_find_lambda(problem, E, d, cfg, margin=LOW_CONFIDENCE_EIG):
     scored.sort(key=lambda rec: (-rec[0], rec[1], rec[2]))
     best_obj, best_lam, evaluations = scored[0][0], scored[0][3], len(scored)
     moves = Counter()
-    if best_obj >= margin:
+    tested = []
+
+    def done():
+        if best_obj >= margin:
+            return True
+        if not 0.0 <= best_obj or best_lam in tested:
+            return False
+        tested.append(best_lam)
+        moves["p_test"] += 1
+        try:
+            nodes, values = h_data(problem, best_lam, E, d)
+        except NumericalError:
+            return False
+        return psd_check(classical_pick(nodes, values)).min_eigenvalue >= margin
+
+    if done():
         return best_lam, best_obj, evaluations, moves
 
     def score(x):
@@ -262,12 +284,17 @@ def _looped_find_lambda(problem, E, d, cfg, margin=LOW_CONFIDENCE_EIG):
         return x
 
     simplex = [np.array([rec[3].real, rec[3].imag]) for rec in scored[:3]]
+    vals = [rec[0] for rec in scored[:3]]
     while len(simplex) < 3:
         simplex.append(simplex[0] + 0.01 * np.eye(2)[len(simplex) - 1])
-    simplex = [clamp(x) for x in simplex]
-    vals = [score(x) for x in simplex]
+    for i, x in enumerate(simplex):
+        simplex[i] = clamp(x)
+        if i >= len(vals):
+            vals.append(score(simplex[i]))
+        elif not np.array_equal(simplex[i], x):
+            vals[i] = score(simplex[i])
     for _ in range(cfg.refine_iters):
-        if best_obj >= margin:
+        if done():
             break
         order = sorted(range(3), key=lambda i: -vals[i])
         simplex, vals = [simplex[i] for i in order], [vals[i] for i in order]
@@ -346,6 +373,21 @@ def test_stacked_grid_matches_looped_grid(cfg):
     assert all(moves[m] > 0 for m in ("expand", "reflect", "contract", "shrink", "clamp")), moves
 
 
+def test_the_simplex_rescores_only_vertices_the_grid_did_not_score():
+    # The three best grid points start the simplex with their grid values; a
+    # grid point past LAMBDA_CLAMP is moved by the clamp and must be scored
+    # again, as must the padding of a grid with fewer than three points.
+    moves, fresh = Counter(), 0
+    for cfg in [SearchConfig(radii=(0.9995,), angles=8), SearchConfig(radii=(0.5, 0.9995), angles=1)]:
+        for p, E, d in _grid_problems():
+            r = find_lambda(p, E, d, cfg)
+            lam, best, evaluations, problem_moves = _looped_find_lambda(p, E, d, cfg)
+            moves += problem_moves
+            assert (r.lambda_, r.best_min_eigenvalue, r.evaluations) == (lam if r.feasible else None, best, evaluations)
+            fresh += r.evaluations - len(_grid_points(cfg.radii, cfg.angles))
+    assert moves["clamp"] > 0 and fresh > 0
+
+
 def test_pruning_keeps_a_top_three_point_whose_bound_is_below_the_best():
     # Feasible data, targets phi_{-lam}(z^3 h(z)) with h = 0.77 phi_a.  One of
     # the three best grid points lies outside the three with the largest
@@ -402,8 +444,7 @@ def test_pruned_grid_matches_looped_search(data, exponents, cfg, induced):
     assert verdict.min_eigenvalue == r.best_min_eigenvalue
 
 
-@settings(max_examples=150)
-@given(
+_induced_search = dict(
     data=st.lists(_disk_points, min_size=1, max_size=8),
     plan=st.sampled_from(
         [
@@ -416,19 +457,51 @@ def test_pruned_grid_matches_looped_search(data, exponents, cfg, induced):
     ),
     induced=st.tuples(_disk_points, _disk_points, st.floats(0.01, 1.0)),
 )
-def test_a_search_stopped_at_the_margin_constructs_and_verifies(data, plan, induced):
-    # A parameter whose constrained matrix clears LOW_CONFIDENCE_EIG leaves
-    # the classical matrix np_solve judges at least that margin too, so the
-    # interpolant built at the early exit is neither refused nor flagged.
-    # The induced targets are those of test_pruned_grid_matches_looped_search.
+
+
+def _induced_problem(data, plan, induced):
+    """(problem, E, d) with the induced targets of test_pruned_grid_matches_looped_search, at the plan's exponents."""
     k, mode = plan
     m, d = exponent_plan(k, mode)
     E = m * d
     assume(all(abs(z**d - w**d) > 1e-3 for i, z in enumerate(data) for w in data[:i]))
     lam0, a, scale = induced
-    p = Problem(tuple(data), tuple(mobius(-lam0, z**E * scale * mobius(a, z**d)) for z in data))
+    return Problem(tuple(data), tuple(mobius(-lam0, z**E * scale * mobius(a, z**d)) for z in data)), E, d
+
+
+@settings(max_examples=150)
+@given(**_induced_search)
+def test_a_search_stopped_at_the_margin_constructs_and_verifies(data, plan, induced):
+    # A parameter whose constrained matrix clears LOW_CONFIDENCE_EIG leaves
+    # the classical matrix np_solve judges at least that margin too, so the
+    # interpolant built at the early exit is neither refused nor flagged.
+    k, mode = plan
+    p, E, d = _induced_problem(data, plan, induced)
     r = find_lambda(p, E, d)
     if r.best_min_eigenvalue < LOW_CONFIDENCE_EIG:
+        return
+    assert r.feasible
+    f = construct(p, k, mode)
+    assert f.lambda_ == r.lambda_ and not f.h.low_confidence
+    assert verify_interpolant(f, p, k).passed
+
+
+@settings(max_examples=150)
+@given(**_induced_search)
+def test_a_search_stopped_at_the_classical_margin_constructs_and_verifies(data, plan, induced):
+    # Where M stays inside the margin but the classical P of h_data at the
+    # returned parameter clears it, construct solves at that parameter, with
+    # the same P, so np_solve neither refuses nor flags it.
+    k, mode = plan
+    p, E, d = _induced_problem(data, plan, induced)
+    r = find_lambda(p, E, d)
+    if not 0.0 <= r.best_min_eigenvalue < LOW_CONFIDENCE_EIG:
+        return
+    try:
+        classical = psd_check(classical_pick(*h_data(p, r.lambda_, E, d)))
+    except NumericalError:
+        return
+    if classical.min_eigenvalue < LOW_CONFIDENCE_EIG:
         return
     assert r.feasible
     f = construct(p, k, mode)
@@ -447,11 +520,11 @@ def test_a_grid_point_past_the_margin_skips_the_simplex():
 
 
 def _searches_below_the_margin():
-    # acceptance criterion 5's instance on which a simplex stop at 1e-9, not
-    # 1e-12, moves lam to one that np_solve refuses
+    # feasible data on which neither M nor the classical P clears the margin
+    # at any point the search tests: 24 classical matrices judged, none enough
     k = KSpec(d=2, gaps=(1,))
     m, d = exponent_plan(k, "sufficient")
-    yield roundtrip_generate(k, 4, 43)[0], m * d, d, True
+    yield roundtrip_generate(k, 6, 8)[0], m * d, d, True
     # classically infeasible data, infeasible at every exponent
     yield Problem((0.3, -0.3), (0.9, -0.9)), 2, 1, False
     yield Problem((0.5, 0.5j, -0.5), (0.0, 0.8, 0.0)), 2, 1, False
@@ -467,6 +540,66 @@ def test_a_search_below_the_margin_maximises_in_full(p, E, d, feasible):
     assert best < LOW_CONFIDENCE_EIG
     assert r.feasible == feasible
     assert (r.lambda_, r.best_min_eigenvalue, r.evaluations) == (lam if feasible else None, best, evaluations)
+
+
+def _classically_infeasible(count, seed):
+    """Random data whose classical Pick matrix has a negative eigenvalue: infeasible in every class."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(2, 7))
+        nodes = [disk_point(rng, 0.9) for _ in range(n)]
+        targets = [disk_point(rng, 0.9) for _ in range(n)]
+        if min(abs(z**d - w**d) for d in (1, 2, 3) for i, z in enumerate(nodes) for w in nodes[:i]) < 0.05:
+            continue
+        if psd_check(classical_pick(nodes, targets)).min_eigenvalue < 0:
+            out.append(Problem(tuple(nodes), tuple(targets)))
+    return out
+
+
+def test_negatives_never_judge_the_classical_matrix(monkeypatch):
+    # A negative never has a best value >= 0, so it pays nothing for the
+    # classical test: refute's searches run as they did before it.
+    calls = []
+
+    def counted(problem, lam, E, d):
+        calls.append(lam)
+        return h_data(problem, lam, E, d)
+
+    monkeypatch.setattr(feasibility, "h_data", counted)
+    negatives = [(p, E, d) for p, E, d, feasible in _searches_below_the_margin() if not feasible]
+    negatives += [(p, E, d) for p in _classically_infeasible(12, 5) for E, d in [(1, 1), (2, 1), (4, 2), (3, 3)]]
+    for p, E, d in negatives:
+        assert not find_lambda(p, E, d).feasible
+    assert calls == []
+    # the counter does count: criterion 5's boundary instance below judges P
+    find_lambda(*_criterion_5_boundary_instance()[:3])
+    assert len(calls) >= 1
+
+
+def _criterion_5_boundary_instance():
+    """Acceptance criterion 5's feasible instance whose M never reaches the margin: (problem, E, d, k)."""
+    k = KSpec(d=2, gaps=(1,))
+    m, d = exponent_plan(k, "sufficient")
+    return roundtrip_generate(k, 4, 43)[0], m * d, d, k
+
+
+def test_criterion_5_boundary_instance_stops_at_the_classical_margin():
+    # On this instance a simplex stop at 1e-9, not 1e-12, halts at a lam that
+    # np_solve refuses.  M stays below the margin, but the P that np_solve
+    # judges clears it, so the search stops there, and the lam it takes is
+    # the one construct solves at, neither refused nor flagged.
+    p, E, d, k = _criterion_5_boundary_instance()
+    cfg = SearchConfig()
+    r = find_lambda(p, E, d, cfg)
+    lam, best, evaluations, moves = _looped_find_lambda(p, E, d, cfg)
+    assert (r.lambda_, r.best_min_eigenvalue, r.evaluations) == (lam, best, evaluations)
+    assert r.feasible and 0.0 <= r.best_min_eigenvalue < LOW_CONFIDENCE_EIG and moves["p_test"] >= 1
+    assert psd_check(classical_pick(*h_data(p, r.lambda_, E, d))).min_eigenvalue >= LOW_CONFIDENCE_EIG
+    assert r.evaluations < _looped_find_lambda(p, E, d, cfg, margin=math.inf)[2]
+    f = construct(p, k, "sufficient", cfg)
+    assert f.lambda_ == r.lambda_ and not f.h.low_confidence
+    assert verify_interpolant(f, p, k).passed
 
 
 def _two_builder_pinned_search(problem, E, d, tol):

@@ -259,3 +259,28 @@ def test_substitution_coherence():
             direct = constrained_pick(nodes, targets, lam, m * d, d).entries
             powered = constrained_pick([z**d for z in nodes], targets, lam, m, 1).entries
             assert np.max(np.abs(direct - powered)) <= 1e-14
+
+
+def test_h_data_is_the_classical_side_of_the_congruence():
+    # M = D P D* with D = diag(z_i^E) and P the classical Pick matrix of h_data
+    rng = np.random.default_rng(29)
+    for n, E, d in [(1, 1, 1), (3, 2, 1), (4, 4, 2), (5, 6, 3)]:
+        nodes = random_nodes(rng, n, d)
+        problem = Problem(tuple(nodes), tuple(disk_point(rng, 0.8) for _ in range(n)))
+        lam = disk_point(rng, 0.8)
+        h_nodes, h_values = pickmat.h_data(problem, lam, E, d)
+        assert h_nodes == [z**d for z in nodes]
+        ze = np.array(nodes) ** E
+        p = np.diag(ze) @ classical_pick(h_nodes, h_values).entries @ np.diag(ze).conj()
+        m = constrained_pick(problem.nodes, problem.targets, lam, E, d).entries
+        assert np.max(np.abs(m - p)) <= 1e-12
+
+
+def test_h_data_drops_the_origin_projects_and_refuses_underflow():
+    lam = 0.2 + 0.1j
+    # the node at 0 is consumed by lam; the other value lands 5e-7 past the circle
+    problem = Problem((0, 0.3), (lam, pickmat.mobius(-lam, 0.09 * (1 + 5e-7))))
+    h_nodes, h_values = pickmat.h_data(problem, lam, 2, 1)
+    assert h_nodes == [0.3] and abs(h_values[0]) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(NumericalError, match=r"node \(0.3\+0j\) to the power 701 underflows to zero"):
+        pickmat.h_data(Problem((0.3, 0.5), (0.1, 0.1)), 0j, 701, 1)
