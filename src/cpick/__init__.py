@@ -45,7 +45,6 @@ from .analytic import (
     taylor_coeffs,
 )
 from .pickmat import (
-    HermitianMatrix,
     Problem,
     PsdVerdict,
     classical_pick,

@@ -17,8 +17,11 @@ neither margin maximises to the simplex's stop.  A positive answer carries
 a verifiable witness; a negative answer is evidence only, except in the
 pinned case.
 
-A search builds one ``pickmat.PickBuilder`` and reads every objective value
-from it.  Its verdict is ``psd_check`` of one matrix, and the
+A search builds one ``pickmat.PickBuilder`` and scores every point, grid
+and simplex trial alike, through its ``min_eigenvalues``: the Hermitian
+part of ``entries``, then one stacked eigensolve, the path ``psd_check``
+takes on ``constrained_pick``, with the same bits at a parameter whatever
+stack it is scored in.  Its verdict is ``psd_check`` of one matrix, and the
 ``best_min_eigenvalue`` it reports is that verdict's eigenvalue: without a
 pinned node the matrix is ``constrained_pick``'s at the chosen parameter;
 with one, it is the block left after removing the pinned node's row and
@@ -201,7 +204,8 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
     iterations with trial points clamped to modulus 0.999; they keep their
     grid values, and only padding of a grid with fewer than three points,
     or a point the clamp moved, is scored again.  Each iteration scores its
-    reflection and contraction in one stacked eigensolve.  The search
+    reflection and contraction in one stacked eigensolve, and an expansion
+    alone, all through ``PickBuilder.min_eigenvalues``.  The search
     returns once the best value clears ``LOW_CONFIDENCE_EIG``, or is at
     least 0 while the classical Pick matrix of ``pickmat.h_data`` there,
     the one ``construct`` hands to ``np_solve``, clears it (judged once per
@@ -316,7 +320,7 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
             record(reflected, f_r)
             if f_r > vals[0]:
                 expanded = _clamp(cx + 2.0 * (cx - x2), cy + 2.0 * (cy - y2))
-                f_e = record(expanded, pick.min_eigenvalue(complex(*expanded)))
+                f_e = record(expanded, *solve(expanded))
                 simplex[2], vals[2] = (expanded, f_e) if f_e > f_r else (reflected, f_r)
             elif f_r > vals[1]:
                 simplex[2], vals[2] = reflected, f_r

@@ -177,8 +177,11 @@ def is_algebra(k: KSpec) -> bool:
     """Semigroup criterion: no two positive non-gaps of T may sum to a gap.
 
     Any closure violation a + b in gaps has a + b <= max(gaps), so scanning
-    pairs below the largest gap is exhaustive.  The scale d is irrelevant
-    here, additive closure is preserved by scaling.
+    pairs below the largest gap is exhaustive.  A semigroup whose largest
+    gap is F has at least (F + 1) / 2 gaps, since of t and F - t at least
+    one is a gap; fewer gaps decide False before the scan, which therefore
+    never allocates more than twice the number of gaps.  The scale d is
+    irrelevant here, additive closure is preserved by scaling.
 
     >>> is_algebra(from_finite_set([2]))
     False
@@ -188,6 +191,8 @@ def is_algebra(k: KSpec) -> bool:
     if not k.gaps:
         return True
     g_max = k.gaps[-1]
+    if 2 * len(k.gaps) < g_max + 1:
+        return False
     gapset = k._gapset
     nongaps = [t for t in range(1, g_max) if t not in gapset]
     for i, a in enumerate(nongaps):

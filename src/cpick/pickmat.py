@@ -4,17 +4,18 @@ This module is the one home of four objects.  The data are a ``Problem``,
 the one check of nodes and targets.  The disk automorphism
 phi_lam(z) = (z - lam) / (1 - conj(lam) z) is the unchecked kernel
 ``_mobius`` that every module calls; ``mobius`` checks its arguments first.
-The constrained Pick matrix is ``PickBuilder``, built from a ``Problem``
-and used by ``constrained_pick`` and the parameter search, which evaluates
-it over arrays of lam.  The PSD verdict is ``psd_check``.  Every smallest
-eigenvalue, the search's and the verdict's, is taken of the Hermitian part
-``_hermitian_part`` in one place, ``_min_eigenvalues``, so a verdict judges
-the value a search reports.  It calls LAPACK's stacked Hermitian eigensolver
-directly, through numpy's gufunc ``_umath_linalg.eigvalsh_lo``, without the
-per-call argument handling of ``np.linalg.eigvalsh``; a stack that comes
-back with a NaN minimum, which is how the gufunc reports a failure to
-converge, is redone through ``np.linalg.eigvalsh``, so such a failure still
-raises ``LinAlgError``.
+Every Pick matrix is a plain complex ndarray.  The constrained one is
+``PickBuilder.entries``, at one lam or a 1-d array of them, which both
+``constrained_pick`` and the parameter search call.  The PSD verdict is
+``psd_check``, the one place that checks a matrix.  One path leads from a
+matrix to its smallest eigenvalue, ``_hermitian_part`` then
+``_min_eigenvalues``, with the same bits at a lam in any stack, so a verdict
+judges the value a search reports.  The latter calls LAPACK's stacked
+Hermitian eigensolver directly, through numpy's gufunc
+``_umath_linalg.eigvalsh_lo``, without the per-call argument handling of
+``np.linalg.eigvalsh``; a stack that comes back with a NaN minimum, which is
+how the gufunc reports a failure to converge, is redone through
+``np.linalg.eigvalsh``, so such a failure still raises ``LinAlgError``.
 
 The classical matrix [(1 - w_i conj(w_j)) / (1 - z_i conj(z_j))] decides
 plain Nevanlinna-Pick solvability.  The constrained variant replaces the
@@ -47,7 +48,6 @@ from .errors import (
 
 __all__ = [
     "Problem",
-    "HermitianMatrix",
     "PsdVerdict",
     "mobius",
     "classical_pick",
@@ -146,30 +146,6 @@ def mobius(lam: complex, z):
     return complex(out) if out.ndim == 0 else out
 
 
-class HermitianMatrix:
-    """The Hermitian part 0.5 (m + m*) of a square complex matrix m.
-
-    It is exactly Hermitian, ``entries[i, j] == conj(entries[j, i])``
-    with a real diagonal, and is the matrix whose smallest eigenvalue the
-    parameter search computes.  The backing array is frozen after
-    construction.
-    """
-
-    def __init__(self, entries):
-        a = np.asarray(entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidProblem(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] == 0:
-            raise InvalidProblem("matrix order must be at least 1")
-        m = _hermitian_part(a)
-        m.flags.writeable = False
-        self._m = m
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._m
-
-
 @dataclass(frozen=True)
 class PsdVerdict:
     """Outcome of a positive-semidefiniteness test."""
@@ -179,7 +155,7 @@ class PsdVerdict:
     tolerance_used: float
 
 
-def classical_pick(nodes, values) -> HermitianMatrix:
+def classical_pick(nodes, values) -> np.ndarray:
     """Classical Pick matrix [(1 - v_i conj(v_j)) / (1 - z_i conj(z_j))]."""
     z = _check_open_disk(nodes, "nodes")
     v = np.asarray([complex(x) for x in values], dtype=complex)
@@ -189,7 +165,7 @@ def classical_pick(nodes, values) -> HermitianMatrix:
         raise InvalidProblem("nodes must be distinct")
     num = 1.0 - np.outer(v, v.conj())
     den = 1.0 - np.outer(z, z.conj())
-    return HermitianMatrix(num / den)
+    return num / den
 
 
 def h_data(problem: Problem, lam: complex, E: int, d: int) -> tuple[list[complex], list[complex]]:
@@ -242,30 +218,32 @@ class PickBuilder:
         if len(set((z**d).tolist())) != len(z):
             raise InvalidProblem(f"the nodes' d-th powers must be distinct, d={d}")
         ze = z**E
-        self._targets = np.array(problem.targets)
+        self._targets = np.array([problem.targets])
         self._powers = np.outer(ze, ze.conj())
         self._den = 1.0 - np.outer(z, z.conj()) ** d
 
-    def _entries(self, phi: np.ndarray) -> np.ndarray:
-        """Entries at phi = phi_lam(targets): (n, n) for phi of shape (n,), (k, n, n) for (k, n)."""
-        return (self._powers - phi[..., :, None] * phi[..., None, :].conj()) / self._den
+    def entries(self, lams) -> np.ndarray:
+        """The matrix at lam, entry by entry: (n, n) for a scalar, (k, n, n) for a 1-d array of k.
 
-    def entries(self, lam: complex) -> np.ndarray:
-        """The matrix at lam, entry by entry (Hermitian up to roundoff)."""
-        return self._entries(_mobius(lam, self._targets))
-
-    def min_eigenvalue(self, lam: complex) -> float:
-        """Smallest eigenvalue at lam: the objective of the parameter search."""
-        return float(_min_eigenvalues(self.entries(lam)))
-
-    def min_eigenvalues(self, lams: np.ndarray) -> np.ndarray:
-        """``min_eigenvalue`` at each point of a 1-d array, in one stacked eigensolve.
-
-        For 2 or more points the arithmetic is the scalar path's element for
-        element, so each value equals ``min_eigenvalue`` exactly; one point at
-        n = 1 can differ in the last bits.
+        Hermitian up to roundoff.  A scalar is a stack of one, and the
+        targets are a (1, n) row: against an (n,) vector numpy multiplies a
+        stack of one lam at n = 1 in another kernel, with other last bits.
+        So a lam gets the same bits alone, in any stack and through
+        ``constrained_pick``.
         """
-        return _min_eigenvalues(self._entries(_mobius(lams[:, None], self._targets)))
+        lams = np.asarray(lams)
+        phi = _mobius(lams.reshape(-1, 1), self._targets)
+        m = (self._powers - phi[:, :, None] * phi[:, None, :].conj()) / self._den
+        return m if lams.ndim else m[0]
+
+    def min_eigenvalues(self, lams) -> np.ndarray:
+        """Smallest eigenvalue of the matrix at each lam: the objective of the parameter search.
+
+        It is ``_min_eigenvalues`` of the Hermitian part of ``entries``, in one
+        stacked eigensolve, so each value equals ``psd_check``'s eigenvalue of
+        ``constrained_pick`` at that lam bit for bit.
+        """
+        return _min_eigenvalues(_hermitian_part(self.entries(lams)))
 
     def min_eigenvalue_bounds(self, lams: np.ndarray) -> np.ndarray:
         """An upper bound on ``min_eigenvalues(lams)`` at each point, in O(n) per point.
@@ -288,7 +266,7 @@ class PickBuilder:
         its bound.  The margin depends on the data only, not on lam; it and
         the diagonals are computed on each call, which the search makes once.
         """
-        n = len(self._targets)
+        n = len(self._den)
         margin = 1e-12 * 2.0 * n * n / float(np.min(np.abs(self._den)))
         phi = _mobius(lams[:, None], self._targets)
         diagonal = (self._powers.diagonal().real - (phi.real**2 + phi.imag**2)) / self._den.diagonal().real
@@ -300,8 +278,8 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-def _min_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the Hermitian part of each matrix in m.
+def _min_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian matrix in h (of its lower triangle).
 
     Calls LAPACK through ``_eigvalsh_lo``, with the bits ``np.linalg.eigvalsh``
     would return.  The gufunc reports a failure to converge as NaN (numpy
@@ -309,7 +287,6 @@ def _min_eigenvalues(m: np.ndarray) -> np.ndarray:
     with a NaN minimum is redone by ``np.linalg.eigvalsh``, which raises
     ``LinAlgError``, or returns the same NaN for NaN input.
     """
-    h = _hermitian_part(m)
     lo = _eigvalsh_lo(h, signature="D->d")[..., 0]
     # one cheap NaN test: a Python sum of the minima, with no ufunc reduction
     s = sum(lo.tolist()) if lo.ndim else float(lo)
@@ -318,30 +295,36 @@ def _min_eigenvalues(m: np.ndarray) -> np.ndarray:
     return lo
 
 
-def constrained_pick(nodes, targets, lam: complex, E: int, d: int) -> HermitianMatrix:
+def constrained_pick(nodes, targets, lam: complex, E: int, d: int) -> np.ndarray:
     """Constrained Pick matrix with numerator exponent E and scale d at lam.
 
     The data are checked as a ``Problem`` (1 to ``MAX_POINTS`` nodes), the rest
     as in ``PickBuilder``; lam must lie in the open disk.
     """
     pick = PickBuilder(Problem(nodes, targets), E, d)
-    return HermitianMatrix(pick.entries(_check_open_disk(lam, "Möbius parameter")))
+    return pick.entries(_check_open_disk(lam, "Möbius parameter"))
 
 
 def psd_check(m, tol: float = CLASSICAL_PSD_TOL) -> PsdVerdict:
     """Smallest eigenvalue with a relative positive-semidefiniteness verdict.
 
-    The eigenvalue is ``_min_eigenvalues`` of the Hermitian part; the verdict is
-    min_eigenvalue >= -tol * max(1, s) with s the Gershgorin bound
-    max_i sum_j |m_ij|, a cheap spectral-norm overestimate.
+    m must be a nonempty square matrix.  Its Hermitian part h = 0.5 (m + m*),
+    taken once, gives both numbers: the eigenvalue is ``_min_eigenvalues(h)``,
+    and the verdict is min_eigenvalue >= -tol * max(1, s) with s the
+    Gershgorin bound max_i sum_j |h_ij|, a cheap spectral-norm overestimate.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
-    a = m.entries if isinstance(m, HermitianMatrix) else HermitianMatrix(m).entries
-    if not np.all(np.isfinite(a.view(float))):
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidProblem(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise InvalidProblem("matrix order must be at least 1")
+    h = _hermitian_part(a)
+    if not np.all(np.isfinite(h.view(float))):
         raise NumericalError("matrix contains non-finite entries")
-    min_eig = float(_min_eigenvalues(a))
-    scale = float(np.max(np.sum(np.abs(a), axis=1)))
+    min_eig = float(_min_eigenvalues(h))
+    scale = float(np.max(np.sum(np.abs(h), axis=1)))
     tol_used = tol * max(1.0, scale)
     return PsdVerdict(is_psd=min_eig >= -tol_used, min_eigenvalue=min_eig, tolerance_used=tol_used)
 
@@ -364,8 +347,8 @@ def factorization_residual(nodes, h_values, lam: complex, E: int, d: int) -> flo
     _check_closed_disk(h, "h-values")
     ze = z**E
     targets = np.asarray(mobius(-complex(lam), ze * h), dtype=complex).reshape(len(z))
-    m1 = constrained_pick(z, targets, lam, E, d).entries
-    p = classical_pick(z**d, h).entries
+    m1 = constrained_pick(z, targets, lam, E, d)
+    p = classical_pick(z**d, h)
     dd = np.diag(ze)
     m2 = dd @ p @ dd.conj().T
     return float(np.max(np.abs(m1 - m2)))

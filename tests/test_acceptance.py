@@ -184,8 +184,8 @@ def test_criterion_6_theorem_consistency(constructed_pipeline):
                 nodes.append(z)
         targets = [disk_point(rng, 0.8) for _ in range(3)]
         lam = disk_point(rng, 0.8)
-        direct = constrained_pick(nodes, targets, lam, m * d, d).entries
-        powered = constrained_pick([z**d for z in nodes], targets, lam, m, 1).entries
+        direct = constrained_pick(nodes, targets, lam, m * d, d)
+        powered = constrained_pick([z**d for z in nodes], targets, lam, m, 1)
         assert np.max(np.abs(direct - powered)) <= 1e-14
     _verdict(6, "necessary criterion holds at every constructed witness; substitution coheres")
 

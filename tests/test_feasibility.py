@@ -29,7 +29,7 @@ from cpick import (
 )
 from cpick import feasibility
 from cpick.feasibility import LAMBDA_CLAMP, _clamp, _grid_points
-from cpick.pickmat import LOW_CONFIDENCE_EIG, PickBuilder, h_data
+from cpick.pickmat import CLASSICAL_PSD_TOL, LOW_CONFIDENCE_EIG, PickBuilder, h_data
 from conftest import disk_point
 
 
@@ -54,17 +54,17 @@ def test_problem_validation():
 def test_objective_closed_forms():
     pick = PickBuilder(Problem((0.5,), (0.7,)), 2, 1)
     # at lam = w the numerator loses its subtrahend entirely
-    assert pick.min_eigenvalue(0.7) == pytest.approx(0.0625 / 0.75, abs=1e-12)
-    assert pick.min_eigenvalue(0.0) == pytest.approx((0.0625 - 0.49) / 0.75, abs=1e-12)
+    assert pick.min_eigenvalues(0.7) == pytest.approx(0.0625 / 0.75, abs=1e-12)
+    assert pick.min_eigenvalues(0.0) == pytest.approx((0.0625 - 0.49) / 0.75, abs=1e-12)
 
 
 def test_objective_drops_pinned_zero_row():
     p = Problem(nodes=(0, 0.5), targets=(0.3, 0.2))
     # the pinned value is the 1x1 block of the remaining node, bit for bit
     r = find_lambda(p, 2, 1)
-    assert r.pinned and r.best_min_eigenvalue == PickBuilder(Problem((0.5,), (0.2,)), 2, 1).min_eigenvalue(0.3)
+    assert r.pinned and r.best_min_eigenvalue == PickBuilder(Problem((0.5,), (0.2,)), 2, 1).min_eigenvalues(0.3)
     # at any other parameter the full matrix has the zero node's row and cannot be PSD
-    assert PickBuilder(p, 2, 1).min_eigenvalue(0.1) < 0
+    assert PickBuilder(p, 2, 1).min_eigenvalues(0.1) < 0
 
 
 def test_find_lambda_single_node_lands_near_target():
@@ -136,7 +136,8 @@ def test_determinism():
 
 def test_search_fast_path_matches_public_objective():
     # the search evaluates one cached builder per problem; it must agree
-    # with a fresh constrained Pick matrix at every parameter
+    # with the public verdict on a fresh constrained Pick matrix at every
+    # parameter, bit for bit
     rng = np.random.default_rng(71)
     for _ in range(20):
         n = int(rng.integers(1, 5))
@@ -153,8 +154,8 @@ def test_search_fast_path_matches_public_objective():
         pick = PickBuilder(p, 4, 2)
         for _ in range(5):
             lam = disk_point(rng, 0.9)
-            expected = np.linalg.eigvalsh(constrained_pick(p.nodes, p.targets, lam, 4, 2).entries)[0]
-            assert abs(pick.min_eigenvalue(lam) - expected) <= 1e-12
+            expected = psd_check(constrained_pick(p.nodes, p.targets, lam, 4, 2)).min_eigenvalue
+            assert pick.min_eigenvalues(np.array([lam, 0j]))[0] == pick.min_eigenvalues(lam) == expected
 
 
 def test_search_config_json_and_validation():
@@ -228,24 +229,28 @@ def _looped_find_lambda(problem, E, d, cfg, margin=LOW_CONFIDENCE_EIG):
 
     The grid points, their exact-value dedup and the order by (-value,
     radius index, angle index) are rebuilt here, followed by a copy of the
-    search's simplex, one scalar evaluation per trial point; the grid's top
-    three start it with their grid values, and only padding or a point the
-    clamp moved is scored again.  Like the search, it stops once the best
-    value reaches ``margin``, or, where that value is in [0, margin), once
-    the classical Pick matrix of ``h_data`` at the best point does: after
-    the grid and at the top of each simplex iteration.  ``margin=math.inf``
-    runs the full maximisation.  Returns (lambda, best value, evaluations,
+    search's simplex, each trial point scored alone by the public verdict,
+    ``psd_check`` of ``constrained_pick``; the grid's top three start it
+    with their grid values, and only padding or a point the clamp moved is
+    scored again.  Like the search, it stops once the best value reaches
+    ``margin``, or, where that value is in [0, margin), once the classical
+    Pick matrix of ``h_data`` at the best point does: after the grid and at
+    the top of each simplex iteration.  ``margin=math.inf`` runs the full
+    maximisation.  Returns (lambda, best value, evaluations,
     Counter of simplex moves), and ``moves["p_test"]`` counts the classical
     matrices judged.
     """
-    pick = PickBuilder(problem, E, d)
+
+    def value(lam):
+        return psd_check(constrained_pick(problem.nodes, problem.targets, lam, E, d), 0.0).min_eigenvalue
+
     scored, seen = [], set()
     for ri, r in enumerate(cfg.radii):
         for ai in range(cfg.angles):
             lam = complex(r * np.exp(2j * np.pi * ai / cfg.angles))
             if lam not in seen:
                 seen.add(lam)
-                scored.append((pick.min_eigenvalue(lam), ri, ai, lam))
+                scored.append((value(lam), ri, ai, lam))
     scored.sort(key=lambda rec: (-rec[0], rec[1], rec[2]))
     best_obj, best_lam, evaluations = scored[0][0], scored[0][3], len(scored)
     moves = Counter()
@@ -271,7 +276,7 @@ def _looped_find_lambda(problem, E, d, cfg, margin=LOW_CONFIDENCE_EIG):
         nonlocal best_obj, best_lam, evaluations
         lam = complex(x[0], x[1])
         evaluations += 1
-        val = pick.min_eigenvalue(lam)
+        val = value(lam)
         if val > best_obj:
             best_obj, best_lam = val, lam
         return val
@@ -371,6 +376,35 @@ def test_stacked_grid_matches_looped_grid(cfg):
         assert verdict.min_eigenvalue == r.best_min_eigenvalue
     # every simplex move is exercised, so the match above guards each of them
     assert all(moves[m] > 0 for m in ("expand", "reflect", "contract", "shrink", "clamp")), moves
+
+
+def test_best_value_is_the_final_verdicts_eigenvalue(monkeypatch):
+    # Whatever stack scored the best point (the grid, a simplex pair, or an
+    # expansion or a padding point alone), a non-pinned search reports the
+    # eigenvalue that its final psd_check judged, bit for bit.  Single-node
+    # searches that walk the simplex from a small grid are the ones where a
+    # lone point's bits depend on the shape the builder keeps its targets in.
+    verdicts = []
+
+    def recorded(m, tol=CLASSICAL_PSD_TOL):
+        verdicts.append(psd_check(m, tol))
+        return verdicts[-1]
+
+    monkeypatch.setattr(feasibility, "psd_check", recorded)
+    small = SearchConfig(radii=(0.0, 0.5), angles=4, refine_iters=60)
+    cases = [(Problem(nodes=(0.5,), targets=(0.61,)), 2, 1, small)]  # test_small_grid_still_refines
+    rng = np.random.default_rng(67)
+    for _ in range(40):
+        p = Problem((disk_point(rng, 0.9),), (disk_point(rng, 0.95),))
+        cases += [(p, 1, 1, small), (p, 2, 1, small), (p, 2, 1, GRID_CONFIGS[1])]
+    cases += [(p, E, d, cfg) for p, E, d in _grid_problems() for cfg in GRID_CONFIGS]
+    refined = 0
+    for p, E, d, cfg in cases:
+        r = find_lambda(p, E, d, cfg)
+        assert not r.pinned
+        assert (r.feasible, r.best_min_eigenvalue) == (verdicts[-1].is_psd, verdicts[-1].min_eigenvalue)
+        refined += r.evaluations > len(_grid_points(cfg.radii, cfg.angles))
+    assert refined >= 90
 
 
 def test_the_simplex_rescores_only_vertices_the_grid_did_not_score():
@@ -616,7 +650,7 @@ def _two_builder_pinned_search(problem, E, d, tol):
     if not kept:
         return lam, 0.0, True
     kept_nodes, kept_targets = [problem.nodes[k] for k in kept], [problem.targets[k] for k in kept]
-    best = PickBuilder(Problem(kept_nodes, kept_targets), E, d).min_eigenvalue(lam)
+    best = float(PickBuilder(Problem(kept_nodes, kept_targets), E, d).min_eigenvalues(lam))
     verdict = psd_check(constrained_pick(kept_nodes, kept_targets, lam, E, d), tol)
     assert verdict.min_eigenvalue == best
     return lam, best, verdict.is_psd

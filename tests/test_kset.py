@@ -1,6 +1,7 @@
 """Constraint-set membership, the semigroup criterion, and complement structure."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,30 @@ def test_is_algebra_more_cases_against_oracle():
     for members in cases:
         k = from_finite_set(members)
         assert is_algebra(k) == closure_oracle(k, 2 * max(members) + 2), members
+
+
+def test_is_algebra_agrees_with_oracle_on_every_small_gap_set():
+    # every gap set whose largest gap is at most 10, so both the count of
+    # gaps that decides early and the scan behind it are checked
+    for top in range(1, 11):
+        for mask in range(2 ** (top - 1)):
+            members = [t for t in range(1, top) if mask >> (t - 1) & 1] + [top]
+            k = from_finite_set(members)
+            assert is_algebra(k) == closure_oracle(k, 2 * top + 2), members
+
+
+def test_is_algebra_does_not_allocate_up_to_the_largest_gap():
+    # too few gaps for a semigroup whose largest gap is 10**6: decided before
+    # any list of the non-gaps below it is built
+    k = from_finite_set([1, 10**6])
+    tracemalloc.start()
+    try:
+        assert is_algebra(k) is False
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert is_algebra(from_finite_set([1, 10**12])) is False
 
 
 def test_smallest_missing_examples():

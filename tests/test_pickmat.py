@@ -5,7 +5,6 @@ import pytest
 
 from cpick import (
     DomainError,
-    HermitianMatrix,
     InvalidExponent,
     InvalidProblem,
     NumericalError,
@@ -34,19 +33,26 @@ def random_nodes(rng, n, d=1, radius=0.85, gap=0.05):
 
 
 def test_hermitian_mirroring_is_exact():
+    # psd_check judges the Hermitian part 0.5 (a + a*), which is exactly
+    # Hermitian: a, a* and that part give one verdict bit for bit
     rng = np.random.default_rng(3)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    m = HermitianMatrix(a).entries
-    assert np.array_equal(m, m.conj().T)
-    assert np.all(m.diagonal().imag == 0)
-    with pytest.raises(InvalidProblem):
-        HermitianMatrix(np.zeros((2, 3)))
+    h = 0.5 * (a + a.conj().T)
+    assert np.array_equal(h, h.conj().T)
+    assert np.all(h.diagonal().imag == 0)
+    v = psd_check(a)
+    assert v == psd_check(a.conj().T) == psd_check(h)
+    assert v.min_eigenvalue == np.linalg.eigvalsh(h)[0]
+    assert v.tolerance_used == pickmat.CLASSICAL_PSD_TOL * np.max(np.sum(np.abs(h), axis=1))
+    for shape in [(2, 3), (0, 0), (3,), (1, 2, 2)]:
+        with pytest.raises(InvalidProblem):
+            psd_check(np.zeros(shape))
 
 
 def test_classical_pick_examples():
-    assert classical_pick([0.5], [0.5]).entries[0, 0] == pytest.approx(1.0)
-    assert classical_pick([0.5], [0.0]).entries[0, 0] == pytest.approx(4.0 / 3.0)
-    m = classical_pick([0, 0.5], [0, 0.5]).entries
+    assert classical_pick([0.5], [0.5])[0, 0] == pytest.approx(1.0)
+    assert classical_pick([0.5], [0.0])[0, 0] == pytest.approx(4.0 / 3.0)
+    m = classical_pick([0, 0.5], [0, 0.5])
     assert np.allclose(m, np.ones((2, 2)))
     assert psd_check(m).min_eigenvalue == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(InvalidProblem):
@@ -54,13 +60,13 @@ def test_classical_pick_examples():
 
 
 def test_constrained_pick_single_entry():
-    m = constrained_pick([0.5], [0.0], 0, 2, 1).entries
+    m = constrained_pick([0.5], [0.0], 0, 2, 1)
     assert m[0, 0] == pytest.approx(1.0 / 12.0)
 
 
 def test_constrained_pick_zero_node_pinned_row_vanishes():
     lam = 0.4 - 0.1j
-    m = constrained_pick([0, 0.5, -0.3j], [lam, 0.2, 0.1], lam, 2, 1).entries
+    m = constrained_pick([0, 0.5, -0.3j], [lam, 0.2, 0.1], lam, 2, 1)
     assert np.all(m[0, :] == 0)
     assert np.all(m[:, 0] == 0)
 
@@ -70,9 +76,9 @@ def test_constrained_pick_rank_pattern_when_targets_are_powers():
     rng = np.random.default_rng(17)
     nodes = random_nodes(rng, 4)
     targets = [z**2 for z in nodes]
-    m1 = constrained_pick(nodes, targets, 0, 2, 1).entries
+    m1 = constrained_pick(nodes, targets, 0, 2, 1)
     d = np.diag(np.array(nodes) ** 2)
-    p = classical_pick(nodes, np.ones(4)).entries
+    p = classical_pick(nodes, np.ones(4))
     m2 = d @ p @ d.conj().T
     assert np.max(np.abs(m1 - m2)) <= 1e-14
     assert abs(psd_check(m1).min_eigenvalue) <= 1e-12
@@ -98,23 +104,30 @@ def test_constrained_pick_validation():
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
 @pytest.mark.parametrize("E,d", [(1, 1), (4, 2), (9, 3)])
 def test_stacked_min_eigenvalues_equal_scalar_path_exactly(n, E, d):
-    # the grid is scored in stacked eigensolves; the arithmetic is the scalar
-    # objective's, so the values must agree bit for bit, not within a tolerance
+    # The search scores points in stacks of every size: the grid all at once,
+    # the simplex in 1, 2 or 3.  Each value must be the verdict's eigenvalue
+    # of constrained_pick at that single lam bit for bit, not within a
+    # tolerance, so that the verdict judges the value the search reports.
+    # At n = 1 numpy multiplies a stack of one lam against an (n,) vector of
+    # targets in another kernel than a larger stack, with other last bits;
+    # the n = 1 cases fail if the builder keeps its targets in that shape.
     rng = np.random.default_rng(1000 * n + 10 * E + d)
-    pick = PickBuilder(Problem(random_nodes(rng, n, d=d), [disk_point(rng, 0.9) for _ in range(n)]), E, d)
+    nodes, targets = random_nodes(rng, n, d=d), [disk_point(rng, 0.9) for _ in range(n)]
+    pick = PickBuilder(Problem(nodes, targets), E, d)
     lams = np.array([0j, 0.99 * np.exp(0.7j)] + [disk_point(rng, 0.99) for _ in range(30)])
+    verdicts = [psd_check(constrained_pick(nodes, targets, lam, E, d), 0.0).min_eigenvalue for lam in lams]
     stacked = pick.min_eigenvalues(lams)
     assert stacked.shape == lams.shape
-    assert np.array_equal(stacked, [pick.min_eigenvalue(complex(lam)) for lam in lams])
-    # the simplex scores its reflection and contraction points in stacks of 2 and 3
-    for size in (2, 3):
+    assert np.array_equal(stacked, verdicts)
+    for size in (1, 2, 3):
         for start in range(0, len(lams) - size + 1, size):
-            part = lams[start : start + size]
-            assert np.array_equal(pick.min_eigenvalues(part), stacked[start : start + size])
+            part = pick.min_eigenvalues(lams[start : start + size])
+            assert np.array_equal(part, verdicts[start : start + size])
+    assert all(pick.min_eigenvalues(complex(lam)) == verdicts[i] for i, lam in enumerate(lams))
 
 
-def _public_min_eigenvalues(m):
-    return np.linalg.eigvalsh(pickmat._hermitian_part(m))[..., 0]
+def _public_min_eigenvalues(h):
+    return np.linalg.eigvalsh(h)[..., 0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
@@ -122,7 +135,7 @@ def _public_min_eigenvalues(m):
 def test_min_eigenvalues_equal_public_eigvalsh_exactly(k, n):
     # the direct LAPACK call must return the bits np.linalg.eigvalsh returns
     rng = np.random.default_rng(100 * k + n)
-    m = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+    m = pickmat._hermitian_part(rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n)))
     assert np.array_equal(pickmat._min_eigenvalues(m), _public_min_eigenvalues(m))
     assert np.array_equal(pickmat._min_eigenvalues(m[0]), _public_min_eigenvalues(m[0]))
 
@@ -130,7 +143,7 @@ def test_min_eigenvalues_equal_public_eigvalsh_exactly(k, n):
 def test_min_eigenvalues_redo_a_nan_stack_through_numpy(monkeypatch):
     # the gufunc reports a failure to converge as NaN where np.linalg.eigvalsh raises
     rng = np.random.default_rng(5)
-    m = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    m = pickmat._hermitian_part(rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4)))
     expected = _public_min_eigenvalues(m)
     calls = []
 
@@ -189,19 +202,19 @@ def test_min_eigenvalue_bounds_hold_in_extreme_regimes(make):
 
 
 def test_psd_check_examples():
-    v = psd_check(HermitianMatrix(np.eye(3)))
+    v = psd_check(np.eye(3))
     assert v.is_psd and v.min_eigenvalue == pytest.approx(1.0)
-    v = psd_check(HermitianMatrix([[1, 2], [2, 1]]))
+    v = psd_check([[1, 2], [2, 1]])
     assert not v.is_psd
     assert v.min_eigenvalue == pytest.approx(-1.0)
-    v = psd_check(HermitianMatrix(np.zeros((2, 2))))
+    v = psd_check(np.zeros((2, 2)))
     assert v.is_psd and v.min_eigenvalue == 0.0
     with pytest.raises(NumericalError):
-        psd_check(HermitianMatrix([[np.nan]]))
+        psd_check([[np.nan]])
     # a NaN tolerance would fail every matrix, an infinite one pass every matrix
     for tol in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError):
-            psd_check(HermitianMatrix(np.eye(2)), tol)
+            psd_check(np.eye(2), tol)
 
 
 def test_psd_check_permutation_invariance():
@@ -256,8 +269,8 @@ def test_substitution_coherence():
             targets = [disk_point(rng, 0.8) for _ in range(n)]
             lam = disk_point(rng, 0.8)
             m = int(rng.integers(1, 4))
-            direct = constrained_pick(nodes, targets, lam, m * d, d).entries
-            powered = constrained_pick([z**d for z in nodes], targets, lam, m, 1).entries
+            direct = constrained_pick(nodes, targets, lam, m * d, d)
+            powered = constrained_pick([z**d for z in nodes], targets, lam, m, 1)
             assert np.max(np.abs(direct - powered)) <= 1e-14
 
 
@@ -271,8 +284,8 @@ def test_h_data_is_the_classical_side_of_the_congruence():
         h_nodes, h_values = pickmat.h_data(problem, lam, E, d)
         assert h_nodes == [z**d for z in nodes]
         ze = np.array(nodes) ** E
-        p = np.diag(ze) @ classical_pick(h_nodes, h_values).entries @ np.diag(ze).conj()
-        m = constrained_pick(problem.nodes, problem.targets, lam, E, d).entries
+        p = np.diag(ze) @ classical_pick(h_nodes, h_values) @ np.diag(ze).conj()
+        m = constrained_pick(problem.nodes, problem.targets, lam, E, d)
         assert np.max(np.abs(m - p)) <= 1e-12
 
 
