@@ -10,8 +10,11 @@ and the PSD verdict the solver starts from live in ``pickmat``.
 The solver returns a ``SchurFunction``: a chain of fractional-linear
 reduction records plus a terminal constant, evaluated by calling it.  Each
 reduction step divides out one interpolation condition; unwinding the chain
-maps the closed disk into itself at every stage, so the represented
-function is Schur class by construction.
+composes linear-fractional maps of the closed disk into itself, so the
+represented function is Schur class by construction.  Each map acts on a
+numerator-denominator pair as a 2x2 matrix (the transfer-function view of
+Agler and McCarthy, *Pick Interpolation and Hilbert Function Spaces*, 2002),
+so evaluation carries the pair through the chain and divides once.
 """
 
 from __future__ import annotations
@@ -78,15 +81,27 @@ class SchurFunction:
     def __call__(self, z):
         """Evaluate by unwinding the reduction chain (scalar or ndarray input).
 
-        Innermost value is the tail constant; each step wraps it as
-        phi_inverse(value_j, blaschke(node_j, z) * inner).  All intermediate
-        moduli stay at most 1 for |z| <= 1.
+        Innermost value is the tail constant; each step (a, v) wraps the
+        inner value g = p / q as phi_inverse(v, phi(a, z) g), which is
+        (s + v t) / (t + conj(v) s) with s = (z - a) p, t = (1 - conj(a) z) q.
+        So the pair starts at (tail, 1) and is divided once.  That is the
+        step-by-step composition with its divisions deferred: after each
+        step p / q is that composition's value there, so |p / q| <= 1 at
+        every stage for |z| <= 1, nodes in the open disk, and values and
+        tail in the closed disk.  Against an exact reference its error is
+        within 16 n eps on seeded chains of n steps, as is the composition's
+        (``tests/test_accuracy.py``).
         """
         z = _check_closed_disk(z, "evaluation point")
         w = np.atleast_1d(z)  # a scalar runs the array arithmetic, so it gets the bits an array element gets
-        g = np.full_like(w, complex(self.tail))
+        p = np.full_like(w, complex(self.tail))
+        q = np.ones_like(w)
         for node, val in reversed(self.steps):
-            g = _mobius(-val, _mobius(node, w) * g)
+            s = (w - node) * p
+            t = (1.0 - node.conjugate() * w) * q
+            p = s + val * t
+            q = t + val.conjugate() * s
+        g = p / q
         return complex(g[0]) if z.ndim == 0 else g
 
 

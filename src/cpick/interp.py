@@ -95,9 +95,25 @@ class Interpolant:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        w = np.atleast_1d(z) ** self.d  # as in ``SchurFunction``, a scalar runs the array arithmetic
-        out = _mobius(-complex(self.lambda_), w**self.m * self.h(w))
+        w = _power(np.atleast_1d(z), self.d)  # as in ``SchurFunction``, a scalar runs the array arithmetic
+        out = _mobius(-complex(self.lambda_), _power(w, self.m) * self.h(w))
         return complex(out[0]) if z.ndim == 0 else out
+
+
+def _power(z: np.ndarray, k: int) -> np.ndarray:
+    """z**k for an integer k >= 1 by repeated squaring, in array multiplications; z**1 is z itself.
+
+    numpy's complex ``**`` gives the same powers up to rounding, at far more
+    cost per element.
+    """
+    out = None
+    while True:
+        if k & 1:
+            out = z if out is None else out * z
+        k >>= 1
+        if not k:
+            return out
+        z = z * z
 
 
 @dataclass(frozen=True)

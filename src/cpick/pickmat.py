@@ -94,6 +94,14 @@ def _check_closed_disk(z, label: str):
     return z
 
 
+def _complex_array(x, label: str) -> np.ndarray:
+    """x as a complex ndarray; a ragged or non-numeric x raises ``InvalidProblem``."""
+    try:
+        return np.asarray(x, dtype=complex)
+    except (TypeError, ValueError) as exc:  # numpy's words for a ragged or non-numeric input
+        raise InvalidProblem(f"{label} must be a rectangular array of numbers: {exc}") from exc
+
+
 def _check_open_disk(z, label: str):
     """A scalar as a Python complex, a sequence as a complex array."""
     a = np.asarray(z, dtype=complex)
@@ -156,9 +164,12 @@ class PsdVerdict:
 
 
 def classical_pick(nodes, values) -> np.ndarray:
-    """Classical Pick matrix [(1 - v_i conj(v_j)) / (1 - z_i conj(z_j))]."""
-    z = _check_open_disk(nodes, "nodes")
-    v = np.asarray([complex(x) for x in values], dtype=complex)
+    """Classical Pick matrix [(1 - v_i conj(v_j)) / (1 - z_i conj(z_j))] of two sequences of numbers."""
+    z = _complex_array(nodes, "nodes")
+    v = _complex_array(values, "values")
+    if z.ndim != 1 or v.ndim != 1:
+        raise InvalidProblem(f"nodes and values must be sequences, got shapes {z.shape} and {v.shape}")
+    _check_open_disk(z, "nodes")
     if len(z) != len(v):
         raise InvalidProblem(f"{len(z)} nodes vs {len(v)} values")
     if len(set(z.tolist())) != len(z):
@@ -308,14 +319,15 @@ def constrained_pick(nodes, targets, lam: complex, E: int, d: int) -> np.ndarray
 def psd_check(m, tol: float = CLASSICAL_PSD_TOL) -> PsdVerdict:
     """Smallest eigenvalue with a relative positive-semidefiniteness verdict.
 
-    m must be a nonempty square matrix.  Its Hermitian part h = 0.5 (m + m*),
-    taken once, gives both numbers: the eigenvalue is ``_min_eigenvalues(h)``,
-    and the verdict is min_eigenvalue >= -tol * max(1, s) with s the
-    Gershgorin bound max_i sum_j |h_ij|, a cheap spectral-norm overestimate.
+    m must be a nonempty square matrix of numbers, else ``InvalidProblem``
+    is raised.  Its Hermitian part h = 0.5 (m + m*), taken once, gives both
+    numbers: the eigenvalue is ``_min_eigenvalues(h)``, and the verdict is
+    min_eigenvalue >= -tol * max(1, s) with s the Gershgorin bound
+    max_i sum_j |h_ij|, a cheap spectral-norm overestimate.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
-    a = np.asarray(m, dtype=complex)
+    a = _complex_array(m, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidProblem(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:

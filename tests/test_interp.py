@@ -249,6 +249,17 @@ def test_residuals_match_scalar_evaluation(k):
         assert max(abs(a - b) for a, b in zip(residuals, scalar)) <= 1e-14
 
 
+def test_power_by_squaring_is_numpys_power_up_to_rounding():
+    # Interpolant takes z^d and w^m by repeated squaring; numpy's complex ``**``
+    # is the reference, to 2 k eps |z|^k (0.69 k eps |z|^k is the largest gap seen)
+    rng = np.random.default_rng(3)
+    z = np.array([disk_point(rng, 1.0) for _ in range(256)])
+    assert interp._power(z, 1) is z
+    eps = np.finfo(float).eps
+    for k in range(1, 65):
+        assert np.all(np.abs(interp._power(z, k) - z**k) <= 2 * k * eps * np.abs(z) ** k), k
+
+
 @pytest.mark.parametrize("k", ALGEBRA_FIXTURES, ids=str)
 def test_scalar_evaluation_is_element_0_of_array_evaluation(k):
     rng = np.random.default_rng(17)

@@ -217,6 +217,21 @@ def test_psd_check_examples():
             psd_check(np.eye(2), tol)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: psd_check([[1, 2], [3]]),
+        lambda: psd_check([["a"]]),
+        lambda: classical_pick([0.1, 0.2], ["a", 0]),
+    ],
+    ids=["ragged matrix", "non-numeric matrix", "non-numeric values"],
+)
+def test_malformed_input_raises_invalid_problem(call):
+    # numpy's own ValueError would not name the input in the package's error types
+    with pytest.raises(InvalidProblem, match="must be a rectangular array of numbers"):
+        call()
+
+
 def test_psd_check_permutation_invariance():
     rng = np.random.default_rng(23)
     nodes = random_nodes(rng, 5)
