@@ -31,6 +31,7 @@ from .pickmat import (
     CLASSICAL_PSD_TOL,
     LOW_CONFIDENCE_EIG,
     _check_closed_disk,
+    _complex_array,
     _mobius,
     classical_pick,
     psd_check,
@@ -74,7 +75,7 @@ class SchurFunction:
         for i, (node, value) in enumerate(self.steps):
             named += [(f"steps[{i}] node", node), (f"steps[{i}] value", value)]
         for field, v in named:
-            z = complex(v)
+            z = complex(_complex_array(v, f"Schur function {field}", 0))
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise InvalidProblem(f"Schur function {field} must be finite, got {v!r}")
 
@@ -118,8 +119,8 @@ def np_solve(nodes, values, tol: float = CLASSICAL_PSD_TOL) -> SchurFunction:
     only when all remaining targets agree with it.  The free parameter of
     the final step is fixed to 0, which makes the solver deterministic.
     """
-    nodes = [complex(z) for z in nodes]
-    values = [complex(v) for v in values]
+    nodes = _complex_array(nodes, "nodes", 1).tolist()
+    values = _complex_array(values, "values", 1).tolist()
     if len(nodes) != len(values):
         raise InvalidProblem(f"{len(nodes)} nodes vs {len(values)} values")
     _check_closed_disk(values, "targets")

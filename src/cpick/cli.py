@@ -1,7 +1,10 @@
 """Command-line front end: parse JSON problem files, emit JSON reports.
 
-Complex numbers travel as [re, im] pairs in every file and report.  Exit
-codes form a fixed contract so shell harnesses can sweep parameter grids:
+Complex numbers travel as [re, im] pairs in every file and report.  Reports
+hold the library's records as ``dataclasses.asdict`` gives them, and every
+JSON write passes one ``default`` hook, ``_complex_to_pair``, the one place
+a complex becomes a pair.  Exit codes form a fixed contract so shell
+harnesses can sweep parameter grids:
 
     0  positive verdict (algebra / feasible / constructed / verified)
     1  negative verdict
@@ -23,7 +26,7 @@ import math
 import os
 import sys
 
-from .errors import CPickError, NotFound, NotPrefixK
+from .errors import CPickError, InvalidConfig, NotFound, NotPrefixK
 from .kset import KSpec, complement_structure, is_algebra, smallest_missing
 from .analytic import SchurFunction
 from .feasibility import SearchConfig, find_lambda
@@ -59,8 +62,11 @@ def _pair_to_complex(value, where: str) -> complex:
     return z
 
 
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _complex_to_pair(obj) -> list[float]:
+    """``json``'s ``default`` hook: a complex (numpy's complex128 included) as [re, im]."""
+    if isinstance(obj, complex):
+        return [float(obj.real), float(obj.imag)]
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _load_json(path: str) -> dict:
@@ -79,7 +85,7 @@ def _load_json(path: str) -> dict:
 def _write_json(path: str, doc: dict) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
+            json.dump(doc, fh, sort_keys=True, indent=2, default=_complex_to_pair)
             fh.write("\n")
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
@@ -115,8 +121,14 @@ def _problem_from_doc(doc: dict, path: str) -> Problem:
 
 
 def _search_config(doc: dict, path: str, args) -> SearchConfig:
+    obj = doc.get("search", {})
     try:
-        cfg = SearchConfig.from_json(doc.get("search", {}))
+        if not isinstance(obj, dict):
+            raise InvalidConfig(f"search config must be a JSON object, got {type(obj).__name__}")
+        unknown = set(obj) - {f.name for f in dataclasses.fields(SearchConfig)}
+        if unknown:
+            raise InvalidConfig(f"unknown search config keys: {sorted(unknown)}")
+        cfg = SearchConfig(**obj)
         overrides = {}
         if args.tol is not None:
             overrides["tol"] = args.tol
@@ -129,26 +141,18 @@ def _search_config(doc: dict, path: str, args) -> SearchConfig:
         raise ParseError(f"{path}: search config: {exc}") from exc
 
 
-def _config_echo(cfg: SearchConfig, args) -> dict:
-    echo = cfg.to_json()
-    echo["seed"] = getattr(args, "seed", None)
-    return echo
-
-
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2))
+    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2, default=_complex_to_pair))
     sys.stdout.write("\n")
 
 
 def _interpolant_to_json(f: Interpolant) -> dict:
     return {
-        "lambda": _complex_to_pair(f.lambda_),
+        "lambda": f.lambda_,
         "m": f.m,
         "d": f.d,
-        "schur_steps": [
-            [_complex_to_pair(node), _complex_to_pair(value)] for node, value in f.h.steps
-        ],
-        "tail": _complex_to_pair(f.h.tail),
+        "schur_steps": f.h.steps,
+        "tail": f.h.tail,
         "low_confidence": f.h.low_confidence,
     }
 
@@ -188,17 +192,6 @@ def _interpolant_from_doc(doc: dict, path: str) -> Interpolant:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _verification_to_json(report) -> dict:
-    return {
-        "passed": report.passed,
-        "residuals": [float(r) for r in report.residuals],
-        "sup_norm": report.sup_norm,
-        "taylor_violations": [[j, mag] for j, mag in report.taylor_violations],
-        "derivative_crosscheck": report.derivative_crosscheck,
-        "tolerances": report.tolerances.to_json(),
-    }
-
-
 def cmd_check_algebra(args) -> int:
     doc = _load_json(args.input)
     k = _kspec_from_doc(doc, args.input)
@@ -206,12 +199,7 @@ def cmd_check_algebra(args) -> int:
     payload = {"K": k.to_json(), "is_algebra": algebra, "smallest_missing": smallest_missing(k)}
     if algebra:
         try:
-            structure = complement_structure(k)
-            payload["complement_structure"] = {
-                "d": structure.d,
-                "heads": list(structure.heads),
-                "n0": structure.n0,
-            }
+            payload["complement_structure"] = dataclasses.asdict(complement_structure(k))
         except CPickError:
             pass  # empty K: algebra but no structure to report
     _emit(payload)
@@ -236,12 +224,12 @@ def cmd_feasible(args) -> int:
             "m": m,
             "d": d,
             "feasible": result.feasible,
-            "lambda": _complex_to_pair(result.lambda_) if result.lambda_ is not None else None,
+            "lambda": result.lambda_,
             "best_min_eigenvalue": result.best_min_eigenvalue,
             "evaluations": result.evaluations,
             "pinned": result.pinned,
             "certified": result.feasible or _certified_negative(result, args.mode),
-            "config": _config_echo(cfg, args),
+            "config": {**dataclasses.asdict(cfg), "seed": args.seed},
         }
     )
     return EXIT_YES if result.feasible else EXIT_NO
@@ -260,7 +248,7 @@ def cmd_interpolate(args) -> int:
                 "best_min_eigenvalue": exc.result.best_min_eigenvalue,
                 "pinned": exc.result.pinned,
                 "reason": str(exc),
-                "config": _config_echo(cfg, args),
+                "config": {**dataclasses.asdict(cfg), "seed": args.seed},
             }
         )
         return EXIT_NO
@@ -272,12 +260,12 @@ def cmd_interpolate(args) -> int:
         {
             "mode": args.mode,
             "feasible": True,
-            "lambda": _complex_to_pair(f.lambda_),
+            "lambda": f.lambda_,
             "m": f.m,
             "d": f.d,
             "out": args.out,
-            "verification": _verification_to_json(report),
-            "config": _config_echo(cfg, args),
+            "verification": dataclasses.asdict(report),
+            "config": {**dataclasses.asdict(cfg), "seed": args.seed},
         }
     )
     return EXIT_YES if report.passed else EXIT_NO
@@ -290,7 +278,7 @@ def cmd_verify(args) -> int:
     k = _kspec_from_doc(pdoc, args.problem)
     problem = _problem_from_doc(pdoc, args.problem)
     report = verify_interpolant(f, problem, k)
-    _emit(_verification_to_json(report))
+    _emit(dataclasses.asdict(report))
     return EXIT_YES if report.passed else EXIT_NO
 
 

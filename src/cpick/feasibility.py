@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,8 +71,8 @@ class SearchConfig:
     """Grid and refinement parameters for the parameter search.
 
     Every field is converted and checked here, whether it comes from the
-    constructor, ``from_json`` or ``dataclasses.replace``; a field of the
-    wrong type or range raises ``InvalidConfig``.
+    constructor or ``dataclasses.replace``; a field of the wrong type or
+    range raises ``InvalidConfig``.
     """
 
     radii: tuple[float, ...] = DEFAULT_RADII
@@ -105,23 +105,6 @@ class SearchConfig:
             raise InvalidConfig(f"refinement iterations must be nonnegative, got {self.refine_iters}")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise InvalidConfig(f"tolerance 'tol' must be finite and nonnegative, got {self.tol}")
-
-    def to_json(self) -> dict:
-        return {
-            "radii": list(self.radii),
-            "angles": self.angles,
-            "refine_iters": self.refine_iters,
-            "tol": self.tol,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "SearchConfig":
-        if not isinstance(obj, dict):
-            raise InvalidConfig(f"search config must be a JSON object, got {type(obj).__name__}")
-        unknown = set(obj) - {f.name for f in fields(SearchConfig)}
-        if unknown:
-            raise InvalidConfig(f"unknown search config keys: {sorted(unknown)}")
-        return SearchConfig(**obj)
 
 
 # Shared by every search given no config; frozen, so sharing is safe.

@@ -34,7 +34,7 @@ from .kset import KSpec, contains, is_algebra, smallest_missing, _conductor, _in
 from .analytic import SchurFunction, np_solve, sup_norm_estimate, taylor_coeffs
 from .bruno import compose_derivative
 from .feasibility import DEFAULT_CONFIG, FeasibilityResult, SearchConfig, find_lambda
-from .pickmat import CLASSICAL_PSD_TOL, Problem, _mobius, h_data
+from .pickmat import CLASSICAL_PSD_TOL, Problem, _complex_array, _mobius, h_data
 
 __all__ = [
     "Interpolant",
@@ -94,7 +94,7 @@ class Interpolant:
             raise InvalidProblem("the base value lambda must lie strictly inside the disk")
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
+        z = _complex_array(z, "evaluation point")
         w = _power(np.atleast_1d(z), self.d)  # as in ``SchurFunction``, a scalar runs the array arithmetic
         out = _mobius(-complex(self.lambda_), _power(w, self.m) * self.h(w))
         return complex(out[0]) if z.ndim == 0 else out
@@ -124,13 +124,13 @@ class Tolerances:
     norm: float = 1e-6
     taylor: float = 1e-7
 
-    def to_json(self) -> dict:
-        return {"interp": self.interp, "norm": self.norm, "taylor": self.taylor}
-
 
 @dataclass(frozen=True)
 class VerificationReport:
     """Independent re-check of interpolation, norm and membership.
+
+    Its fields are the keys of the CLI's verification report, written by
+    ``dataclasses.asdict``, so renaming one renames a report key.
 
     ``taylor_violations`` lists (index, |coefficient|) for constrained
     indices whose coefficient exceeds the tolerance; ``passed`` requires all

@@ -95,9 +95,11 @@ class KSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "KSpec":
-        """Accept ``{"d":..., "gaps":[...]}`` or the shorthand ``{"K":[...]}``."""
+        """Accept ``{"d":..., "gaps":[...]}`` or the shorthand ``{"K":[...]}``, not both."""
         if not isinstance(obj, dict):
             raise InvalidK(f"constraint set must be a JSON object, got {type(obj).__name__}")
+        if "K" in obj and ("d" in obj or "gaps" in obj):
+            raise InvalidK('give either {"K": [...]} or {"d":..., "gaps": [...]}, not both')
         if "K" in obj:
             members = obj["K"]
             if not isinstance(members, list):

@@ -87,24 +87,30 @@ _eigvalsh_lo = _umath_linalg.eigvalsh_lo
 
 
 def _check_closed_disk(z, label: str):
-    z = np.asarray(z, dtype=complex)
+    z = _complex_array(z, label)
     if not np.all(np.abs(z) <= 1.0 + BOUNDARY_TOL):  # written so that NaN fails
         worst = np.max(np.abs(z))
         raise DomainError(f"{label} must lie in the closed unit disk, got modulus {worst:.6g}")
     return z
 
 
-def _complex_array(x, label: str) -> np.ndarray:
-    """x as a complex ndarray; a ragged or non-numeric x raises ``InvalidProblem``."""
+def _complex_array(x, label: str, ndim: int | None = None) -> np.ndarray:
+    """x as a complex ndarray; a ragged or non-numeric x, or one of another ``ndim``, raises ``InvalidProblem``.
+
+    A numeric string such as "0.5" parses as ``complex`` parses it.
+    """
     try:
-        return np.asarray(x, dtype=complex)
+        a = np.asarray(x, dtype=complex)
     except (TypeError, ValueError) as exc:  # numpy's words for a ragged or non-numeric input
         raise InvalidProblem(f"{label} must be a rectangular array of numbers: {exc}") from exc
+    if ndim is not None and a.ndim != ndim:
+        raise InvalidProblem(f"{label} must be a rectangular array of numbers of dimension {ndim}, got shape {a.shape}")
+    return a
 
 
 def _check_open_disk(z, label: str):
     """A scalar as a Python complex, a sequence as a complex array."""
-    a = np.asarray(z, dtype=complex)
+    a = _complex_array(z, label)
     if not np.all(np.abs(a) < 1.0):  # written so that NaN fails
         worst = np.max(np.abs(a))
         raise DomainError(f"{label} must lie strictly inside the unit disk, got modulus {worst:.6g}")
@@ -119,8 +125,8 @@ class Problem:
     targets: tuple[complex, ...]
 
     def __post_init__(self):
-        nodes = tuple(complex(z) for z in self.nodes)
-        targets = tuple(complex(w) for w in self.targets)
+        nodes = tuple(_complex_array(self.nodes, "nodes", 1).tolist())
+        targets = tuple(_complex_array(self.targets, "targets", 1).tolist())
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "targets", targets)
         if len(nodes) != len(targets):
@@ -165,10 +171,8 @@ class PsdVerdict:
 
 def classical_pick(nodes, values) -> np.ndarray:
     """Classical Pick matrix [(1 - v_i conj(v_j)) / (1 - z_i conj(z_j))] of two sequences of numbers."""
-    z = _complex_array(nodes, "nodes")
-    v = _complex_array(values, "values")
-    if z.ndim != 1 or v.ndim != 1:
-        raise InvalidProblem(f"nodes and values must be sequences, got shapes {z.shape} and {v.shape}")
+    z = _complex_array(nodes, "nodes", 1)
+    v = _complex_array(values, "values", 1)
     _check_open_disk(z, "nodes")
     if len(z) != len(v):
         raise InvalidProblem(f"{len(z)} nodes vs {len(v)} values")
@@ -353,7 +357,7 @@ def factorization_residual(nodes, h_values, lam: complex, E: int, d: int) -> flo
     z = _check_open_disk(nodes, "nodes")
     if np.any(z == 0):
         raise InvalidProblem("factorization requires nonzero nodes (D must be invertible)")
-    h = np.asarray([complex(v) for v in h_values], dtype=complex)
+    h = _complex_array(h_values, "h-values", 1)
     if len(h) != len(z):
         raise InvalidProblem(f"{len(z)} nodes vs {len(h)} h-values")
     _check_closed_disk(h, "h-values")

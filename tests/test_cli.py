@@ -70,6 +70,8 @@ def test_parse_errors_exit_2(run_cli, write_json, tmp_path):
         ("radiibool.json", {"search": {"radii": [False, 0.5]}}, "'radii'"),
         ("tolstr.json", {"search": {"tol": "1e-8"}}, "'tol'"),
         ("radiistr.json", {"search": {"radii": ["0.5"]}}, "'radii'"),
+        ("angle.json", {"search": {"angle": 8}}, "'angle'"),
+        ("kboth.json", {"K": {"K": [1, 3], "d": 2, "gaps": [1]}}, "not both"),
         # json.load reads NaN and Infinity; they are malformed numbers too
         ("nannode.json", {"nodes": [[float("nan"), 0], [0.5, 0]]}, "nodes[0]: expected finite"),
         ("inftarget.json", {"targets": [[0, 0], [0.2, float("inf")]]}, "targets[1]: expected finite"),
@@ -82,6 +84,41 @@ def test_parse_errors_exit_2(run_cli, write_json, tmp_path):
     assert code == 2 and "'tol'" in err and "Traceback" not in err, err
     code, _, err = run_cli("check-algebra", write_json("kfloat-only.json", {"K": [1.7, 3.2]}))
     assert code == 2 and '"K"' in err and "Traceback" not in err, err
+
+
+def test_report_shapes(run_cli, write_json, tmp_path):
+    # reports are written from the library's records, so a renamed field renames a key
+    prob = write_json("p.json", {**PROBLEM_FEASIBLE, "search": {"angles": 8.0}})
+    code, out, _ = run_cli("feasible", prob, "--mode", "iff")
+    doc = json.loads(out)
+    assert code == 0 and set(doc) == {
+        "best_min_eigenvalue", "certified", "config", "d", "evaluations", "feasible", "lambda", "m", "mode", "pinned"
+    }
+    echo = doc["config"]
+    assert set(echo) == {"angles", "radii", "refine_iters", "seed", "tol"}
+    assert type(echo["angles"]) is int and echo["angles"] == 8 and echo["seed"] is None
+    # the echo, read back as a search object, configures the same search
+    search = {key: value for key, value in echo.items() if key != "seed"}
+    code, out, _ = run_cli("feasible", write_json("echo.json", {**PROBLEM_FEASIBLE, "search": search}), "--mode", "iff")
+    assert code == 0 and json.loads(out)["config"] == echo
+
+    out_path = tmp_path / "f.json"
+    code, out, _ = run_cli("interpolate", prob, "--mode", "iff", "--out", str(out_path))
+    doc = json.loads(out)
+    assert code == 0 and set(doc) == {"config", "d", "feasible", "lambda", "m", "mode", "out", "verification"}
+    assert set(json.loads(out_path.read_text())) == {"d", "lambda", "low_confidence", "m", "schur_steps", "tail"}
+    code, out, _ = run_cli("verify", "--function", str(out_path), "--problem", prob)
+    report = json.loads(out)
+    assert code == 0 and report == doc["verification"]
+    assert set(report) == {
+        "derivative_crosscheck", "passed", "residuals", "sup_norm", "taylor_violations", "tolerances"
+    }
+    assert report["tolerances"] == {"interp": 1e-7, "norm": 1e-6, "taylor": 1e-7}
+
+    code, out, _ = run_cli("interpolate", write_json("q.json", PROBLEM_INFEASIBLE), "--mode", "iff")
+    assert code == 1 and set(json.loads(out)) == {
+        "best_min_eigenvalue", "certified", "config", "feasible", "mode", "pinned", "reason"
+    }
 
 
 def test_structured_field_errors(run_cli, write_json):

@@ -227,5 +227,9 @@ def test_json_roundtrip():
         assert KSpec.from_json(k.to_json()) == k
     with pytest.raises(InvalidK):
         KSpec.from_json({"gaps": [1]})
+    # both forms at once: neither may silently win
+    for obj in ({"K": [1, 3], "d": 2, "gaps": [1]}, {"K": [1], "d": 3}):
+        with pytest.raises(InvalidK, match="not both"):
+            KSpec.from_json(obj)
     with pytest.raises(InvalidK):
         KSpec.from_json([1, 2])

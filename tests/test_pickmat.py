@@ -9,9 +9,11 @@ from cpick import (
     InvalidProblem,
     NumericalError,
     Problem,
+    SchurFunction,
     classical_pick,
     constrained_pick,
     factorization_residual,
+    np_solve,
     psd_check,
 )
 from cpick import pickmat
@@ -223,8 +225,22 @@ def test_psd_check_examples():
         lambda: psd_check([[1, 2], [3]]),
         lambda: psd_check([["a"]]),
         lambda: classical_pick([0.1, 0.2], ["a", 0]),
+        lambda: Problem(nodes=("a",), targets=(0,)),
+        lambda: np_solve([0.1], ["a"]),
+        lambda: Problem(nodes=([0.1],), targets=(0,)),
+        lambda: SchurFunction(steps=((0.1, "x"),), tail=0),
+        lambda: pickmat.mobius(0.1, [[0.1], [0.2, 0.3]]),
     ],
-    ids=["ragged matrix", "non-numeric matrix", "non-numeric values"],
+    ids=[
+        "ragged matrix",
+        "non-numeric matrix",
+        "non-numeric values",
+        "non-numeric nodes",
+        "non-numeric np_solve values",
+        "nested nodes",
+        "non-numeric Schur value",
+        "ragged Mobius argument",
+    ],
 )
 def test_malformed_input_raises_invalid_problem(call):
     # numpy's own ValueError would not name the input in the package's error types
