@@ -71,13 +71,20 @@ class SchurFunction:
     low_confidence: bool = False
 
     def __post_init__(self):
-        named = [("tail", self.tail)]
-        for i, (node, value) in enumerate(self.steps):
-            named += [(f"steps[{i}] node", node), (f"steps[{i}] value", value)]
-        for field, v in named:
+        def checked(v, field):
             z = complex(_complex_array(v, f"Schur function {field}", 0))
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise InvalidProblem(f"Schur function {field} must be finite, got {v!r}")
+            return z
+
+        # stored as the Python complex numbers they parse to, so a numeric string evaluates
+        tail = checked(self.tail, "tail")
+        steps = tuple(
+            (checked(node, f"steps[{i}] node"), checked(value, f"steps[{i}] value"))
+            for i, (node, value) in enumerate(self.steps)
+        )
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "steps", steps)
 
     def __call__(self, z):
         """Evaluate by unwinding the reduction chain (scalar or ndarray input).
@@ -92,17 +99,32 @@ class SchurFunction:
         tail in the closed disk.  Against an exact reference its error is
         within 16 n eps on seeded chains of n steps, as is the composition's
         (``tests/test_accuracy.py``).
+
+        Each step is the same 9 ufuncs, in the same order, as the
+        out-of-place expressions above, written with ``out=`` into five work
+        arrays allocated by this call (none is shared between calls, so
+        concurrent evaluation stays safe).  No multiplication writes into one
+        of its own operands: numpy's complex multiply in place can round the
+        last bit differently on short arrays, and a scalar must get the bits
+        an array element gets.  A subtraction or addition in place is exact
+        componentwise, so it may.
         """
         z = _check_closed_disk(z, "evaluation point")
         w = np.atleast_1d(z)  # a scalar runs the array arithmetic, so it gets the bits an array element gets
-        p = np.full_like(w, complex(self.tail))
+        p = np.full_like(w, self.tail)
         q = np.ones_like(w)
+        s, t, u = np.empty_like(w), np.empty_like(w), np.empty_like(w)
         for node, val in reversed(self.steps):
-            s = (w - node) * p
-            t = (1.0 - node.conjugate() * w) * q
-            p = s + val * t
-            q = t + val.conjugate() * s
-        g = p / q
+            np.subtract(w, node, out=u)
+            np.multiply(u, p, out=s)  # s = (w - a) p
+            np.multiply(node.conjugate(), w, out=u)
+            np.subtract(1.0, u, out=u)
+            np.multiply(u, q, out=t)  # t = (1 - conj(a) w) q
+            np.multiply(val, t, out=u)
+            np.add(s, u, out=p)  # p = s + v t
+            np.multiply(val.conjugate(), s, out=u)
+            np.add(t, u, out=q)  # q = t + conj(v) s
+        g = np.divide(p, q, out=u)
         return complex(g[0]) if z.ndim == 0 else g
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidProblem, NotFound, NotPrefixK, NumericalError, Unsupported
 from .kset import KSpec, contains, is_algebra, smallest_missing, _conductor, _integer
-from .analytic import SchurFunction, np_solve, sup_norm_estimate, taylor_coeffs
+from .analytic import SchurFunction, _circle, np_solve, sup_norm_estimate, taylor_coeffs
 from .bruno import compose_derivative
 from .feasibility import DEFAULT_CONFIG, FeasibilityResult, SearchConfig, find_lambda
 from .pickmat import CLASSICAL_PSD_TOL, Problem, _complex_array, _mobius, h_data
@@ -82,6 +82,8 @@ class Interpolant:
     h: SchurFunction
 
     def __post_init__(self):
+        lam = complex(_complex_array(self.lambda_, "the base value lambda", 0))
+        object.__setattr__(self, "lambda_", lam)
         for field in ("m", "d"):
             value = getattr(self, field)
             try:
@@ -90,14 +92,18 @@ class Interpolant:
                 raise InvalidProblem(f"exponent {field!r} must be an integer, got {value!r}") from exc
         if self.m < 1 or self.d < 1:
             raise InvalidProblem(f"exponents must be positive, got m={self.m}, d={self.d}")
-        if not abs(self.lambda_) < 1.0:  # NaN fails too
+        if not abs(lam) < 1.0:  # NaN fails too
             raise InvalidProblem("the base value lambda must lie strictly inside the disk")
 
     def __call__(self, z):
         z = _complex_array(z, "evaluation point")
         w = _power(np.atleast_1d(z), self.d)  # as in ``SchurFunction``, a scalar runs the array arithmetic
-        out = _mobius(-complex(self.lambda_), _power(w, self.m) * self.h(w))
+        out = self._outer(w, self.h(w))
         return complex(out[0]) if z.ndim == 0 else out
+
+    def _outer(self, w: np.ndarray, hw: np.ndarray) -> np.ndarray:
+        """f from w = z^d and h(w): phi_inverse(lam, w^m h(w)), the one implementation of that formula."""
+        return _mobius(-self.lambda_, _power(w, self.m) * hw)
 
 
 def _power(z: np.ndarray, k: int) -> np.ndarray:
@@ -271,24 +277,23 @@ def _taylor_bound(k: KSpec) -> int:
     return min(64, max(12, 4 * smallest_missing(k)))
 
 
-def _crosscheck_derivatives(f: Interpolant, coeffs) -> float:
+def _crosscheck_derivatives(f: Interpolant, coeffs, h_coeffs) -> float:
     """Compare sampled Taylor coefficients against the composition expansion.
 
     The inner factor u(z) = z^(m d) h(z^d) has derivative j! * c_t(h) at
     order j = m*d + t*d and zero elsewhere; composing with the automorphism
     phi_inverse(lam, .) whose derivatives at 0 are i! (-conj lam)^(i-1)
     (1 - |lam|^2) gives a second, independent route to f^(k)(0).
+    ``h_coeffs`` are h's sampled coefficients c_0 .. c_((6 - m*d) // d),
+    empty when m*d exceeds the compared orders.
     """
     E = f.m * f.d
     u_derivs = [0j] * (CROSSCHECK_ORDER + 1)
-    if E <= CROSSCHECK_ORDER:
-        h_count = (CROSSCHECK_ORDER - E) // f.d
-        h_coeffs = taylor_coeffs(f.h, h_count, 0.5, CROSSCHECK_SAMPLES)
-        for t, c in enumerate(h_coeffs):
-            j = E + t * f.d
-            if j <= CROSSCHECK_ORDER:
-                u_derivs[j] = math.factorial(j) * c
-    lam = complex(f.lambda_)
+    for t, c in enumerate(h_coeffs):
+        j = E + t * f.d
+        if j <= CROSSCHECK_ORDER:
+            u_derivs[j] = math.factorial(j) * c
+    lam = f.lambda_
     g_derivs = [lam] + [
         math.factorial(i) * (-np.conj(lam)) ** (i - 1) * (1.0 - abs(lam) ** 2)
         for i in range(1, CROSSCHECK_ORDER + 1)
@@ -303,32 +308,49 @@ def _crosscheck_derivatives(f: Interpolant, coeffs) -> float:
 def verify_interpolant(f: Interpolant, problem: Problem, k: KSpec) -> VerificationReport:
     """Re-check interpolation residuals, sup norm and membership.
 
-    Residuals come from one evaluation of f at all nodes, the norm from 4096
-    circle samples at radius 0.999, and membership from Taylor coefficients
-    from 1024 samples at radius ``TAYLOR_RADIUS`` = 0.9, checked at every
-    constrained index j up to min(64, max(12, 4 * smallest_missing)).  For
-    |f| <= 1 the aliasing error is at most 0.9^1024 / (1 - 0.9^1024), about
-    1e-47, and the samples' roundoff is amplified by 0.9^-j, at most
-    0.9^-64, about 850; at radius 0.5 it would be 2^64, enough to reject
-    true interpolants (Bornemann, Found. Comput. Math. 2011).  The
-    derivative cross-check samples h at ``CROSSCHECK_SAMPLES`` = 64 points
-    at radius 0.5, where the aliasing error r^N / (1 - r^N) = 2^-64 /
-    (1 - 2^-64) is below machine epsilon.  So f is evaluated three times,
-    at arrays, whatever the number of nodes.  Every check uses the default
-    ``Tolerances``, whatever ``f.h.low_confidence`` says, so an artifact
-    cannot loosen its own check.  Always returns a report.
+    Residuals come from f at all nodes, the norm from 4096 circle samples
+    at radius 0.999, and membership from Taylor coefficients from 1024
+    samples at radius ``TAYLOR_RADIUS`` = 0.9, checked at every constrained
+    index j up to min(64, max(12, 4 * smallest_missing)).  For |f| <= 1
+    the aliasing error is at most 0.9^1024 / (1 - 0.9^1024), about 1e-47,
+    and the samples' roundoff is amplified by 0.9^-j, at most 0.9^-64,
+    about 850; at radius 0.5 it would be 2^64, enough to reject true
+    interpolants (Bornemann, Found. Comput. Math. 2011).  The derivative
+    cross-check samples h at ``CROSSCHECK_SAMPLES`` = 64 points at radius
+    0.5, where the aliasing error r^N / (1 - r^N) = 2^-64 / (1 - 2^-64) is
+    below machine epsilon; it needs them only when m*d <= 6.
+
+    All of these come from one pass of h's Schur chain, whatever the number
+    of nodes: the two circles and the nodes are raised to the power d
+    together, the cross-check's circle is appended, and h is evaluated once
+    on that array.  f is formed from it once, and each sampler is handed a
+    callable that returns its slice.  Every value has the bits a separate
+    evaluation of f or h at those points gives, so the report is the one
+    three evaluations of f and one of h would give.  Every check uses the
+    default ``Tolerances``, whatever ``f.h.low_confidence`` says, so an
+    artifact cannot loosen its own check.  Always returns a report.
     """
     tol = Tolerances()
-    residuals = tuple(np.abs(f(np.array(problem.nodes)) - np.array(problem.targets)).tolist())
-    sup = sup_norm_estimate(f, 0.999, 4096)
+    E = f.m * f.d
+    points = np.concatenate((_circle(0.999, 4096), _circle(TAYLOR_RADIUS, 1024), np.array(problem.nodes)))
+    w = _power(points, f.d)
+    crosscheck = E <= CROSSCHECK_ORDER
+    hw = f.h(np.concatenate((w, _circle(0.5, CROSSCHECK_SAMPLES))) if crosscheck else w)
+    sup_vals, taylor_vals, node_vals = np.split(f._outer(w, hw[: len(w)]), (4096, 4096 + 1024))
+
+    residuals = tuple(np.abs(node_vals - np.array(problem.targets)).tolist())
+    sup = sup_norm_estimate(lambda _: sup_vals, 0.999, 4096)
     bound = _taylor_bound(k)
-    coeffs = taylor_coeffs(f, bound, TAYLOR_RADIUS, 1024)
+    coeffs = taylor_coeffs(lambda _: taylor_vals, bound, TAYLOR_RADIUS, 1024)
     violations = tuple(
         (j, abs(coeffs[j]))
         for j in range(1, bound + 1)
         if contains(k, j) and not abs(coeffs[j]) <= tol.taylor  # a NaN coefficient violates too
     )
-    cross = _crosscheck_derivatives(f, coeffs)
+    h_coeffs = ()
+    if crosscheck:
+        h_coeffs = taylor_coeffs(lambda _: hw[len(w) :], (CROSSCHECK_ORDER - E) // f.d, 0.5, CROSSCHECK_SAMPLES)
+    cross = _crosscheck_derivatives(f, coeffs, h_coeffs)
     passed = (
         all(r <= tol.interp for r in residuals)
         and sup <= 1.0 + tol.norm

@@ -283,9 +283,11 @@ class PickBuilder:
         """
         n = len(self._den)
         margin = 1e-12 * 2.0 * n * n / float(np.min(np.abs(self._den)))
-        phi = _mobius(lams[:, None], self._targets)
-        diagonal = (self._powers.diagonal().real - (phi.real**2 + phi.imag**2)) / self._den.diagonal().real
-        return diagonal.min(axis=1) + margin
+        # (n, k), with the points as the long axis of each ufunc's inner loop
+        phi = _mobius(lams, self._targets.T)
+        powers = self._powers.diagonal().real[:, None]
+        diagonal = (powers - (phi.real**2 + phi.imag**2)) / self._den.diagonal().real[:, None]
+        return diagonal.min(axis=0) + margin
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -361,8 +363,9 @@ def factorization_residual(nodes, h_values, lam: complex, E: int, d: int) -> flo
     if len(h) != len(z):
         raise InvalidProblem(f"{len(z)} nodes vs {len(h)} h-values")
     _check_closed_disk(h, "h-values")
+    lam = complex(_check_open_disk(lam, "Möbius parameter"))
     ze = z**E
-    targets = np.asarray(mobius(-complex(lam), ze * h), dtype=complex).reshape(len(z))
+    targets = np.asarray(mobius(-lam, ze * h), dtype=complex).reshape(len(z))
     m1 = constrained_pick(z, targets, lam, E, d)
     p = classical_pick(z**d, h)
     dd = np.diag(ze)

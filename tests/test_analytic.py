@@ -211,6 +211,32 @@ def test_schur_function_refuses_non_finite_fields():
     assert f.steps == ((0.5, 1.5),) and f.tail == 2.0
 
 
+def _out_of_place_chain(h, z):
+    """The chain loop written with out-of-place expressions, as a bit-for-bit reference."""
+    w = np.atleast_1d(np.asarray(z, dtype=complex))
+    p = np.full_like(w, h.tail)
+    q = np.ones_like(w)
+    for node, val in reversed(h.steps):
+        s = (w - node) * p
+        t = (1.0 - node.conjugate() * w) * q
+        p = s + val * t
+        q = t + val.conjugate() * s
+    return p / q
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 16])
+def test_buffered_chain_has_the_bits_of_the_out_of_place_loop(n):
+    rng = np.random.default_rng(41 + n)
+    h = SchurFunction(
+        steps=tuple((disk_point(rng, 0.95), disk_point(rng, 1.0)) for _ in range(n)), tail=disk_point(rng, 1.0)
+    )
+    for length in (1, 2, 7, 8, 9, 64, 1024, 4096, 5184):
+        z = np.array([disk_point(rng, 1.0) for _ in range(length)])
+        assert h(z).tobytes() == _out_of_place_chain(h, z).tobytes(), length
+    for z in (0.3 - 0.2j, 1.0, -1j, disk_point(rng, 1.0)):
+        assert repr(h(z)) == repr(complex(_out_of_place_chain(h, z)[0])), z
+
+
 def test_taylor_monomial():
     coeffs = taylor_coeffs(lambda z: z**2, 4, 0.5, 256)
     expected = [0, 0, 1, 0, 0]

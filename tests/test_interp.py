@@ -1,5 +1,6 @@
 """Exponent plans, construction, verification, and round trips."""
 
+import math
 import re
 
 import numpy as np
@@ -17,7 +18,9 @@ from cpick import (
     Tolerances,
     Unsupported,
     construct,
+    compose_derivative,
     constrained_pick,
+    contains,
     exponent_plan,
     from_finite_set,
     is_algebra,
@@ -26,6 +29,7 @@ from cpick import (
     psd_check,
     roundtrip_generate,
     smallest_missing,
+    sup_norm_estimate,
     taylor_coeffs,
     verify_interpolant,
 )
@@ -223,20 +227,104 @@ def test_roundtrip_soundness_and_theorem_consistency(k):
         assert psd_check(constrained_pick(problem.nodes, problem.targets, f.lambda_, m * d, d), 1e-8).is_psd
 
 
+K1_6 = from_finite_set(range(1, 7))  # E = 7, past the cross-check's orders
+
+
+@pytest.mark.parametrize("k", [K13, K1_6], ids=str)
 @pytest.mark.parametrize("n", [1, 4, 8])
-def test_verify_evaluates_the_interpolant_three_times(monkeypatch, n):
-    problem, f = roundtrip_generate(K13, n, n)
+def test_verify_evaluates_the_chain_once(monkeypatch, n, k):
+    problem, f = roundtrip_generate(k, n, n)
     shapes = []
-    call = Interpolant.__call__
+    call = SchurFunction.__call__
 
     def counted(self, z):
         shapes.append(np.shape(z))
         return call(self, z)
 
-    monkeypatch.setattr(Interpolant, "__call__", counted)
-    assert verify_interpolant(f, problem, K13).passed
-    # all nodes at once, the sup-norm circle, the Taylor circle
-    assert shapes == [(n,), (4096,), (1024,)]
+    monkeypatch.setattr(SchurFunction, "__call__", counted)
+    assert verify_interpolant(f, problem, k).passed
+    # the sup-norm circle, the Taylor circle and the nodes, then the
+    # cross-check's circle where m*d <= 6
+    cross = interp.CROSSCHECK_SAMPLES if f.m * f.d <= interp.CROSSCHECK_ORDER else 0
+    assert shapes == [(4096 + 1024 + n + cross,)]
+
+
+def _reference_report(f, problem, k):
+    """verify_interpolant's report, from separate evaluations through the public samplers."""
+    tol = Tolerances()
+    residuals = tuple(np.abs(f(np.array(problem.nodes)) - np.array(problem.targets)).tolist())
+    sup = sup_norm_estimate(f, 0.999, 4096)
+    bound = interp._taylor_bound(k)
+    coeffs = taylor_coeffs(f, bound, 0.9, 1024)
+    violations = tuple(
+        (j, abs(coeffs[j])) for j in range(1, bound + 1) if contains(k, j) and not abs(coeffs[j]) <= tol.taylor
+    )
+    # the Faà di Bruno cross-check over orders 1 .. 6, from h's sampled coefficients
+    E = f.m * f.d
+    u_derivs = [0j] * 7
+    for t, c in enumerate(taylor_coeffs(f.h, (6 - E) // f.d, 0.5, 64) if E <= 6 else ()):
+        if E + t * f.d <= 6:
+            u_derivs[E + t * f.d] = math.factorial(E + t * f.d) * c
+    lam = f.lambda_
+    g_derivs = [lam] + [math.factorial(i) * (-np.conj(lam)) ** (i - 1) * (1.0 - abs(lam) ** 2) for i in range(1, 7)]
+    cross = 0.0
+    for order in range(1, 7):
+        cross = max(cross, abs(compose_derivative(g_derivs, u_derivs, order) / math.factorial(order) - coeffs[order]))
+    passed = all(r <= tol.interp for r in residuals) and sup <= 1.0 + tol.norm and not violations
+    return interp.VerificationReport(
+        residuals=residuals,
+        sup_norm=sup,
+        taylor_violations=violations,
+        passed=passed,
+        tolerances=tol,
+        derivative_crosscheck=cross,
+    )
+
+
+@pytest.mark.parametrize(
+    "k,m,d",
+    [
+        (K1, 2, 1),
+        (K13, 4, 1),
+        (K1_6, 7, 1),
+        (KD2, 3, 2),
+        (KSpec(d=2, gaps=(1, 2)), 4, 2),
+        (from_finite_set([1, 2]), 1, 3),
+        (KSpec(d=3, gaps=(1,)), 3, 3),
+    ],
+    ids=lambda x: str(x) if isinstance(x, KSpec) else None,
+)
+def test_verify_report_equals_the_public_samplers_report(k, m, d):
+    # one chain pass serves every check with the bits of separate evaluations
+    rng = np.random.default_rng(100 * m + d)
+    lam = disk_point(rng, 0.7)
+
+    def chain(n):
+        return tuple((disk_point(rng, 0.9), disk_point(rng, 0.9)) for _ in range(n))
+
+    chains = [SchurFunction(steps=chain(n), tail=disk_point(rng, 0.9)) for n in (0, 1, 2, 4, 8, 16)]
+    chains.append(SchurFunction(steps=chain(3), tail=np.exp(0.7j)))  # a tail on the circle
+    for h in chains:
+        f = Interpolant(lambda_=lam, m=m, d=d, h=h)
+        nodes = tuple(disk_point(rng, 0.9) for _ in range(len(h.steps) or 1))
+        problem = Problem(nodes=nodes, targets=tuple(f(np.array(nodes)).tolist()))
+        report = verify_interpolant(f, problem, k)
+        assert report.passed, (len(h.steps), report)
+        assert report == _reference_report(f, problem, k), len(h.steps)
+        if len(h.steps) == 4:
+            steps = list(h.steps)
+            steps[1] = (steps[1][0], 1.5)  # a tampered chain value
+            tampered = Interpolant(lambda_=lam, m=m, d=d, h=SchurFunction(steps=tuple(steps), tail=h.tail))
+            report = verify_interpolant(tampered, problem, k)
+            assert not report.passed
+            assert report == _reference_report(tampered, problem, k)
+
+
+def test_numeric_strings_evaluate_as_the_numbers_they_parse_to():
+    h = SchurFunction(steps=(("0.1", "0.2"),), tail="0")
+    assert h(0.5) == SchurFunction(steps=((0.1, 0.2),), tail=0)(0.5)
+    f = Interpolant(lambda_="0.1", m=1, d=1, h=h)
+    assert f(0.5) == Interpolant(lambda_=0.1, m=1, d=1, h=h)(0.5)
 
 
 @pytest.mark.parametrize("k", ALGEBRA_FIXTURES, ids=str)

@@ -230,6 +230,7 @@ def test_psd_check_examples():
         lambda: Problem(nodes=([0.1],), targets=(0,)),
         lambda: SchurFunction(steps=((0.1, "x"),), tail=0),
         lambda: pickmat.mobius(0.1, [[0.1], [0.2, 0.3]]),
+        lambda: factorization_residual([0.4], [0.5], "x", 2, 1),
     ],
     ids=[
         "ragged matrix",
@@ -240,6 +241,7 @@ def test_psd_check_examples():
         "nested nodes",
         "non-numeric Schur value",
         "ragged Mobius argument",
+        "non-numeric factorization lambda",
     ],
 )
 def test_malformed_input_raises_invalid_problem(call):
