@@ -1,11 +1,12 @@
 """Evaluable analytic machinery on the unit disk.
 
 Provides a Schur-Nevanlinna recursion solving the classical Nevanlinna-Pick
-problem, Taylor coefficient extraction by sampling the Cauchy integral on a
-circle (a plain tuple of coefficients), and sup-norm estimation on circles;
-both call f once on the array of circle points, and f must return an array
-of that shape.  The Möbius disk automorphisms, the classical Pick matrix
-and the PSD verdict the solver starts from live in ``pickmat``.
+problem, Taylor coefficient extraction from samples on a circle by the
+discretized Cauchy integral (a plain tuple of coefficients), and sup-norm
+estimation from samples.  The samplers read samples only; the caller
+decides where they are taken.  The Möbius disk automorphisms, the
+classical Pick matrix and the PSD verdict the solver starts from live in
+``pickmat``.
 
 The solver returns a ``SchurFunction``: a chain of fractional-linear
 reduction records plus a terminal constant, evaluated by calling it.  Each
@@ -183,62 +184,58 @@ def np_solve(nodes, values, tol: float = CLASSICAL_PSD_TOL) -> SchurFunction:
     return SchurFunction(steps=tuple(steps), tail=tail, low_confidence=low_confidence)
 
 
-def taylor_coeffs(f, count: int, radius: float = 0.5, samples: int = 1024) -> tuple[complex, ...]:
-    """Taylor coefficients (c_0, ..., c_count) of f at 0 via the discretized Cauchy formula.
+def taylor_coeffs(values, count: int, radius: float) -> tuple[complex, ...]:
+    """Taylor coefficients (c_0, ..., c_count) at 0 of the f sampled as ``values``.
 
-    c_j = (1/N) sum_t f(r e^{2 pi i t / N}) r^{-j} e^{-2 pi i j t / N}.
+    ``values`` holds f at the N equispaced points ``_circle(radius, N)``,
+    r e^{2 pi i t / N} for t = 0 .. N - 1, and the discretized Cauchy formula
+    gives c_j = (1/N) sum_t values[t] r^{-j} e^{-2 pi i j t / N}.
 
-    Requires 0 < radius < 1 and ``samples`` a power of two with
-    samples >= 4 * count.  For f bounded by 1 the aliasing error in c_j is
-    at most r^N / (1 - r^N), negligible at the defaults; the practical
-    accuracy limit is roundoff amplified by the r^(-j) factor, so very high
-    indices need a radius closer to 1.  f is called once, on the array of
-    circle points, and must return an array of that shape.
+    Requires 0 < radius < 1 and a 1-d ``values`` whose length N is a power
+    of two with N >= 4 * count.  For f bounded by 1 the aliasing error in
+    c_j is at most r^N / (1 - r^N); the practical accuracy limit is roundoff
+    amplified by the r^(-j) factor, so very high indices need a radius
+    closer to 1 (Bornemann, Found. Comput. Math. 2011).  Values of another
+    shape raise ``InvalidConfig``, non-numeric ones ``InvalidProblem``.
     """
+    vals = _complex_array(values, "samples")
+    samples = len(vals) if vals.ndim == 1 else 0
     if count < 0:
         raise InvalidConfig(f"coefficient count must be nonnegative, got {count}")
     if not 0.0 < radius < 1.0:
         raise InvalidConfig(f"sampling radius must lie in (0, 1), got {radius}")
     if samples < max(1, 4 * count) or samples & (samples - 1):
         raise InvalidConfig(
-            f"samples must be a power of two with samples >= 4 * count, got {samples}"
+            f"samples must be a 1-d array whose length is a power of two at least 4 * count, got shape {vals.shape}"
         )
-    vals = _sample(f, _circle(radius, samples))
     spectrum = np.fft.fft(vals)[: count + 1]
     coeffs = spectrum / (samples * radius ** np.arange(count + 1))
     return tuple(complex(c) for c in coeffs)
 
 
-def sup_norm_estimate(f, radius: float = 0.999, samples: int = 4096) -> float:
-    """Max |f| over ``samples`` equispaced points on the circle |z| = radius.
+def sup_norm_estimate(values) -> float:
+    """Max |values| over a nonempty 1-d array of samples of f.
 
-    By the maximum principle this grows with the radius for analytic f, so
-    radius 0.999 with 4096 samples is the standard norm check.  f is called
-    once, on the array of circle points, and must return an array of that shape.
+    On ``_circle(radius, N)`` this grows with the radius for analytic f, by
+    the maximum principle, so 4096 samples at radius 0.999 is the standard
+    norm check.  Samples of another shape raise ``InvalidConfig``,
+    non-numeric ones ``InvalidProblem``.
     """
-    if not 0.0 < radius < 1.0:
-        raise InvalidConfig(f"sampling radius must lie in (0, 1), got {radius}")
-    if samples < 1:
-        raise InvalidConfig(f"need at least one sample, got {samples}")
-    return float(np.max(np.abs(_sample(f, _circle(radius, samples)))))
+    vals = _complex_array(values, "samples")
+    if vals.ndim != 1 or not len(vals):
+        raise InvalidConfig(f"need a nonempty 1-d array of samples, got shape {vals.shape}")
+    return float(np.max(np.abs(vals)))
 
 
 @functools.lru_cache(maxsize=8)
 def _circle(radius: float, samples: int) -> np.ndarray:
     """The points radius * exp(2 pi i t / samples), t = 0 .. samples - 1, as a read-only array.
 
-    Cached: equal arguments return the same array, which is why it cannot
-    be written to.  Callers validate the arguments first.
+    The points the samplers' values are taken on.  Cached: equal arguments
+    return the same array, which is why it cannot be written to.
     """
     t = np.arange(samples)
     ring = radius * np.exp(2j * np.pi * t / samples)
     ring.flags.writeable = False
     return ring
 
-
-def _sample(f, points: np.ndarray) -> np.ndarray:
-    """f called once on the whole array of points; a result of another shape raises ``ValueError``."""
-    vals = np.asarray(f(points), dtype=complex)
-    if vals.shape != points.shape:
-        raise ValueError(f"f must map an array of shape {points.shape} to one of that shape, got {vals.shape}")
-    return vals

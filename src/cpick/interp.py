@@ -29,7 +29,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import InvalidProblem, NotFound, NotPrefixK, NumericalError, Unsupported
+from .errors import DomainError, Infeasible, InvalidProblem, NotFound, NotPrefixK, NumericalError, Unsupported
 from .kset import KSpec, contains, is_algebra, smallest_missing, _conductor, _integer
 from .analytic import SchurFunction, _circle, np_solve, sup_norm_estimate, taylor_coeffs
 from .bruno import compose_derivative
@@ -51,13 +51,8 @@ __all__ = [
 
 Mode = Literal["iff", "sufficient", "necessary"]
 
-# The derivative cross-check compares orders 1 .. 6, sampling h at N points on
-# the radius-1/2 circle for h's coefficients up to index (6 - m*d) // d <= 5,
-# so taylor_coeffs needs N >= 4 * 5.  For |h| <= 1 the aliasing error in each
-# coefficient is at most 2^-N / (1 - 2^-N), below 2^-52 at N = 64 (Bornemann,
-# Found. Comput. Math. 2011); more samples only cost evaluations.
+# Orders 1 .. 6 of the derivative cross-check.
 CROSSCHECK_ORDER = 6
-CROSSCHECK_SAMPLES = 64
 
 # Sampling radius of verify_interpolant's membership coefficients; its
 # docstring gives the error bounds that set it.
@@ -145,9 +140,10 @@ class VerificationReport:
     6, between f's Taylor coefficients from circle sampling and those from
     the composition-derivative expansion; it is diagnostic and does not gate
     ``passed``.  The expansion takes h's coefficients from circle sampling
-    too (64 points at radius 0.5); what it checks independently of the
-    sampling is the composition: the automorphism's derivatives, read off
-    lam exactly, and their Faà di Bruno sum with the inner factor's.
+    too, from h's samples on the membership circle; what it checks
+    independently of the sampling is the composition: the automorphism's
+    derivatives, read off lam exactly, and their Faà di Bruno sum with the
+    inner factor's.
     """
 
     residuals: tuple[float, ...]
@@ -231,9 +227,10 @@ def construct(
     targets transform to h-data v_i = phi(lam, w_i) / z_i^(m*d) on the d-th
     powers of the nodes by ``pickmat.h_data`` (a node at the origin is
     absorbed by the pinned lam and dropped), and the classical solver
-    produces h.  A ``NotFound`` from
-    iff mode with a pinned parameter is a certified nonexistence result;
-    from sufficient mode it is inconclusive.
+    produces h.  Where a node power underflows, or the solver refuses the
+    h-data at the search's lam, the uncertified ``NotFound`` carries the
+    reason.  A ``NotFound`` from iff mode with a pinned parameter is a
+    certified nonexistence result; from sufficient mode it is inconclusive.
     """
     if mode not in ("iff", "sufficient"):
         raise ValueError(f"construction mode must be 'iff' or 'sufficient', got {mode!r}")
@@ -249,9 +246,9 @@ def construct(
         )
     try:
         h_nodes, h_values = h_data(problem, result.lambda_, E, d)
-    except NumericalError as exc:  # a node power underflowed, leaving no h-target
+        h = np_solve(h_nodes, h_values, tol=max(cfg.tol, CLASSICAL_PSD_TOL))
+    except (NumericalError, Infeasible, DomainError) as exc:  # no h-data at lam, or np_solve refused them
         raise NotFound(str(exc), result=result) from exc
-    h = np_solve(h_nodes, h_values, tol=max(cfg.tol, CLASSICAL_PSD_TOL))
     return Interpolant(lambda_=result.lambda_, m=m, d=d, h=h)
 
 
@@ -291,11 +288,10 @@ def _crosscheck_derivatives(f: Interpolant, coeffs, h_coeffs) -> float:
     u_derivs = [0j] * (CROSSCHECK_ORDER + 1)
     for t, c in enumerate(h_coeffs):
         j = E + t * f.d
-        if j <= CROSSCHECK_ORDER:
-            u_derivs[j] = math.factorial(j) * c
+        u_derivs[j] = math.factorial(j) * c
     lam = f.lambda_
     g_derivs = [lam] + [
-        math.factorial(i) * (-np.conj(lam)) ** (i - 1) * (1.0 - abs(lam) ** 2)
+        math.factorial(i) * (-lam.conjugate()) ** (i - 1) * (1.0 - abs(lam) ** 2)
         for i in range(1, CROSSCHECK_ORDER + 1)
     ]
     worst = 0.0
@@ -316,15 +312,14 @@ def verify_interpolant(f: Interpolant, problem: Problem, k: KSpec) -> Verificati
     and the samples' roundoff is amplified by 0.9^-j, at most 0.9^-64,
     about 850; at radius 0.5 it would be 2^64, enough to reject true
     interpolants (Bornemann, Found. Comput. Math. 2011).  The derivative
-    cross-check samples h at ``CROSSCHECK_SAMPLES`` = 64 points at radius
-    0.5, where the aliasing error r^N / (1 - r^N) = 2^-64 / (1 - 2^-64) is
-    below machine epsilon; it needs them only when m*d <= 6.
+    cross-check reads h's coefficients off the same samples: h(z^d) on that
+    circle carries h's t-th coefficient at index t*d, at most 6, where the
+    roundoff is amplified by at most 0.9^-6, about 1.9.
 
     All of these come from one pass of h's Schur chain, whatever the number
     of nodes: the two circles and the nodes are raised to the power d
-    together, the cross-check's circle is appended, and h is evaluated once
-    on that array.  f is formed from it once, and each sampler is handed a
-    callable that returns its slice.  Every value has the bits a separate
+    together, h is evaluated once on that array, and f is formed from it
+    once; the samplers read its slices.  Every value has the bits a separate
     evaluation of f or h at those points gives, so the report is the one
     three evaluations of f and one of h would give.  Every check uses the
     default ``Tolerances``, whatever ``f.h.low_confidence`` says, so an
@@ -334,22 +329,21 @@ def verify_interpolant(f: Interpolant, problem: Problem, k: KSpec) -> Verificati
     E = f.m * f.d
     points = np.concatenate((_circle(0.999, 4096), _circle(TAYLOR_RADIUS, 1024), np.array(problem.nodes)))
     w = _power(points, f.d)
-    crosscheck = E <= CROSSCHECK_ORDER
-    hw = f.h(np.concatenate((w, _circle(0.5, CROSSCHECK_SAMPLES))) if crosscheck else w)
-    sup_vals, taylor_vals, node_vals = np.split(f._outer(w, hw[: len(w)]), (4096, 4096 + 1024))
+    hw = f.h(w)
+    sup_vals, taylor_vals, node_vals = np.split(f._outer(w, hw), (4096, 4096 + 1024))
 
     residuals = tuple(np.abs(node_vals - np.array(problem.targets)).tolist())
-    sup = sup_norm_estimate(lambda _: sup_vals, 0.999, 4096)
+    sup = sup_norm_estimate(sup_vals)
     bound = _taylor_bound(k)
-    coeffs = taylor_coeffs(lambda _: taylor_vals, bound, TAYLOR_RADIUS, 1024)
+    coeffs = taylor_coeffs(taylor_vals, bound, TAYLOR_RADIUS)
     violations = tuple(
         (j, abs(coeffs[j]))
         for j in range(1, bound + 1)
         if contains(k, j) and not abs(coeffs[j]) <= tol.taylor  # a NaN coefficient violates too
     )
     h_coeffs = ()
-    if crosscheck:
-        h_coeffs = taylor_coeffs(lambda _: hw[len(w) :], (CROSSCHECK_ORDER - E) // f.d, 0.5, CROSSCHECK_SAMPLES)
+    if E <= CROSSCHECK_ORDER:
+        h_coeffs = taylor_coeffs(hw[4096 : 4096 + 1024], CROSSCHECK_ORDER - E, TAYLOR_RADIUS)[:: f.d]
     cross = _crosscheck_derivatives(f, coeffs, h_coeffs)
     passed = (
         all(r <= tol.interp for r in residuals)

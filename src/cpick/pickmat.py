@@ -108,13 +108,13 @@ def _complex_array(x, label: str, ndim: int | None = None) -> np.ndarray:
     return a
 
 
-def _check_open_disk(z, label: str):
-    """A scalar as a Python complex, a sequence as a complex array."""
-    a = _complex_array(z, label)
+def _check_open_disk(z, label: str, ndim: int | None = None) -> np.ndarray:
+    """z as a complex array inside the open disk, of dimension ``ndim`` if given (0 for a lam)."""
+    a = _complex_array(z, label, ndim)
     if not np.all(np.abs(a) < 1.0):  # written so that NaN fails
         worst = np.max(np.abs(a))
         raise DomainError(f"{label} must lie strictly inside the unit disk, got modulus {worst:.6g}")
-    return complex(a) if a.ndim == 0 else a
+    return a
 
 
 @dataclass(frozen=True)
@@ -152,10 +152,10 @@ def mobius(lam: complex, z):
     """Elementary disk automorphism (z - lam) / (1 - conj(lam) z).
 
     Vanishes at lam, maps the open disk onto itself and the circle onto the
-    circle; ``mobius(-lam, .)`` is its inverse.  Accepts a scalar or an
-    ndarray for z (closed disk).
+    circle; ``mobius(-lam, .)`` is its inverse.  Takes a number lam (open
+    disk) and a scalar or an ndarray z (closed disk).
     """
-    lam = _check_open_disk(lam, "Möbius parameter")
+    lam = complex(_check_open_disk(lam, "Möbius parameter", 0))
     out = _mobius(lam, _check_closed_disk(z, "Möbius argument"))
     return complex(out) if out.ndim == 0 else out
 
@@ -316,10 +316,10 @@ def constrained_pick(nodes, targets, lam: complex, E: int, d: int) -> np.ndarray
     """Constrained Pick matrix with numerator exponent E and scale d at lam.
 
     The data are checked as a ``Problem`` (1 to ``MAX_POINTS`` nodes), the rest
-    as in ``PickBuilder``; lam must lie in the open disk.
+    as in ``PickBuilder``; lam must be a number in the open disk.
     """
     pick = PickBuilder(Problem(nodes, targets), E, d)
-    return pick.entries(_check_open_disk(lam, "Möbius parameter"))
+    return pick.entries(_check_open_disk(lam, "Möbius parameter", 0))
 
 
 def psd_check(m, tol: float = CLASSICAL_PSD_TOL) -> PsdVerdict:
@@ -356,16 +356,16 @@ def factorization_residual(nodes, h_values, lam: complex, E: int, d: int) -> flo
     h-values on the d-th powers of the nodes; the identity is exact, so the
     residual measures floating-point noise only.
     """
-    z = _check_open_disk(nodes, "nodes")
+    z = _check_open_disk(nodes, "nodes", 1)
     if np.any(z == 0):
         raise InvalidProblem("factorization requires nonzero nodes (D must be invertible)")
     h = _complex_array(h_values, "h-values", 1)
     if len(h) != len(z):
         raise InvalidProblem(f"{len(z)} nodes vs {len(h)} h-values")
     _check_closed_disk(h, "h-values")
-    lam = complex(_check_open_disk(lam, "Möbius parameter"))
+    lam = complex(_check_open_disk(lam, "Möbius parameter", 0))
     ze = z**E
-    targets = np.asarray(mobius(-lam, ze * h), dtype=complex).reshape(len(z))
+    targets = _mobius(-lam, ze * h)
     m1 = constrained_pick(z, targets, lam, E, d)
     p = classical_pick(z**d, h)
     dd = np.diag(ze)

@@ -69,7 +69,7 @@ def test_np_solve_two_point_linear():
     assert f(0.8) == pytest.approx(0.4, abs=1e-14)
     assert f(0.5) == pytest.approx(0.25, abs=1e-14)
     assert f(0) == 0
-    coeffs = taylor_coeffs(f, 4)
+    coeffs = taylor_coeffs(f(_circle(0.5, 1024)), 4, 0.5)
     assert coeffs[1] == pytest.approx(0.5, abs=1e-12)
     assert max(abs(coeffs[j]) for j in (0, 2, 3, 4)) <= 1e-12
 
@@ -128,7 +128,7 @@ def test_np_solve_nodes_reproduce_and_schur_bound():
         f = np_solve(nodes, values)
         for z, v in zip(nodes, values):
             assert abs(f(z) - v) <= 1e-8
-        assert sup_norm_estimate(f, 0.999, 4096) <= 1 + 1e-9
+        assert sup_norm_estimate(f(_circle(0.999, 4096))) <= 1 + 1e-9
 
 
 def test_np_solve_on_blaschke_samples():
@@ -154,7 +154,7 @@ def test_np_solve_on_blaschke_samples():
         f = np_solve(nodes, values)
         for z, v in zip(nodes, values):
             assert abs(f(z) - v) <= 1e-8
-        assert sup_norm_estimate(f, 0.999, 4096) <= 1 + 1e-9
+        assert sup_norm_estimate(f(_circle(0.999, 4096))) <= 1 + 1e-9
         checked += 1
 
 
@@ -238,7 +238,7 @@ def test_buffered_chain_has_the_bits_of_the_out_of_place_loop(n):
 
 
 def test_taylor_monomial():
-    coeffs = taylor_coeffs(lambda z: z**2, 4, 0.5, 256)
+    coeffs = taylor_coeffs(_circle(0.5, 256) ** 2, 4, 0.5)
     expected = [0, 0, 1, 0, 0]
     for c, e in zip(coeffs, expected):
         assert abs(c - e) <= 1e-10
@@ -246,7 +246,7 @@ def test_taylor_monomial():
 
 def test_taylor_constant():
     lam = 0.3 - 0.6j
-    coeffs = taylor_coeffs(lambda z: np.full_like(np.asarray(z, complex), lam), 6)
+    coeffs = taylor_coeffs(np.full(1024, lam), 6, 0.5)
     assert abs(coeffs[0] - lam) <= 1e-14
     assert max(abs(c) for c in coeffs[1:]) <= 1e-12
 
@@ -254,8 +254,7 @@ def test_taylor_constant():
 def test_taylor_mobius_of_squared():
     # series of (u + 0.3)/(1 + 0.3 u) at u = 0.5 z^2, truncated by hand:
     # c0 = 0.3, c2 = 0.5 * (1 - 0.09) = 0.455
-    f = lambda z: mobius(-0.3, 0.5 * np.asarray(z, complex) ** 2)
-    coeffs = taylor_coeffs(f, 4)
+    coeffs = taylor_coeffs(mobius(-0.3, 0.5 * _circle(0.5, 1024) ** 2), 4, 0.5)
     assert abs(coeffs[0] - 0.3) <= 1e-9
     assert abs(coeffs[1]) <= 1e-9
     assert abs(coeffs[2] - 0.455) <= 1e-9
@@ -265,57 +264,52 @@ def test_taylor_shift_consistency():
     rng = np.random.default_rng(41)
     factors = [disk_point(rng, 0.6) for _ in range(2)]
     f = blaschke_product(factors)
-    g = lambda z: np.asarray(z, complex) * f(z)
-    cf = taylor_coeffs(f, 8)
-    cg = taylor_coeffs(g, 8)
+    ring = _circle(0.5, 1024)
+    cf = taylor_coeffs(f(ring), 8, 0.5)
+    cg = taylor_coeffs(ring * f(ring), 8, 0.5)
     for j in range(1, 9):
         assert abs(cg[j] - cf[j - 1]) <= 1e-10
 
 
 def test_taylor_config_validation():
+    ring = _circle(0.5, 128)
     with pytest.raises(InvalidConfig):
-        taylor_coeffs(lambda z: z, 4, radius=1.0)
+        taylor_coeffs(ring, 4, 1.0)
     with pytest.raises(InvalidConfig):
-        taylor_coeffs(lambda z: z, 4, samples=100)  # not a power of two
+        taylor_coeffs(ring, -1, 0.5)
     with pytest.raises(InvalidConfig):
-        taylor_coeffs(lambda z: z, 64, samples=128)  # fewer than 4*count
+        taylor_coeffs(ring, 64, 0.5)  # fewer than 4 * count samples
 
 
 def test_sup_norm_examples():
-    assert sup_norm_estimate(lambda z: z, 0.999, 4096) == pytest.approx(0.999, abs=1e-12)
-    assert sup_norm_estimate(lambda z: np.full_like(np.asarray(z, complex), 0.7)) == pytest.approx(0.7)
-    with pytest.raises(InvalidConfig):
-        sup_norm_estimate(lambda z: z, radius=1.2)
+    assert sup_norm_estimate(_circle(0.999, 4096)) == pytest.approx(0.999, abs=1e-12)
+    assert sup_norm_estimate(np.full(8, 0.7)) == pytest.approx(0.7)
+    assert sup_norm_estimate([0.1, -0.5j, 0.3]) == 0.5
 
 
-def test_samplers_call_f_once_on_the_whole_circle():
-    shapes = []
-
-    def cube(z):
-        shapes.append(np.shape(z))
-        return z**3
-
-    assert abs(taylor_coeffs(cube, 4, 0.5, 64)[3] - 1) <= 1e-10
-    assert sup_norm_estimate(cube, 0.9, 256) == pytest.approx(0.729)
-    assert shapes == [(64,), (256,)]
+@pytest.mark.parametrize(
+    "samples",
+    [np.zeros(100), np.zeros(0), np.zeros((8, 8)), 0.5],
+    ids=["not a power of two", "empty", "2-d", "scalar"],
+)
+def test_taylor_coeffs_refuses_samples_of_another_shape(samples):
+    with pytest.raises(InvalidConfig, match="power of two"):
+        taylor_coeffs(samples, 1, 0.5)
 
 
-def test_samplers_refuse_callables_that_do_not_map_arrays():
-    shapes = []
+@pytest.mark.parametrize("samples", [np.zeros(0), np.zeros((8, 8)), 0.5], ids=["empty", "2-d", "scalar"])
+def test_sup_norm_refuses_samples_of_another_shape(samples):
+    with pytest.raises(InvalidConfig, match="1-d"):
+        sup_norm_estimate(samples)
 
-    def scalar_only(z):
-        shapes.append(np.shape(z))
-        return complex(z) ** 3
 
-    with pytest.raises(TypeError):
-        taylor_coeffs(scalar_only, 4, 0.5, 64)
-    with pytest.raises(TypeError):
-        sup_norm_estimate(scalar_only, 0.9, 256)
-    assert shapes == [(64,), (256,)]  # raised at once, never looped over the points
-    with pytest.raises(ValueError, match="shape"):
-        taylor_coeffs(lambda z: 0.5, 4)
-    with pytest.raises(ValueError, match="shape"):
-        sup_norm_estimate(lambda z: z[:-1])
+def test_samplers_refuse_what_is_not_an_array_of_numbers():
+    # a callable is not an array of samples
+    for samples in (lambda z: z, ["a"] * 8):
+        with pytest.raises(InvalidProblem, match="must be a rectangular array of numbers"):
+            taylor_coeffs(samples, 1, 0.5)
+        with pytest.raises(InvalidProblem, match="must be a rectangular array of numbers"):
+            sup_norm_estimate(samples)
 
 
 @pytest.mark.parametrize("radius,samples", [(0.999, 4096), (0.5, 1024), (0.9, 8)])

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cpick import KSpec, cli, roundtrip_generate, verify_interpolant
+from cpick import KSpec, cli, from_finite_set, roundtrip_generate, verify_interpolant
 from conftest import FIXTURE_K_JSON
 
 PROBLEM_FEASIBLE = {
@@ -288,6 +288,24 @@ def test_interpolate_underflowing_node_power_exits_1(run_cli, write_json, tmp_pa
     doc = json.loads(out)
     assert doc["feasible"] is False and doc["certified"] is False
     assert doc["reason"] == "node (0.3+0j) to the power 701 underflows to zero"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("top,reason", [(8, "not positive semidefinite"), (16, "closed unit disk")])
+def test_interpolate_exits_1_when_the_solver_refuses_the_searched_lambda(run_cli, write_json, tmp_path, top, reason):
+    # valid input that np_solve refuses at the search's lam: no interpolant, not a parse error
+    problem, _ = roundtrip_generate(from_finite_set(range(1, top + 1)), 2, 13)
+    doc = {
+        "nodes": [[z.real, z.imag] for z in problem.nodes],
+        "targets": [[w.real, w.imag] for w in problem.targets],
+        "K": list(range(1, top + 1)),
+    }
+    out_path = tmp_path / "never.json"
+    code, out, err = run_cli("interpolate", write_json("r.json", doc), "--mode", "iff", "--out", str(out_path))
+    assert code == 1 and "Traceback" not in err, err
+    report = json.loads(out)
+    assert report["feasible"] is False and report["certified"] is False
+    assert reason in report["reason"]
     assert not out_path.exists()
 
 

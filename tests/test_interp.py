@@ -5,9 +5,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cpick import (
     DomainError,
+    Infeasible,
     Interpolant,
     InvalidProblem,
     KSpec,
@@ -34,6 +37,7 @@ from cpick import (
     verify_interpolant,
 )
 from cpick import interp, pickmat
+from cpick.analytic import _circle
 from cpick.kset import _conductor, complement_structure
 from conftest import disk_point, fixture_kspecs
 
@@ -104,7 +108,7 @@ def test_construct_closed_form_fixture():
     report = verify_interpolant(f, p, K1)
     assert report.passed
     assert max(report.residuals) <= 1e-9
-    assert abs(taylor_coeffs(f, 4)[1]) <= 1e-10
+    assert abs(taylor_coeffs(f(_circle(0.5, 1024)), 4, 0.5)[1]) <= 1e-10
 
 
 def test_construct_single_node_constant():
@@ -114,7 +118,7 @@ def test_construct_single_node_constant():
         assert f(0.2) == pytest.approx(0.7, abs=1e-12)
         report = verify_interpolant(f, p, k)
         assert report.passed
-        coeffs = taylor_coeffs(f, 12)
+        coeffs = taylor_coeffs(f(_circle(0.5, 1024)), 12, 0.5)
         assert max(abs(c) for c in coeffs[1:]) <= 1e-12
 
 
@@ -149,10 +153,12 @@ def test_construct_projects_a_target_just_outside_the_disk(monkeypatch):
     assert f.h.steps == () and abs(f.h.tail) == pytest.approx(1.0, abs=1e-15)
     report = verify_interpolant(f, p, K1)
     assert report.passed and max(report.residuals) <= 1e-7
-    # without the projection the solver refuses the target
+    # without the projection the solver refuses the target, and construct
+    # says so with an uncertified NotFound
     monkeypatch.setattr(pickmat, "TARGET_CLAMP_SLACK", 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(NotFound, match="closed unit disk") as exc_info:
         construct(p, K1, "iff")
+    assert isinstance(exc_info.value.__cause__, DomainError) and not exc_info.value.certified
 
 
 def test_construct_certified_notfound():
@@ -178,6 +184,34 @@ def test_construct_raises_notfound_when_a_node_power_underflows():
     err = exc_info.value
     assert not err.certified
     assert err.result.feasible and not err.result.pinned
+
+
+@pytest.mark.parametrize("top,refusal", [(8, Infeasible), (16, DomainError)])
+def test_construct_raises_notfound_when_the_solver_refuses_the_searched_lambda(top, refusal):
+    # the search's lam clears its margin on M, but np_solve refuses the h-data
+    # there: on K = {1..8} P is not PSD, on K = {1..16} an h-target has
+    # modulus 3.9e10
+    k = from_finite_set(range(1, top + 1))
+    problem, _ = roundtrip_generate(k, 2, 13)
+    with pytest.raises(NotFound) as exc_info:
+        construct(problem, k, "iff")
+    err = exc_info.value
+    assert isinstance(err.__cause__, refusal)
+    assert not err.certified and err.result.feasible
+
+
+# deep prefix K and large d, where np_solve can refuse the search's lam
+_CONTRACT_K = [from_finite_set(range(1, 9)), from_finite_set(range(1, 17)), KSpec(d=5, gaps=(1,)), KSpec(d=8, gaps=(1,))]
+
+
+@given(k=st.sampled_from(_CONTRACT_K), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_construct_returns_a_verified_interpolant_or_raises_notfound(k, n, seed):
+    problem, _ = roundtrip_generate(k, n, seed)
+    try:
+        f = construct(problem, k, "sufficient")
+    except NotFound:
+        return
+    assert verify_interpolant(f, problem, k).passed
 
 
 def test_verify_flags_wrong_class():
@@ -243,30 +277,29 @@ def test_verify_evaluates_the_chain_once(monkeypatch, n, k):
 
     monkeypatch.setattr(SchurFunction, "__call__", counted)
     assert verify_interpolant(f, problem, k).passed
-    # the sup-norm circle, the Taylor circle and the nodes, then the
-    # cross-check's circle where m*d <= 6
-    cross = interp.CROSSCHECK_SAMPLES if f.m * f.d <= interp.CROSSCHECK_ORDER else 0
-    assert shapes == [(4096 + 1024 + n + cross,)]
+    # the sup-norm circle, the Taylor circle and the nodes, whatever m*d is
+    assert shapes == [(4096 + 1024 + n,)]
 
 
 def _reference_report(f, problem, k):
     """verify_interpolant's report, from separate evaluations through the public samplers."""
     tol = Tolerances()
     residuals = tuple(np.abs(f(np.array(problem.nodes)) - np.array(problem.targets)).tolist())
-    sup = sup_norm_estimate(f, 0.999, 4096)
+    sup = sup_norm_estimate(f(_circle(0.999, 4096)))
     bound = interp._taylor_bound(k)
-    coeffs = taylor_coeffs(f, bound, 0.9, 1024)
+    coeffs = taylor_coeffs(f(_circle(0.9, 1024)), bound, 0.9)
     violations = tuple(
         (j, abs(coeffs[j])) for j in range(1, bound + 1) if contains(k, j) and not abs(coeffs[j]) <= tol.taylor
     )
-    # the Faà di Bruno cross-check over orders 1 .. 6, from h's sampled coefficients
+    # the Faà di Bruno cross-check over orders 1 .. 6, from h's coefficients:
+    # h(z^d) on the Taylor circle carries h's t-th at index t*d
     E = f.m * f.d
     u_derivs = [0j] * 7
-    for t, c in enumerate(taylor_coeffs(f.h, (6 - E) // f.d, 0.5, 64) if E <= 6 else ()):
-        if E + t * f.d <= 6:
-            u_derivs[E + t * f.d] = math.factorial(E + t * f.d) * c
+    h_ring = f.h(interp._power(_circle(0.9, 1024), f.d))
+    for t, c in enumerate(taylor_coeffs(h_ring, 6 - E, 0.9)[:: f.d] if E <= 6 else ()):
+        u_derivs[E + t * f.d] = math.factorial(E + t * f.d) * c
     lam = f.lambda_
-    g_derivs = [lam] + [math.factorial(i) * (-np.conj(lam)) ** (i - 1) * (1.0 - abs(lam) ** 2) for i in range(1, 7)]
+    g_derivs = [lam] + [math.factorial(i) * (-lam.conjugate()) ** (i - 1) * (1.0 - abs(lam) ** 2) for i in range(1, 7)]
     cross = 0.0
     for order in range(1, 7):
         cross = max(cross, abs(compose_derivative(g_derivs, u_derivs, order) / math.factorial(order) - coeffs[order]))
@@ -380,7 +413,7 @@ def test_roundtrip_generator_refuses_nodes_it_cannot_separate():
 
 def test_roundtrip_membership_by_taylor():
     problem, f = roundtrip_generate(KD2, 2, 7)
-    coeffs = taylor_coeffs(f, 12)
+    coeffs = taylor_coeffs(f(_circle(0.5, 1024)), 12, 0.5)
     from cpick import contains
 
     for j in range(1, 13):
@@ -401,9 +434,9 @@ def test_verify_counts_a_nan_coefficient_as_a_violation(monkeypatch):
     import cpick.interp
     problem = Problem(nodes=(0, 0.5), targets=(0, 0.2))
     f = construct(problem, K1, "iff")
-    sampled = taylor_coeffs(f, 12, 0.5, 1024)
+    sampled = taylor_coeffs(f(_circle(0.5, 1024)), 12, 0.5)
     nan_at_1 = (sampled[0], complex("nan")) + sampled[2:]
-    monkeypatch.setattr(cpick.interp, "taylor_coeffs", lambda *args: nan_at_1)
+    monkeypatch.setattr(cpick.interp, "taylor_coeffs", lambda values, count, radius: nan_at_1[: count + 1])
     report = verify_interpolant(f, problem, K1)
     assert [j for j, _ in report.taylor_violations] == [1]
     assert not report.passed

@@ -231,6 +231,9 @@ def test_psd_check_examples():
         lambda: SchurFunction(steps=((0.1, "x"),), tail=0),
         lambda: pickmat.mobius(0.1, [[0.1], [0.2, 0.3]]),
         lambda: factorization_residual([0.4], [0.5], "x", 2, 1),
+        lambda: constrained_pick([0.1, 0.5j], [0, 0.2], [0.2], 2, 1),
+        lambda: pickmat.mobius([0.2], 0.5),
+        lambda: factorization_residual([0.4], [0.5], [0.2], 2, 1),
     ],
     ids=[
         "ragged matrix",
@@ -242,6 +245,9 @@ def test_psd_check_examples():
         "non-numeric Schur value",
         "ragged Mobius argument",
         "non-numeric factorization lambda",
+        "array constrained-Pick lambda",
+        "array Mobius parameter",
+        "array factorization lambda",
     ],
 )
 def test_malformed_input_raises_invalid_problem(call):
