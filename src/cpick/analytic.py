@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, InvalidConfig, InvalidProblem
+from .kset import _integer
 from .pickmat import (
     BOUNDARY_TOL,
     CLASSICAL_PSD_TOL,
@@ -196,10 +197,15 @@ def taylor_coeffs(values, count: int, radius: float) -> tuple[complex, ...]:
     c_j is at most r^N / (1 - r^N); the practical accuracy limit is roundoff
     amplified by the r^(-j) factor, so very high indices need a radius
     closer to 1 (Bornemann, Found. Comput. Math. 2011).  Values of another
-    shape raise ``InvalidConfig``, non-numeric ones ``InvalidProblem``.
+    shape, or a count that ``kset._integer`` does not read as an integer,
+    raise ``InvalidConfig``; non-numeric values raise ``InvalidProblem``.
     """
     vals = _complex_array(values, "samples")
     samples = len(vals) if vals.ndim == 1 else 0
+    try:
+        count = _integer(count)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"coefficient count must be an integer, got {count!r}") from exc
     if count < 0:
         raise InvalidConfig(f"coefficient count must be nonnegative, got {count}")
     if not 0.0 < radius < 1.0:

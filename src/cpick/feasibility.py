@@ -4,17 +4,12 @@ Feasibility of a constrained interpolation problem is an existential
 statement over a disk parameter lam.  When some node sits at the origin the
 parameter is pinned exactly (any interpolant satisfies f(0) = target), so a
 single evaluation settles the question up to the PSD tolerance.  Otherwise
-the feasible region has no known description and the search is heuristic:
-a coarse polar grid followed by a derivative-free simplex refinement of the
-smallest eigenvalue.  The criterion asks for some PSD parameter, not the
-best one, so the search stops at the first point it checks (the best grid
-point, or the best point of a simplex iteration) where the constrained
-matrix M or the classical matrix P that ``np_solve`` will judge clears
-``pickmat.LOW_CONFIDENCE_EIG``.  M = D P D* with D = diag(z_i^E) shrinks M
-by |z_i|^(2E), so P can clear the margin where M does not; P is judged
-only where M is PSD but inside the margin.  Only a search that clears
-neither margin maximises to the simplex's stop.  A positive answer carries
-a verifiable witness; a negative answer is evidence only, except in the
+the feasible region has no known description and the search is heuristic.
+``_maximize``, a coarse polar grid followed by a derivative-free simplex,
+climbs the smallest eigenvalue; it knows nothing of Pick matrices, and
+``find_lambda`` tells it which point is good enough.  The criterion asks
+for some PSD parameter, not the best one.  A positive answer carries a
+verifiable witness; a negative answer is evidence only, except in the
 pinned case.
 
 A search builds one ``pickmat.PickBuilder`` and scores every point, grid
@@ -128,7 +123,8 @@ class FeasibilityResult:
     negative can be certified, and only for a necessary criterion.
     ``lambda_`` is present exactly when ``feasible``.  A non-pinned search
     stops at the first point where M clears ``LOW_CONFIDENCE_EIG``, or where
-    M is PSD and the classical P of ``pickmat.h_data`` clears it, so its
+    M is PSD and the classical P of ``pickmat.h_data``, the matrix
+    ``np_solve`` judges in ``construct``, clears it, so its
     ``best_min_eigenvalue`` is not the maximum: it is at or above the margin
     after the first stop, and can lie in [0, LOW_CONFIDENCE_EIG) after the
     second.  A search that clears neither margin reports the largest value
@@ -170,61 +166,28 @@ def _clamp(x: float, y: float) -> tuple[float, float]:
     return (x * (LAMBDA_CLAMP / r), y * (LAMBDA_CLAMP / r)) if r > LAMBDA_CLAMP else (x, y)
 
 
-def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = None) -> FeasibilityResult:
-    """Search the disk for a parameter with a PSD constrained Pick matrix.
+def _maximize(pick, cfg: SearchConfig, good_enough) -> tuple[complex, int]:
+    """The best parameter found for ``pick.min_eigenvalues``, and the evaluations it took.
 
-    A node at the origin pins the parameter to its target (at most one node
-    can be zero), collapsing the search to a single exact evaluation: one
-    ``psd_check`` of the block left after removing that node's row and
-    column, which vanish at the pinned parameter.
-    Otherwise all grid candidates radius x angle (exact duplicates dropped,
-    built once per config) are ranked by ``PickBuilder.min_eigenvalue_bounds``.
-    The three with the largest bounds are scored by the smallest-eigenvalue
-    objective, then every other point whose bound is not below the smallest
-    of those three values; a point skipped has value at most its bound, so
-    it cannot be among the three best, which are the full grid's.  They
-    start a reflection/contraction simplex capped at ``cfg.refine_iters``
-    iterations with trial points clamped to modulus 0.999; they keep their
+    All grid candidates radius x angle (exact duplicates dropped, built once
+    per config) are ranked by ``pick.min_eigenvalue_bounds``, an upper bound
+    on each value.  The three with the largest bounds are scored, then every
+    other point whose bound is not below the smallest of those three values;
+    a point skipped has value at most its bound, so it cannot be among the
+    three best, which are the full grid's.  They start a
+    reflection/contraction simplex capped at ``cfg.refine_iters`` iterations
+    with trial points clamped to modulus ``LAMBDA_CLAMP``; they keep their
     grid values, and only padding of a grid with fewer than three points,
     or a point the clamp moved, is scored again.  Each iteration scores its
-    reflection and contraction in one stacked eigensolve, and an expansion
-    alone, all through ``PickBuilder.min_eigenvalues``.  The search
-    returns once the best value clears ``LOW_CONFIDENCE_EIG``, or is at
-    least 0 while the classical Pick matrix of ``pickmat.h_data`` there,
-    the one ``construct`` hands to ``np_solve``, clears it (judged once per
-    point, skipped on underflow).  This is checked after the grid and at
-    the top of each simplex iteration, so ``np_solve`` neither refuses nor
-    flags the parameter found.  A search that clears neither runs the
-    simplex until its vertices lie within 1e-12 or the cap is reached.
-    ``evaluations`` counts every grid point, scored or ruled out by its
-    bound, and every simplex trial the simplex uses; a contraction scored
-    alongside an accepted reflection is not counted.
-    The verdict is ``psd_check`` of ``constrained_pick`` at the best point,
-    which judges the value the search reports.  Fully deterministic for a
-    fixed config; grid ties resolve to the smallest (radius index, angle
-    index).
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    pick = PickBuilder(problem, E, d)
-    if 0 in problem.nodes:
-        # At lam = w_0 the pinned node's row and column vanish exactly, so the
-        # matrix is PSD exactly when the block without them is; that block gives
-        # both the verdict and the value reported, in one eigensolve.
-        origin = problem.nodes.index(0)
-        lam = problem.targets[origin]
-        keep = [i for i in range(problem.n) if i != origin]
-        feasible, best = True, 0.0
-        if keep:
-            verdict = psd_check(pick.entries(lam).take(keep, 0).take(keep, 1), cfg.tol)
-            feasible, best = verdict.is_psd, verdict.min_eigenvalue
-        return FeasibilityResult(
-            feasible=feasible,
-            lambda_=lam if feasible else None,
-            best_min_eigenvalue=best,
-            evaluations=1,
-            pinned=True,
-        )
+    reflection and contraction in one stack, and an expansion alone.
 
+    ``good_enough(lam, value)`` is asked about the best point after the grid
+    and at the top of each simplex iteration, but only when that point has
+    changed since it was last asked; it changes only to a strictly larger
+    value.  The search returns at the first yes, and otherwise runs the
+    simplex until its vertices lie within 1e-12 or the cap is reached.
+    Grid ties resolve to the smallest (radius index, angle index).
+    """
     points = _grid_points(cfg.radii, cfg.angles)
     evaluations = len(points)
 
@@ -241,6 +204,7 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
     ranked = np.lexsort((scored, -values))[:3]
     top = scored[ranked]
     best_obj, best_lam = float(values[ranked[0]]), complex(points[top[0]])
+    changed = True  # whether good_enough has yet to see the best point
 
     def solve(*xys: tuple[float, float]) -> list[float]:
         """The objective at each vertex, in one stacked eigensolve; nothing is recorded."""
@@ -248,77 +212,102 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
 
     def record(xy: tuple[float, float], val: float) -> float:
         """Count a scored vertex the simplex uses, and keep it if it is the best so far."""
-        nonlocal best_obj, best_lam, evaluations
+        nonlocal best_obj, best_lam, evaluations, changed
         evaluations += 1
         if val > best_obj:
-            best_obj, best_lam = val, complex(*xy)
+            best_obj, best_lam, changed = val, complex(*xy), True
         return val
 
-    tested = None  # the last parameter whose classical matrix was judged
+    def done() -> bool:
+        """``good_enough`` at the best point, if it changed since the last call; else False."""
+        nonlocal changed
+        ask, changed = changed, False
+        return ask and good_enough(best_lam, best_obj)
 
-    def has_answer() -> bool:
-        """Whether M, or else the classical P that ``np_solve`` will judge, clears the margin at the best point."""
-        nonlocal tested
-        if best_obj >= LOW_CONFIDENCE_EIG:
-            return True
-        if not best_obj >= 0.0 or best_lam == tested:
-            return False
-        tested = best_lam
+    if done():
+        return best_lam, evaluations
+    simplex = [(float(points[i].real), float(points[i].imag)) for i in top]
+    x0, y0 = simplex[0]
+    # degenerate user grids: pad around the best point
+    simplex += [(x0 + 0.01, y0 + 0.0), (x0 + 0.0, y0 + 0.01)][len(simplex) - 1 :]
+    clamped = [_clamp(x, y) for x, y in simplex]
+    # the grid scored its own points; only padding, and a grid point the
+    # clamp moved (a user radius past LAMBDA_CLAMP), is scored here
+    fresh = [i for i in range(3) if i >= len(top) or clamped[i] != simplex[i]]
+    scores = dict(zip(fresh, solve(*(clamped[i] for i in fresh)))) if fresh else {}
+    simplex = clamped
+    vals = [record(simplex[i], scores[i]) if i in scores else float(values[ranked[i]]) for i in range(3)]
+    for _ in range(cfg.refine_iters):
+        if done():
+            break
+        order = sorted(range(3), key=lambda i: -vals[i])
+        simplex = [simplex[i] for i in order]
+        vals = [vals[i] for i in order]
+        (x0, y0), (x1, y1), (x2, y2) = simplex
+        # Only a search that good_enough never accepts gets here: negatives and
+        # data on the boundary of feasibility.  Loosening this stop (1e-9, say)
+        # fails acceptance criterion 5: its boundary instance then halts at
+        # M = -3.7e-19, before any point where P clears the margin, and
+        # np_solve refuses that lam.  It binds until ROADMAP item 1 lands.
+        if max(abs(x0 - x1), abs(y0 - y1), abs(x0 - x2), abs(y0 - y2)) < 1e-12:
+            break
+        cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        reflected = _clamp(cx + (cx - x2), cy + (cy - y2))
+        contracted = _clamp(cx + 0.5 * (x2 - cx), cy + 0.5 * (y2 - cy))
+        f_r, f_c = solve(reflected, contracted)
+        record(reflected, f_r)
+        if f_r > vals[0]:
+            expanded = _clamp(cx + 2.0 * (cx - x2), cy + 2.0 * (cy - y2))
+            f_e = record(expanded, *solve(expanded))
+            simplex[2], vals[2] = (expanded, f_e) if f_e > f_r else (reflected, f_r)
+        elif f_r > vals[1]:
+            simplex[2], vals[2] = reflected, f_r
+        elif record(contracted, f_c) > vals[2]:  # only now is the contraction used
+            simplex[2], vals[2] = contracted, f_c
+        else:
+            shrunk = [_clamp(x0 + 0.5 * (x - x0), y0 + 0.5 * (y - y0)) for x, y in simplex[1:]]
+            simplex[1:] = shrunk
+            vals[1:] = [record(xy, val) for xy, val in zip(shrunk, solve(*shrunk))]
+    return best_lam, evaluations
+
+
+def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = None) -> FeasibilityResult:
+    """Search the disk for a parameter with a PSD constrained Pick matrix.
+
+    A node at the origin pins the parameter to its target (at most one node
+    can be zero), collapsing the search to a single exact evaluation of the
+    block left after removing that node's row and column, which vanish at
+    the pinned parameter.  Otherwise ``_maximize`` climbs the smallest
+    eigenvalue of the constrained matrix M and stops where
+    ``FeasibilityResult`` says.  The verdict is ``psd_check`` of that block,
+    or of ``constrained_pick`` at the parameter found, and its eigenvalue is
+    the value reported.  Fully deterministic for a fixed config.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    pick = PickBuilder(problem, E, d)
+
+    def good_enough(lam: complex, value: float) -> bool:
+        """Whether M at lam, of smallest eigenvalue ``value``, or else P there, clears the margin."""
+        # M = D P D* with D = diag(z_i^E) shrinks M by |z_i|^(2E), so P can clear
+        # the margin where M does not; it is judged only where M is PSD
+        if not 0.0 <= value < LOW_CONFIDENCE_EIG:
+            return value >= LOW_CONFIDENCE_EIG
         try:
-            verdict = psd_check(classical_pick(*h_data(problem, best_lam, E, d)))
-        except NumericalError:
+            return psd_check(classical_pick(*h_data(problem, lam, E, d))).min_eigenvalue >= LOW_CONFIDENCE_EIG
+        except NumericalError:  # a node power underflows, or P is not finite
             return False
-        return verdict.min_eigenvalue >= LOW_CONFIDENCE_EIG
 
-    if not has_answer():  # else the best grid point is the answer
-        simplex = [(float(points[i].real), float(points[i].imag)) for i in top]
-        x0, y0 = simplex[0]
-        # degenerate user grids: pad around the best point
-        simplex += [(x0 + 0.01, y0 + 0.0), (x0 + 0.0, y0 + 0.01)][len(simplex) - 1 :]
-        clamped = [_clamp(x, y) for x, y in simplex]
-        # the grid scored its own points; only padding, and a grid point the
-        # clamp moved (a user radius past LAMBDA_CLAMP), is scored here
-        fresh = [i for i in range(3) if i >= len(top) or clamped[i] != simplex[i]]
-        scores = dict(zip(fresh, solve(*(clamped[i] for i in fresh)))) if fresh else {}
-        simplex = clamped
-        vals = [record(simplex[i], scores[i]) if i in scores else float(values[ranked[i]]) for i in range(3)]
-        for _ in range(cfg.refine_iters):
-            if has_answer():
-                break
-            order = sorted(range(3), key=lambda i: -vals[i])
-            simplex = [simplex[i] for i in order]
-            vals = [vals[i] for i in order]
-            (x0, y0), (x1, y1), (x2, y2) = simplex
-            # Only a search that clears neither margin gets here: negatives and
-            # data on the boundary of feasibility.  Loosening this stop (1e-9,
-            # say) fails acceptance criterion 5: its boundary instance then halts
-            # at M = -3.7e-19, before any point where P clears the margin, and
-            # np_solve refuses that lam.  It binds until ROADMAP item 1 lands.
-            if max(abs(x0 - x1), abs(y0 - y1), abs(x0 - x2), abs(y0 - y2)) < 1e-12:
-                break
-            cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-            reflected = _clamp(cx + (cx - x2), cy + (cy - y2))
-            contracted = _clamp(cx + 0.5 * (x2 - cx), cy + 0.5 * (y2 - cy))
-            f_r, f_c = solve(reflected, contracted)
-            record(reflected, f_r)
-            if f_r > vals[0]:
-                expanded = _clamp(cx + 2.0 * (cx - x2), cy + 2.0 * (cy - y2))
-                f_e = record(expanded, *solve(expanded))
-                simplex[2], vals[2] = (expanded, f_e) if f_e > f_r else (reflected, f_r)
-            elif f_r > vals[1]:
-                simplex[2], vals[2] = reflected, f_r
-            elif record(contracted, f_c) > vals[2]:  # only now is the contraction used
-                simplex[2], vals[2] = contracted, f_c
-            else:
-                shrunk = [_clamp(x0 + 0.5 * (x - x0), y0 + 0.5 * (y - y0)) for x, y in simplex[1:]]
-                simplex[1:] = shrunk
-                vals[1:] = [record(xy, val) for xy, val in zip(shrunk, solve(*shrunk))]
-
-    verdict = psd_check(constrained_pick(problem.nodes, problem.targets, best_lam, E, d), cfg.tol)
-    return FeasibilityResult(
-        feasible=verdict.is_psd,
-        lambda_=best_lam if verdict.is_psd else None,
-        best_min_eigenvalue=best_obj,
-        evaluations=evaluations,
-        pinned=False,
-    )
+    pinned = 0 in problem.nodes
+    if pinned:
+        origin = problem.nodes.index(0)
+        lam, evaluations = problem.targets[origin], 1
+        keep = [i for i in range(problem.n) if i != origin]
+        matrix = pick.entries(lam).take(keep, 0).take(keep, 1)
+    else:
+        lam, evaluations = _maximize(pick, cfg, good_enough)
+        matrix = constrained_pick(problem.nodes, problem.targets, lam, E, d)
+    feasible, best = True, 0.0  # a lone node at the origin leaves no matrix to judge
+    if len(matrix):
+        verdict = psd_check(matrix, cfg.tol)
+        feasible, best = verdict.is_psd, verdict.min_eigenvalue
+    return FeasibilityResult(feasible, lam if feasible else None, best, evaluations, pinned)

@@ -45,6 +45,7 @@ from .errors import (
     InvalidProblem,
     NumericalError,
 )
+from .kset import _integer
 
 __all__ = [
     "Problem",
@@ -220,11 +221,16 @@ class PickBuilder:
         / (1 - (z_i conj(z_j))^d),
 
     defined when d divides E and the nodes' d-th powers are distinct.  The
-    data are checked by ``Problem``; this checks the exponents and distinct
-    d-th powers, and caches the lam-independent blocks.  No method checks lam.
+    data are checked by ``Problem``; this reads the exponents as integers
+    through ``kset._integer``, checks them and the distinct d-th powers, and
+    caches the lam-independent blocks.  No method checks lam.
     """
 
     def __init__(self, problem: Problem, E: int, d: int):
+        try:
+            E, d = _integer(E), _integer(d)
+        except (TypeError, ValueError) as exc:
+            raise InvalidExponent(f"exponents must be integers, got E={E!r}, d={d!r}") from exc
         if d < 1 or E < 1:
             raise InvalidExponent(f"exponents must be positive, got E={E}, d={d}")
         if E % d != 0:

@@ -279,6 +279,9 @@ def test_taylor_config_validation():
         taylor_coeffs(ring, -1, 0.5)
     with pytest.raises(InvalidConfig):
         taylor_coeffs(ring, 64, 0.5)  # fewer than 4 * count samples
+    for count in (1.5, "2", True):  # a count must be an integer
+        with pytest.raises(InvalidConfig, match="must be an integer"):
+            taylor_coeffs(ring, count, 0.5)
 
 
 def test_sup_norm_examples():

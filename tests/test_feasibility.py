@@ -28,7 +28,7 @@ from cpick import (
     verify_interpolant,
 )
 from cpick import feasibility
-from cpick.feasibility import LAMBDA_CLAMP, _clamp, _grid_points
+from cpick.feasibility import LAMBDA_CLAMP, _clamp, _grid_points, _maximize
 from cpick.pickmat import CLASSICAL_PSD_TOL, LOW_CONFIDENCE_EIG, PickBuilder, h_data
 from conftest import disk_point
 
@@ -220,7 +220,7 @@ def test_small_grid_still_refines():
     assert abs(r.lambda_ - 0.61) <= 0.2
 
 
-def _looped_find_lambda(problem, E, d, cfg, margin=LOW_CONFIDENCE_EIG):
+def _looped_find_lambda(problem, E, d, cfg, margin=LOW_CONFIDENCE_EIG, judged=None):
     """Reference search with the grid scored one parameter at a time.
 
     The grid points, their exact-value dedup and the order by (-value,
@@ -234,7 +234,8 @@ def _looped_find_lambda(problem, E, d, cfg, margin=LOW_CONFIDENCE_EIG):
     the top of each simplex iteration.  ``margin=math.inf`` runs the full
     maximisation.  Returns (lambda, best value, evaluations,
     Counter of simplex moves), and ``moves["p_test"]`` counts the classical
-    matrices judged.
+    matrices judged.  A list given as ``judged`` receives the parameter of
+    each, in order.
     """
 
     def value(lam):
@@ -250,7 +251,7 @@ def _looped_find_lambda(problem, E, d, cfg, margin=LOW_CONFIDENCE_EIG):
     scored.sort(key=lambda rec: (-rec[0], rec[1], rec[2]))
     best_obj, best_lam, evaluations = scored[0][0], scored[0][3], len(scored)
     moves = Counter()
-    tested = []
+    tested = [] if judged is None else judged
 
     def done():
         if best_obj >= margin:
@@ -630,6 +631,81 @@ def test_criterion_5_boundary_instance_stops_at_the_classical_margin():
     f = construct(p, k, "sufficient", cfg)
     assert f.lambda_ == r.lambda_ and not f.h.low_confidence
     assert verify_interpolant(f, p, k).passed
+
+
+def test_the_classical_matrix_is_judged_at_the_references_parameters(monkeypatch):
+    # find_lambda judges P at exactly the parameters the reference judges, in
+    # the same order: each best point in [0, margin), once
+    calls = []
+
+    def counted(problem, lam, E, d):
+        calls.append(lam)
+        return h_data(problem, lam, E, d)
+
+    monkeypatch.setattr(feasibility, "h_data", counted)
+    searches = [(p, E, d, cfg) for p, E, d in _grid_problems() for cfg in GRID_CONFIGS]
+    searches += [(p, E, d, SearchConfig()) for p, E, d, _ in _searches_below_the_margin()]
+    searches.append((*_criterion_5_boundary_instance()[:3], SearchConfig()))
+    most = 0
+    for p, E, d, cfg in searches:
+        calls.clear()
+        judged = []
+        find_lambda(p, E, d, cfg)
+        _looped_find_lambda(p, E, d, cfg, judged=judged)
+        assert calls == judged
+        most = max(most, len(judged))
+    assert most >= 2
+
+
+class _Paraboloid:
+    """A scorer for ``_maximize`` with no Pick matrix: 0.5 - |lam - c|^2, its own bound."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def min_eigenvalues(self, lams):
+        return 0.5 - np.abs(np.asarray(lams) - self.c) ** 2
+
+    min_eigenvalue_bounds = min_eigenvalues
+
+
+@pytest.mark.parametrize(
+    "c,peak",
+    [
+        (0.3 + 0.2j, 0.3 + 0.2j),
+        # past the clamp the best point is the clamp circle's point nearest c
+        (1.2, LAMBDA_CLAMP),
+        (0.9995j, LAMBDA_CLAMP * 1j),
+        (0.8 - 0.8j, LAMBDA_CLAMP * (0.8 - 0.8j) / abs(0.8 - 0.8j)),
+    ],
+)
+def test_maximize_climbs_a_scorer_it_is_given(c, peak):
+    asked = []
+
+    def never(lam, value):
+        asked.append((lam, value))
+        return False
+
+    cfg = SearchConfig()
+    lam, evaluations = _maximize(_Paraboloid(c), cfg, never)
+    assert abs(lam - peak) <= 1e-6
+    assert evaluations > len(_grid_points(cfg.radii, cfg.angles))
+    # asked only when the best point has changed: strictly larger values, new points
+    values = [value for _, value in asked]
+    assert all(a < b for a, b in zip(values, values[1:]))
+    assert len({point for point, _ in asked}) == len(asked) >= 2
+
+
+def test_maximize_returns_the_best_grid_point_when_it_is_good_enough():
+    cfg = SearchConfig()
+    points = _grid_points(cfg.radii, cfg.angles)
+    scorer = _Paraboloid(0.31 + 0.2j)
+    asked = []
+    lam, evaluations = _maximize(scorer, cfg, lambda lam, value: asked.append((lam, value)) or True)
+    assert evaluations == len(points)
+    assert lam == points[np.argmax(scorer.min_eigenvalues(points))]
+    assert [point for point, _ in asked] == [lam]
+    assert asked[0][1] == pytest.approx(0.5 - abs(lam - scorer.c) ** 2, abs=1e-15)
 
 
 def _two_builder_pinned_search(problem, E, d, tol):

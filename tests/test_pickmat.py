@@ -13,6 +13,7 @@ from cpick import (
     classical_pick,
     constrained_pick,
     factorization_residual,
+    find_lambda,
     np_solve,
     psd_check,
 )
@@ -101,6 +102,12 @@ def test_constrained_pick_validation():
         constrained_pick([0.5], [float("nan")], 0, 2, 1)
     with pytest.raises(DomainError):
         constrained_pick([0.5], [0.1], float("nan"), 2, 1)
+    # exponents are read as integers: True is not E = 1, and "2" is not 2
+    for E in (True, "2", 1.5):
+        with pytest.raises(InvalidExponent, match="must be integers"):
+            find_lambda(Problem((0.5,), (0.2,)), E, 1)
+    with pytest.raises(InvalidExponent, match="must be integers"):
+        constrained_pick([0.5], [0.1], 0, 2, "1")
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
