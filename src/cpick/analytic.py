@@ -216,7 +216,7 @@ def taylor_coeffs(values, count: int, radius: float) -> tuple[complex, ...]:
         )
     spectrum = np.fft.fft(vals)[: count + 1]
     coeffs = spectrum / (samples * radius ** np.arange(count + 1))
-    return tuple(complex(c) for c in coeffs)
+    return tuple(coeffs.tolist())
 
 
 def sup_norm_estimate(values) -> float:

@@ -30,7 +30,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import DomainError, Infeasible, InvalidProblem, NotFound, NotPrefixK, NumericalError, Unsupported
-from .kset import KSpec, contains, is_algebra, smallest_missing, _conductor, _integer
+from .kset import KSpec, is_algebra, smallest_missing, _conductor, _integer, _outside
 from .analytic import SchurFunction, _circle, np_solve, sup_norm_estimate, taylor_coeffs
 from .bruno import compose_derivative
 from .feasibility import DEFAULT_CONFIG, FeasibilityResult, SearchConfig, find_lambda
@@ -54,11 +54,10 @@ Mode = Literal["iff", "sufficient", "necessary"]
 # Orders 1 .. 6 of the derivative cross-check.
 CROSSCHECK_ORDER = 6
 
-# Sampling radius of verify_interpolant's membership coefficients, and the
-# largest index of f's structural support it samples; its docstring gives
-# the error bounds that set them.
+# Sampling radius and highest order of verify_interpolant's membership
+# coefficients; its docstring gives the error bounds that set them.
 TAYLOR_RADIUS = 0.9
-SUPPORT_BOUND = 128
+TAYLOR_ORDER = 128
 
 # Node draws before roundtrip_generate gives up: for large d, z^d lies within 0.9^d of 0.
 NODE_DRAWS = 10_000
@@ -135,8 +134,8 @@ class VerificationReport:
     Its fields are the keys of the CLI's verification report, written by
     ``dataclasses.asdict``, so renaming one renames a report key.
 
-    ``taylor_violations`` lists (index, |coefficient|) for the sampled
-    constrained indices whose coefficient exceeds the tolerance; ``passed``
+    ``taylor_violations`` lists (index, |coefficient|) for constrained
+    indices up to 128 whose coefficient exceeds the tolerance; ``passed``
     requires all residuals within tolerance, sup norm at most 1 + tol, and
     no violations.
     ``derivative_crosscheck`` is the largest disagreement, over orders up to
@@ -273,22 +272,6 @@ def necessary_check(problem: Problem, k: KSpec, cfg: SearchConfig | None = None)
     )
 
 
-def _taylor_bound(k: KSpec) -> int:
-    return min(64, max(12, 4 * smallest_missing(k)))
-
-
-def _support_indices(f: Interpolant, k: KSpec, bound: int) -> list[int]:
-    """The indices in K of f's structural support {d t : t >= m} that lie in (bound, ``SUPPORT_BOUND``], ascending.
-
-    Where K's scale divides d, every index of the support is a multiple of
-    that scale, so it lies in K exactly when it is the scale times a gap:
-    the gaps list them, with no scan.
-    """
-    E = f.m * f.d
-    candidates = (k.d * g for g in k.gaps) if f.d % k.d == 0 else range(E, SUPPORT_BOUND + 1, f.d)
-    return [j for j in candidates if bound < j <= SUPPORT_BOUND and j >= E and j % f.d == 0 and contains(k, j)]
-
-
 def _crosscheck_derivatives(f: Interpolant, coeffs, h_coeffs) -> float:
     """Compare sampled Taylor coefficients against the composition expansion.
 
@@ -322,19 +305,16 @@ def verify_interpolant(f: Interpolant, problem: Problem, k: KSpec) -> Verificati
     Residuals come from f at all nodes, the norm from 4096 circle samples
     at radius 0.999, and membership from Taylor coefficients from 1024
     samples at radius ``TAYLOR_RADIUS`` = 0.9, checked at every constrained
-    index j up to min(64, max(12, 4 * smallest_missing)), and past that at
-    every constrained index of f's structural support {d t : t >= m} up to
-    ``SUPPORT_BOUND`` = 128, where a coefficient of a function outside the
-    class can sit.  For |f| <= 1 the aliasing error is at most
-    0.9^1024 / (1 - 0.9^1024), about 1e-47, and the samples' roundoff is
-    amplified by 0.9^-j, at most 0.9^-64, about 850, below the first bound
-    and 0.9^-128, about 7e5, below the second; at radius 0.5 it would be
-    2^64, enough to reject true interpolants (Bornemann, Found. Comput.
-    Math. 2011).  A constructed interpolant's support avoids K, so it has
-    no index past the first bound.  The derivative cross-check reads h's
-    coefficients off the same samples: h(z^d) on that circle carries h's
-    t-th coefficient at index t*d, at most 6, where the roundoff is
-    amplified by at most 0.9^-6, about 1.9.
+    index j up to ``TAYLOR_ORDER`` = 128, so a function whose support
+    {d t : t >= m} meets K below 129 is rejected.  For |f| <= 1 the
+    aliasing error is at most 0.9^1024 / (1 - 0.9^1024), about 1e-47, and
+    the samples' roundoff is amplified by 0.9^-j, at most 0.9^-128, about
+    7e5, which takes roundoff of a few eps to about 1e-10, three orders
+    under the 1e-7 tolerance; at radius 0.5 it would be 2^128, enough to
+    reject true interpolants (Bornemann, Found. Comput. Math. 2011).  The
+    derivative cross-check reads h's coefficients off the same samples:
+    h(z^d) on that circle carries h's t-th coefficient at index t*d, at
+    most 6, where the roundoff is amplified by at most 0.9^-6, about 1.9.
 
     All of these come from one pass of h's Schur chain, whatever the number
     of nodes: the two circles and the nodes are raised to the power d
@@ -354,12 +334,13 @@ def verify_interpolant(f: Interpolant, problem: Problem, k: KSpec) -> Verificati
 
     residuals = tuple(np.abs(node_vals - np.array(problem.targets)).tolist())
     sup = sup_norm_estimate(sup_vals)
-    bound = _taylor_bound(k)
-    support = _support_indices(f, k, bound)
-    coeffs = taylor_coeffs(taylor_vals, support[-1] if support else bound, TAYLOR_RADIUS)
-    indices = [j for j in range(1, bound + 1) if contains(k, j)] + support
-    # a NaN coefficient violates too
-    violations = tuple((j, abs(coeffs[j])) for j in indices if not abs(coeffs[j]) <= tol.taylor)
+    coeffs = taylor_coeffs(taylor_vals, TAYLOR_ORDER, TAYLOR_RADIUS)
+    free = _outside(k, TAYLOR_ORDER)
+    violations = tuple(
+        (j, abs(coeffs[j]))
+        for j in range(1, TAYLOR_ORDER + 1)
+        if j not in free and not abs(coeffs[j]) <= tol.taylor  # a NaN coefficient violates too
+    )
     h_coeffs = ()
     if E <= CROSSCHECK_ORDER:
         h_coeffs = taylor_coeffs(hw[4096 : 4096 + 1024], CROSSCHECK_ORDER - E, TAYLOR_RADIUS)[:: f.d]

@@ -175,6 +175,11 @@ def contains(k: KSpec, n: int) -> bool:
     return t in k._gapset
 
 
+def _outside(k: KSpec, n: int) -> frozenset[int]:
+    """The orders 1 .. n outside K, d*t for each positive non-gap t: ``contains`` for a loop, as one set."""
+    return frozenset(range(k.d, n + 1, k.d)).difference(k.d * g for g in k.gaps)
+
+
 def is_algebra(k: KSpec) -> bool:
     """Semigroup criterion: no two positive non-gaps of T may sum to a gap.
 

@@ -184,6 +184,19 @@ def classical_pick(nodes, values) -> np.ndarray:
     return num / den
 
 
+def _exponents(E, d) -> tuple[int, int]:
+    """E and d as plain ints, read through ``kset._integer``, with d >= 1 dividing E >= 1; else ``InvalidExponent``."""
+    try:
+        E, d = _integer(E), _integer(d)
+    except (TypeError, ValueError) as exc:
+        raise InvalidExponent(f"exponents must be integers, got E={E!r}, d={d!r}") from exc
+    if d < 1 or E < 1:
+        raise InvalidExponent(f"exponents must be positive, got E={E}, d={d}")
+    if E % d != 0:
+        raise InvalidExponent(f"scale d={d} must divide the numerator exponent E={E}")
+    return E, d
+
+
 def h_data(problem: Problem, lam: complex, E: int, d: int) -> tuple[list[complex], list[complex]]:
     """The classical data that the constrained problem at lam reduces to.
 
@@ -191,11 +204,13 @@ def h_data(problem: Problem, lam: complex, E: int, d: int) -> tuple[list[complex
     Pick matrix P satisfies M = D P D* with M the constrained matrix at lam
     and D = diag(z_i^E).  A node at the origin is dropped: its condition is
     exactly lam = w_i.  A value of modulus in (1, 1 + ``TARGET_CLAMP_SLACK``]
-    is projected onto the circle.  A node whose E-th power underflows to
-    zero, leaving no value, raises ``NumericalError`` naming it.  ``construct``
-    hands these data to ``np_solve``, and the parameter search judges their
-    P, so both see the same matrix bit for bit.
+    is projected onto the circle.  The exponents are read by ``_exponents``.
+    A node whose E-th power underflows to zero, leaving no value, raises
+    ``NumericalError`` naming it.  ``construct`` hands these data to
+    ``np_solve``, and the parameter search judges their P, so both see the
+    same matrix bit for bit.
     """
+    E, d = _exponents(E, d)
     h_nodes, h_values = [], []
     for z, w in zip(problem.nodes, problem.targets):
         if z == 0:
@@ -221,20 +236,13 @@ class PickBuilder:
         / (1 - (z_i conj(z_j))^d),
 
     defined when d divides E and the nodes' d-th powers are distinct.  The
-    data are checked by ``Problem``; this reads the exponents as integers
-    through ``kset._integer``, checks them and the distinct d-th powers, and
-    caches the lam-independent blocks.  No method checks lam.
+    data are checked by ``Problem``; this reads the exponents through
+    ``_exponents``, checks the distinct d-th powers, and caches the
+    lam-independent blocks.  No method checks lam.
     """
 
     def __init__(self, problem: Problem, E: int, d: int):
-        try:
-            E, d = _integer(E), _integer(d)
-        except (TypeError, ValueError) as exc:
-            raise InvalidExponent(f"exponents must be integers, got E={E!r}, d={d!r}") from exc
-        if d < 1 or E < 1:
-            raise InvalidExponent(f"exponents must be positive, got E={E}, d={d}")
-        if E % d != 0:
-            raise InvalidExponent(f"scale d={d} must divide the numerator exponent E={E}")
+        E, d = _exponents(E, d)
         z = np.array(problem.nodes)
         if len(set((z**d).tolist())) != len(z):
             raise InvalidProblem(f"the nodes' d-th powers must be distinct, d={d}")
@@ -370,6 +378,7 @@ def factorization_residual(nodes, h_values, lam: complex, E: int, d: int) -> flo
         raise InvalidProblem(f"{len(z)} nodes vs {len(h)} h-values")
     _check_closed_disk(h, "h-values")
     lam = complex(_check_open_disk(lam, "Möbius parameter", 0))
+    E, d = _exponents(E, d)
     ze = z**E
     targets = _mobius(-lam, ze * h)
     m1 = constrained_pick(z, targets, lam, E, d)

@@ -16,6 +16,7 @@ from cpick import (
     is_algebra,
     smallest_missing,
 )
+from cpick import kset
 from conftest import fixture_kspecs
 
 
@@ -49,6 +50,12 @@ def test_contains_examples():
 def test_contains_rejects_nonpositive():
     with pytest.raises(ValueError):
         contains(from_finite_set([1]), 0)
+
+
+def test_outside_is_the_complement_of_contains():
+    for k in [*fixture_kspecs(), KSpec(d=2, gaps=(1,)), from_finite_set(range(1, 71))]:
+        for n in (1, 10, 128):
+            assert kset._outside(k, n) == complement_upto(k, n), (k, n)
 
 
 def test_from_finite_set_examples():

@@ -108,6 +108,12 @@ def test_constrained_pick_validation():
             find_lambda(Problem((0.5,), (0.2,)), E, 1)
     with pytest.raises(InvalidExponent, match="must be integers"):
         constrained_pick([0.5], [0.1], 0, 2, "1")
+    # ... before they reach a power, so no numpy TypeError leaks
+    with pytest.raises(InvalidExponent, match="must be integers"):
+        factorization_residual([0.4], [0.5], 0.2, "2", 1)
+    for E, d in (("2", 1), (2, 1.5), (3, 2)):
+        with pytest.raises(InvalidExponent):
+            pickmat.h_data(Problem((0.5,), (0.2,)), 0.1, E, d)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
