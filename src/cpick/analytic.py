@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, InvalidConfig, InvalidProblem
-from .kset import _integer
+from .kset import _integer, _real
 from .pickmat import (
     BOUNDARY_TOL,
     CLASSICAL_PSD_TOL,
@@ -35,6 +35,7 @@ from .pickmat import (
     _check_closed_disk,
     _complex_array,
     _mobius,
+    _tolerance,
     classical_pick,
     psd_check,
 )
@@ -110,13 +111,27 @@ class SchurFunction:
         last bit differently on short arrays, and a scalar must get the bits
         an array element gets.  A subtraction or addition in place is exact
         componentwise, so it may.
+
+        A tail of 0, which ``np_solve`` leaves whenever no target reaches the
+        circle, makes the innermost step multiply by the constants 0 and 1:
+        s = 0, so it starts from t = 1 - conj(a) w, p = v t and q = t, in 3
+        ufuncs.  The products dropped are by exact 0 and 1, so every value
+        is the full step's; only the sign of an exact zero can differ.
         """
         z = _check_closed_disk(z, "evaluation point")
         w = np.atleast_1d(z)  # a scalar runs the array arithmetic, so it gets the bits an array element gets
-        p = np.full_like(w, self.tail)
-        q = np.ones_like(w)
-        s, t, u = np.empty_like(w), np.empty_like(w), np.empty_like(w)
-        for node, val in reversed(self.steps):
+        p, q, s, t, u = (np.empty_like(w) for _ in range(5))
+        steps = self.steps[::-1]
+        if steps and self.tail == 0:
+            # the innermost step on (0, 1), folded: t = 1 - conj(a) w into q, then p = v t
+            (node, val), steps = steps[0], steps[1:]
+            np.multiply(node.conjugate(), w, out=u)
+            np.subtract(1.0, u, out=q)
+            np.multiply(val, q, out=p)
+        else:
+            p.fill(self.tail)
+            q.fill(1.0)
+        for node, val in steps:
             np.subtract(w, node, out=u)
             np.multiply(u, p, out=s)  # s = (w - a) p
             np.multiply(node.conjugate(), w, out=u)
@@ -142,7 +157,10 @@ def np_solve(nodes, values, tol: float = CLASSICAL_PSD_TOL) -> SchurFunction:
     A target on the circle forces the constant solution, which is accepted
     only when all remaining targets agree with it.  The free parameter of
     the final step is fixed to 0, which makes the solver deterministic.
+    A tolerance that ``psd_check`` refuses raises ``InvalidConfig``, for
+    empty data too.
     """
+    tol = _tolerance(tol)
     nodes = _complex_array(nodes, "nodes", 1).tolist()
     values = _complex_array(values, "values", 1).tolist()
     if len(nodes) != len(values):
@@ -197,8 +215,10 @@ def taylor_coeffs(values, count: int, radius: float) -> tuple[complex, ...]:
     c_j is at most r^N / (1 - r^N); the practical accuracy limit is roundoff
     amplified by the r^(-j) factor, so very high indices need a radius
     closer to 1 (Bornemann, Found. Comput. Math. 2011).  Values of another
-    shape, or a count that ``kset._integer`` does not read as an integer,
-    raise ``InvalidConfig``; non-numeric values raise ``InvalidProblem``.
+    shape, a count that ``kset._integer`` does not read as an integer, or a
+    radius that ``kset._real`` does not read as a number (a string or a
+    boolean), raise ``InvalidConfig``; non-numeric values raise
+    ``InvalidProblem``.
     """
     vals = _complex_array(values, "samples")
     samples = len(vals) if vals.ndim == 1 else 0
@@ -208,6 +228,10 @@ def taylor_coeffs(values, count: int, radius: float) -> tuple[complex, ...]:
         raise InvalidConfig(f"coefficient count must be an integer, got {count!r}") from exc
     if count < 0:
         raise InvalidConfig(f"coefficient count must be nonnegative, got {count}")
+    try:
+        radius = _real(radius)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"sampling radius must be a number, got {radius!r}") from exc
     if not 0.0 < radius < 1.0:
         raise InvalidConfig(f"sampling radius must lie in (0, 1), got {radius}")
     if samples < max(1, 4 * count) or samples & (samples - 1):

@@ -26,17 +26,17 @@ column, which vanish exactly.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidConfig, NumericalError
-from .kset import _integer
+from .kset import _integer, _real
 from .pickmat import (
     LOW_CONFIDENCE_EIG,
     PickBuilder,
     Problem,
+    _tolerance,
     classical_pick,
     constrained_pick,
     h_data,
@@ -52,13 +52,6 @@ __all__ = [
 DEFAULT_RADII = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 # Witnesses are kept strictly inside the disk; the criterion requires it.
 LAMBDA_CLAMP = 0.999
-
-
-def _real(value) -> float:
-    """``value`` as a float; a boolean or a string raises ``TypeError`` where ``float`` would cast or parse it."""
-    if isinstance(value, (bool, str)):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -84,10 +77,7 @@ class SearchConfig:
         object.__setattr__(self, "radii", radii)
         if not radii or any(not 0.0 <= r < 1.0 for r in radii):
             raise InvalidConfig(f"'radii' must be nonempty and lie in [0, 1), got {radii}")
-        try:
-            object.__setattr__(self, "tol", _real(self.tol))
-        except (TypeError, ValueError) as exc:
-            raise InvalidConfig(f"tolerance 'tol' must be a number, got {self.tol!r}") from exc
+        object.__setattr__(self, "tol", _tolerance(self.tol, "tolerance 'tol'"))
         for field in ("angles", "refine_iters"):
             value = getattr(self, field)
             try:
@@ -98,8 +88,6 @@ class SearchConfig:
             raise InvalidConfig(f"need at least one angle, got {self.angles}")
         if self.refine_iters < 0:
             raise InvalidConfig(f"refinement iterations must be nonnegative, got {self.refine_iters}")
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise InvalidConfig(f"tolerance 'tol' must be finite and nonnegative, got {self.tol}")
 
 
 # Shared by every search given no config; frozen, so sharing is safe.

@@ -28,6 +28,7 @@ criterion; a complete characterization of the admissible K remains open.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -143,6 +144,13 @@ def _integer(value) -> int:
     return operator.index(value)
 
 
+def _real(value) -> float:
+    """``value`` as a float; a boolean or a string raises ``TypeError`` where ``float`` would cast or parse it."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _integers(values, field: str) -> list[int]:
     """``values`` converted by ``_integer``; ``InvalidK`` names the field otherwise."""
     try:
@@ -175,9 +183,14 @@ def contains(k: KSpec, n: int) -> bool:
     return t in k._gapset
 
 
-def _outside(k: KSpec, n: int) -> frozenset[int]:
-    """The orders 1 .. n outside K, d*t for each positive non-gap t: ``contains`` for a loop, as one set."""
-    return frozenset(range(k.d, n + 1, k.d)).difference(k.d * g for g in k.gaps)
+@functools.lru_cache(maxsize=64)
+def _constrained(k: KSpec, n: int) -> tuple[int, ...]:
+    """The orders 1 .. n in K, ascending: ``contains`` for a loop, as one tuple.
+
+    Cached: a verification reads it once per call, for a handful of K.
+    """
+    d, gapset = k.d, k._gapset
+    return tuple(j for j in range(1, n + 1) if j % d or j // d in gapset)
 
 
 def is_algebra(k: KSpec) -> bool:

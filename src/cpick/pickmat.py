@@ -41,11 +41,12 @@ from numpy.linalg import _umath_linalg
 
 from .errors import (
     DomainError,
+    InvalidConfig,
     InvalidExponent,
     InvalidProblem,
     NumericalError,
 )
-from .kset import _integer
+from .kset import _integer, _real
 
 __all__ = [
     "Problem",
@@ -336,6 +337,20 @@ def constrained_pick(nodes, targets, lam: complex, E: int, d: int) -> np.ndarray
     return pick.entries(_check_open_disk(lam, "Möbius parameter", 0))
 
 
+def _tolerance(tol, label: str = "tolerance") -> float:
+    """``tol`` as a finite nonnegative float, read by ``kset._real``; anything else raises ``InvalidConfig``.
+
+    A NaN tolerance would fail every matrix and an infinite one pass every matrix.
+    """
+    try:
+        value = _real(tol)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"{label} must be a number, got {tol!r}") from exc
+    if not (math.isfinite(value) and value >= 0):
+        raise InvalidConfig(f"{label} must be finite and nonnegative, got {value}")
+    return value
+
+
 def psd_check(m, tol: float = CLASSICAL_PSD_TOL) -> PsdVerdict:
     """Smallest eigenvalue with a relative positive-semidefiniteness verdict.
 
@@ -343,10 +358,10 @@ def psd_check(m, tol: float = CLASSICAL_PSD_TOL) -> PsdVerdict:
     is raised.  Its Hermitian part h = 0.5 (m + m*), taken once, gives both
     numbers: the eigenvalue is ``_min_eigenvalues(h)``, and the verdict is
     min_eigenvalue >= -tol * max(1, s) with s the Gershgorin bound
-    max_i sum_j |h_ij|, a cheap spectral-norm overestimate.
+    max_i sum_j |h_ij|, a cheap spectral-norm overestimate.  A tolerance
+    that ``_tolerance`` refuses raises ``InvalidConfig``.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+    tol = _tolerance(tol)
     a = _complex_array(m, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidProblem(f"expected a square matrix, got shape {a.shape}")

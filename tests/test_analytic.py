@@ -87,7 +87,7 @@ def test_np_solve_rejects_bad_input():
         np_solve([0.3], [float("nan")])
     # a PD Pick matrix (min eigenvalue 2.7e-2): a NaN tolerance must not turn it into Infeasible
     for tol in (float("nan"), float("inf"), -1e-9):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig, match="tolerance"):
             np_solve([0.3, 0.5], [0.1, 0.2], tol=tol)
 
 
@@ -235,6 +235,29 @@ def test_buffered_chain_has_the_bits_of_the_out_of_place_loop(n):
         assert h(z).tobytes() == _out_of_place_chain(h, z).tobytes(), length
     for z in (0.3 - 0.2j, 1.0, -1j, disk_point(rng, 1.0)):
         assert repr(h(z)) == repr(complex(_out_of_place_chain(h, z)[0])), z
+
+
+@pytest.mark.parametrize(
+    "n,tail",
+    [(1, 0j), (2, 0j), (8, 0j), (16, 0j), (5, np.exp(0.3j)), (0, 0j)],
+    ids=["tail 0, n=1", "tail 0, n=2", "tail 0, n=8", "tail 0, n=16", "tail on the circle", "empty chain"],
+)
+def test_chain_equals_the_unfolded_pair_recurrence(n, tail):
+    # A tail of 0 skips the products by 0 and 1 of the innermost step; the
+    # values must be those of the full recurrence from (tail, 1), on the
+    # points verification evaluates h at, as one array and point by point.
+    # == and not the bytes: only the sign of an exact zero may differ.
+    rng = np.random.default_rng(70 + n)
+    h = SchurFunction(steps=tuple((disk_point(rng, 0.9), disk_point(rng, 0.9)) for _ in range(n)), tail=tail)
+    nodes = np.array([a for a, _ in h.steps] + [disk_point(rng, 0.9) for _ in range(8)])
+    points = np.concatenate((_circle(0.999, 4096), _circle(0.9, 1024), nodes))
+    values = h(points)
+    assert np.array_equal(values, _out_of_place_chain(h, points))
+    for i in range(0, len(points), 61):
+        z = complex(points[i])
+        assert h(z) == complex(_out_of_place_chain(h, z)[0]) == values[i], i
+    for i, z in enumerate(nodes.tolist(), start=4096 + 1024):
+        assert h(z) == complex(_out_of_place_chain(h, z)[0]) == values[i], z
 
 
 def test_taylor_monomial():

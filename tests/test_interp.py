@@ -378,6 +378,7 @@ def test_verify_report_equals_the_public_samplers_report(k, m, d):
 
     chains = [SchurFunction(steps=chain(n), tail=disk_point(rng, 0.9)) for n in (0, 1, 2, 4, 8, 16)]
     chains.append(SchurFunction(steps=chain(3), tail=np.exp(0.7j)))  # a tail on the circle
+    chains += [SchurFunction(steps=chain(n), tail=0j) for n in (1, 2, 8, 16)]  # np_solve's tail
     for h in chains:
         f = Interpolant(lambda_=lam, m=m, d=d, h=h)
         nodes = tuple(disk_point(rng, 0.9) for _ in range(len(h.steps) or 1))

@@ -52,10 +52,11 @@ def test_contains_rejects_nonpositive():
         contains(from_finite_set([1]), 0)
 
 
-def test_outside_is_the_complement_of_contains():
-    for k in [*fixture_kspecs(), KSpec(d=2, gaps=(1,)), from_finite_set(range(1, 71))]:
+def test_constrained_is_contains_in_ascending_order():
+    for k in [*fixture_kspecs(), KSpec(d=2, gaps=(1,)), KSpec(d=3, gaps=(1, 2)), from_finite_set(range(1, 71))]:
         for n in (1, 10, 128):
-            assert kset._outside(k, n) == complement_upto(k, n), (k, n)
+            assert kset._constrained(k, n) == tuple(j for j in range(1, n + 1) if contains(k, j)), (k, n)
+            assert set(kset._constrained(k, n)).isdisjoint(complement_upto(k, n)), (k, n)
 
 
 def test_from_finite_set_examples():

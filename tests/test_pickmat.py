@@ -5,6 +5,7 @@ import pytest
 
 from cpick import (
     DomainError,
+    InvalidConfig,
     InvalidExponent,
     InvalidProblem,
     NumericalError,
@@ -16,6 +17,7 @@ from cpick import (
     find_lambda,
     np_solve,
     psd_check,
+    taylor_coeffs,
 )
 from cpick import pickmat
 from cpick.pickmat import PickBuilder
@@ -228,7 +230,7 @@ def test_psd_check_examples():
         psd_check([[np.nan]])
     # a NaN tolerance would fail every matrix, an infinite one pass every matrix
     for tol in (float("nan"), float("inf"), -1.0):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig, match="finite and nonnegative"):
             psd_check(np.eye(2), tol)
 
 
@@ -266,6 +268,34 @@ def test_psd_check_examples():
 def test_malformed_input_raises_invalid_problem(call):
     # numpy's own ValueError would not name the input in the package's error types
     with pytest.raises(InvalidProblem, match="must be a rectangular array of numbers"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: taylor_coeffs(np.ones(8), 1, "0.5"),
+        lambda: taylor_coeffs(np.ones(8), 1, True),
+        lambda: psd_check([[1.0]], "0.1"),
+        lambda: psd_check([[1.0]], True),
+        lambda: np_solve([0.1], [0.2], tol="x"),
+        lambda: np_solve([0.1], [0.2], tol=float("-inf")),
+        lambda: np_solve([], [], tol="x"),
+    ],
+    ids=[
+        "string radius",
+        "boolean radius",
+        "string tolerance",
+        "boolean tolerance",
+        "string np_solve tolerance",
+        "infinite np_solve tolerance",
+        "np_solve tolerance on empty data",
+    ],
+)
+def test_malformed_tolerance_or_radius_raises_invalid_config(call):
+    # Python's TypeError, or a boolean read as 1.0, would not name the argument;
+    # np_solve reads its tolerance before the data, so empty data refuse it too
+    with pytest.raises(InvalidConfig, match="tolerance|radius"):
         call()
 
 
