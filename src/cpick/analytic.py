@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, InvalidConfig, InvalidProblem
-from .kset import _integer, _real
+from .kset import _integer, _read, _real
 from .pickmat import (
     BOUNDARY_TOL,
     CLASSICAL_PSD_TOL,
@@ -65,8 +65,10 @@ class SchurFunction:
     and ``verify_interpolant`` checks such a solution at the same tolerances.
 
     A NaN or infinite node, value or tail raises ``InvalidProblem``.  Finite
-    values outside the disk are accepted, so that ``verify_interpolant`` can
-    reject a tampered chain rather than have it refused as input.
+    ones outside the disk are accepted, so that ``verify_interpolant`` can
+    reject a tampered chain rather than have it refused as input: its
+    ``passed`` requires every node in the open disk and every value and the
+    tail in the closed one.
     """
 
     steps: tuple[tuple[complex, complex], ...]
@@ -222,18 +224,8 @@ def taylor_coeffs(values, count: int, radius: float) -> tuple[complex, ...]:
     """
     vals = _complex_array(values, "samples")
     samples = len(vals) if vals.ndim == 1 else 0
-    try:
-        count = _integer(count)
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"coefficient count must be an integer, got {count!r}") from exc
-    if count < 0:
-        raise InvalidConfig(f"coefficient count must be nonnegative, got {count}")
-    try:
-        radius = _real(radius)
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"sampling radius must be a number, got {radius!r}") from exc
-    if not 0.0 < radius < 1.0:
-        raise InvalidConfig(f"sampling radius must lie in (0, 1), got {radius}")
+    count = _read(count, _integer, InvalidConfig, "coefficient count", "an integer >= 0", lambda n: n >= 0)
+    radius = _read(radius, _real, InvalidConfig, "sampling radius", "a number in (0, 1)", lambda r: 0.0 < r < 1.0)
     if samples < max(1, 4 * count) or samples & (samples - 1):
         raise InvalidConfig(
             f"samples must be a 1-d array whose length is a power of two at least 4 * count, got shape {vals.shape}"

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, NumericalError
-from .kset import _integer, _real
+from .kset import _integer, _read, _real
 from .pickmat import (
     LOW_CONFIDENCE_EIG,
     PickBuilder,
@@ -69,25 +69,15 @@ class SearchConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        try:
+        for field, read, rule, valid in (
             # + 0.0 turns a -0.0 radius into 0.0: configs that compare equal share one grid
-            radii = tuple(_real(r) + 0.0 for r in self.radii)
-        except (TypeError, ValueError) as exc:
-            raise InvalidConfig(f"'radii' must be a list of numbers, got {self.radii!r}") from exc
-        object.__setattr__(self, "radii", radii)
-        if not radii or any(not 0.0 <= r < 1.0 for r in radii):
-            raise InvalidConfig(f"'radii' must be nonempty and lie in [0, 1), got {radii}")
+            ("radii", lambda rs: tuple(_real(r) + 0.0 for r in rs), "a nonempty list of numbers in [0, 1)",
+             lambda rs: rs and all(0.0 <= r < 1.0 for r in rs)),
+            ("angles", _integer, "a positive integer", lambda n: n >= 1),
+            ("refine_iters", _integer, "a nonnegative integer", lambda n: n >= 0),
+        ):
+            object.__setattr__(self, field, _read(getattr(self, field), read, InvalidConfig, repr(field), rule, valid))
         object.__setattr__(self, "tol", _tolerance(self.tol, "tolerance 'tol'"))
-        for field in ("angles", "refine_iters"):
-            value = getattr(self, field)
-            try:
-                object.__setattr__(self, field, _integer(value))
-            except (TypeError, ValueError) as exc:
-                raise InvalidConfig(f"{field!r} must be an integer, got {value!r}") from exc
-        if self.angles < 1:
-            raise InvalidConfig(f"need at least one angle, got {self.angles}")
-        if self.refine_iters < 0:
-            raise InvalidConfig(f"refinement iterations must be nonnegative, got {self.refine_iters}")
 
 
 # Shared by every search given no config; frozen, so sharing is safe.

@@ -29,12 +29,21 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DomainError, Infeasible, InvalidProblem, NotFound, NotPrefixK, NumericalError, Unsupported
-from .kset import KSpec, is_algebra, smallest_missing, _conductor, _constrained, _integer
+from .errors import (
+    DomainError,
+    Infeasible,
+    InvalidConfig,
+    InvalidProblem,
+    NotFound,
+    NotPrefixK,
+    NumericalError,
+    Unsupported,
+)
+from .kset import KSpec, is_algebra, smallest_missing, _conductor, _constrained, _integer, _read
 from .analytic import SchurFunction, _circle, np_solve, sup_norm_estimate, taylor_coeffs
 from .bruno import compose_derivative
 from .feasibility import DEFAULT_CONFIG, FeasibilityResult, SearchConfig, find_lambda
-from .pickmat import CLASSICAL_PSD_TOL, Problem, _complex_array, _mobius, h_data
+from .pickmat import BOUNDARY_TOL, CLASSICAL_PSD_TOL, Problem, _complex_array, _mobius, h_data
 
 __all__ = [
     "Interpolant",
@@ -81,13 +90,11 @@ class Interpolant:
         lam = complex(_complex_array(self.lambda_, "the base value lambda", 0))
         object.__setattr__(self, "lambda_", lam)
         for field in ("m", "d"):
-            value = getattr(self, field)
-            try:
-                object.__setattr__(self, field, _integer(value))
-            except (TypeError, ValueError) as exc:
-                raise InvalidProblem(f"exponent {field!r} must be an integer, got {value!r}") from exc
-        if self.m < 1 or self.d < 1:
-            raise InvalidProblem(f"exponents must be positive, got m={self.m}, d={self.d}")
+            value = _read(
+                getattr(self, field), _integer, InvalidProblem, f"exponent {field!r}", "a positive integer",
+                lambda n: n >= 1,
+            )
+            object.__setattr__(self, field, value)
         if not abs(lam) < 1.0:  # NaN fails too
             raise InvalidProblem("the base value lambda must lie strictly inside the disk")
 
@@ -136,8 +143,9 @@ class VerificationReport:
 
     ``taylor_violations`` lists (index, |coefficient|) for constrained
     indices up to 128 whose coefficient exceeds the tolerance; ``passed``
-    requires all residuals within tolerance, sup norm at most 1 + tol, and
-    no violations.
+    requires all residuals within tolerance, sup norm at most 1 + tol, no
+    violations, and h's chain in the disk: every node inside the open disk,
+    every step value and the tail within ``BOUNDARY_TOL`` of the closed one.
     ``derivative_crosscheck`` is the largest disagreement, over orders up to
     6, between f's Taylor coefficients from circle sampling and those from
     the composition-derivative expansion; it is diagnostic and does not gate
@@ -214,7 +222,7 @@ def exponent_plan(k: KSpec, mode: Mode) -> tuple[int, int]:
         return (max(smallest_missing(k) // k.d + 1, _conductor(k)), k.d)
     if mode == "necessary":
         return (smallest_missing(k) // k.d, k.d)
-    raise ValueError(f"unknown mode {mode!r}")
+    raise InvalidConfig(f"mode must be 'iff', 'sufficient' or 'necessary', got {mode!r}")
 
 
 def construct(
@@ -235,7 +243,7 @@ def construct(
     certified nonexistence result; from sufficient mode it is inconclusive.
     """
     if mode not in ("iff", "sufficient"):
-        raise ValueError(f"construction mode must be 'iff' or 'sufficient', got {mode!r}")
+        raise InvalidConfig(f"construction mode must be 'iff' or 'sufficient', got {mode!r}")
     cfg = cfg or DEFAULT_CONFIG
     m, d = exponent_plan(k, mode)
     E = m * d
@@ -327,7 +335,11 @@ def verify_interpolant(f: Interpolant, problem: Problem, k: KSpec) -> Verificati
     evaluation of f or h at those points gives, so the report is the one
     three evaluations of f and one of h would give.  Every check uses the
     default ``Tolerances``, whatever ``f.h.low_confidence`` says, so an
-    artifact cannot loosen its own check.  Always returns a report.
+    artifact cannot loosen its own check.  ``passed`` also requires h's chain
+    to lie in the disk, which every chain ``np_solve`` builds does: a node
+    off the open disk, or a value or tail off the closed one, can give h a
+    pole inside the disk that the residuals and both circles miss.  Always
+    returns a report.
     """
     tol = Tolerances()
     E = f.m * f.d
@@ -349,10 +361,14 @@ def verify_interpolant(f: Interpolant, problem: Problem, k: KSpec) -> Verificati
     if E <= CROSSCHECK_ORDER:
         h_coeffs = taylor_coeffs(hw[4096 : 4096 + 1024], CROSSCHECK_ORDER - E, TAYLOR_RADIUS)[:: f.d]
     cross = _crosscheck_derivatives(f, coeffs, h_coeffs)
+    # a chain off the disk can match its nodes and read a sup norm under 1 with a singularity inside
+    edge = 1.0 + BOUNDARY_TOL
+    in_disk = abs(f.h.tail) <= edge and all(abs(a) < 1.0 and abs(v) <= edge for a, v in f.h.steps)
     passed = (
         all(r <= tol.interp for r in residuals)
         and sup <= 1.0 + tol.norm
         and not violations
+        and in_disk
     )
     return VerificationReport(
         residuals=residuals,

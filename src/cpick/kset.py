@@ -68,20 +68,13 @@ class KSpec:
     gaps: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            d = _integer(self.d)
-        except (TypeError, ValueError) as exc:
-            raise InvalidK(f'scale "d" must be a positive integer, got {self.d!r}') from exc
-        if d < 1:
-            raise InvalidK(f'scale "d" must be a positive integer, got {d!r}')
-        gaps = tuple(_integers(self.gaps, "gaps"))
+        d = _read(self.d, _integer, InvalidK, 'scale "d"', "a positive integer", lambda n: n >= 1)
+        gaps = _read(
+            self.gaps, _integers, InvalidK, '"gaps"', "strictly increasing positive integers",
+            lambda gaps: all(a < b for a, b in zip((0,) + gaps, gaps)),
+        )
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "gaps", gaps)
-        for g in gaps:
-            if g < 1:
-                raise InvalidK(f"gap entries must be positive integers, got {g!r}")
-        if any(a >= b for a, b in zip(gaps, gaps[1:])):
-            raise InvalidK(f"gaps must be strictly increasing, got {gaps}")
 
     @cached_property
     def _gapset(self) -> frozenset[int]:
@@ -110,7 +103,7 @@ class KSpec:
             gaps = obj["gaps"]
             if not isinstance(gaps, list):
                 raise InvalidK('"gaps" must be a list of positive integers')
-            return KSpec(d=obj["d"], gaps=tuple(sorted(set(_integers(gaps, "gaps")))))
+            return KSpec(d=obj["d"], gaps=_read(gaps, _members, InvalidK, '"gaps"', "integers"))
         raise InvalidK('constraint set needs either {"K": [...]} or {"d":..., "gaps": [...]}')
 
 
@@ -151,22 +144,37 @@ def _real(value) -> float:
     return float(value)
 
 
-def _integers(values, field: str) -> list[int]:
-    """``values`` converted by ``_integer``; ``InvalidK`` names the field otherwise."""
+def _integers(values) -> tuple[int, ...]:
+    """Each of ``values`` read by ``_integer``; a non-iterable raises ``TypeError``."""
+    return tuple(map(_integer, values))
+
+
+def _read(value, read, error, what: str, rule: str, valid=None):
+    """``read(value)``, the one reader of a number, or a sequence of them, that a caller passes in.
+
+    Where ``read`` raises ``TypeError`` or ``ValueError``, or ``valid`` refuses
+    its result, the package's ``error`` says that ``what`` must be ``rule``
+    and repeats the value given, chained from the cause.  ``_integer`` and
+    ``_real`` are the rules for what counts as an integer or a real number.
+    """
     try:
-        return [_integer(v) for v in values]
+        result = read(value)
     except (TypeError, ValueError) as exc:
-        raise InvalidK(f'"{field}" entries must be integers, got {values!r}') from exc
+        raise error(f"{what} must be {rule}, got {value!r}") from exc
+    if valid is not None and not valid(result):
+        raise error(f"{what} must be {rule}, got {value!r}")
+    return result
+
+
+def _members(values) -> tuple[int, ...]:
+    """The distinct ``_integers`` of ``values``, ascending."""
+    return tuple(sorted(set(_integers(values))))
 
 
 def from_finite_set(k_list) -> KSpec:
     """Build the KSpec of a finite constraint set (scale 1, gaps = the set)."""
-    members = sorted(set(_integers(k_list, "K")))
-    if not members:
-        raise InvalidK("finite constraint set must be nonempty")
-    if members[0] < 1:
-        raise InvalidK(f"constraint set entries must be >= 1, got {members[0]}")
-    return KSpec(d=1, gaps=tuple(members))
+    members = _read(k_list, _members, InvalidK, '"K"', "a nonempty set of positive integers", lambda k: k and k[0] >= 1)
+    return KSpec(d=1, gaps=members)
 
 
 def contains(k: KSpec, n: int) -> bool:
@@ -189,8 +197,7 @@ def _constrained(k: KSpec, n: int) -> tuple[int, ...]:
 
     Cached: a verification reads it once per call, for a handful of K.
     """
-    d, gapset = k.d, k._gapset
-    return tuple(j for j in range(1, n + 1) if j % d or j // d in gapset)
+    return tuple(j for j in range(1, n + 1) if contains(k, j))
 
 
 def is_algebra(k: KSpec) -> bool:

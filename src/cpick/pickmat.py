@@ -46,7 +46,7 @@ from .errors import (
     InvalidProblem,
     NumericalError,
 )
-from .kset import _integer, _real
+from .kset import _integers, _read, _real
 
 __all__ = [
     "Problem",
@@ -186,16 +186,11 @@ def classical_pick(nodes, values) -> np.ndarray:
 
 
 def _exponents(E, d) -> tuple[int, int]:
-    """E and d as plain ints, read through ``kset._integer``, with d >= 1 dividing E >= 1; else ``InvalidExponent``."""
-    try:
-        E, d = _integer(E), _integer(d)
-    except (TypeError, ValueError) as exc:
-        raise InvalidExponent(f"exponents must be integers, got E={E!r}, d={d!r}") from exc
-    if d < 1 or E < 1:
-        raise InvalidExponent(f"exponents must be positive, got E={E}, d={d}")
-    if E % d != 0:
-        raise InvalidExponent(f"scale d={d} must divide the numerator exponent E={E}")
-    return E, d
+    """E and d as plain ints, read by ``kset._integer``, with d >= 1 dividing E >= 1; else ``InvalidExponent``."""
+    return _read(
+        (E, d), _integers, InvalidExponent, "exponents (E, d)", "integers >= 1 with d dividing E",
+        lambda ed: min(ed) >= 1 and ed[0] % ed[1] == 0,
+    )
 
 
 def h_data(problem: Problem, lam: complex, E: int, d: int) -> tuple[list[complex], list[complex]]:
@@ -342,13 +337,9 @@ def _tolerance(tol, label: str = "tolerance") -> float:
 
     A NaN tolerance would fail every matrix and an infinite one pass every matrix.
     """
-    try:
-        value = _real(tol)
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"{label} must be a number, got {tol!r}") from exc
-    if not (math.isfinite(value) and value >= 0):
-        raise InvalidConfig(f"{label} must be finite and nonnegative, got {value}")
-    return value
+    return _read(
+        tol, _real, InvalidConfig, label, "a finite and nonnegative number", lambda t: math.isfinite(t) and t >= 0
+    )
 
 
 def psd_check(m, tol: float = CLASSICAL_PSD_TOL) -> PsdVerdict:

@@ -12,6 +12,7 @@ from cpick import (
     DomainError,
     Infeasible,
     Interpolant,
+    InvalidConfig,
     InvalidProblem,
     KSpec,
     NotFound,
@@ -70,6 +71,14 @@ def test_exponent_plan_sufficient_and_necessary():
 def test_exponent_plan_rejects_non_algebra():
     with pytest.raises(Unsupported):
         exponent_plan(from_finite_set([2]), "sufficient")
+
+
+def test_unknown_modes_raise_invalid_config():
+    with pytest.raises(InvalidConfig, match="'bogus'"):
+        exponent_plan(K13, "bogus")
+    for mode in ("necessary", "bogus"):  # construction has no necessary mode
+        with pytest.raises(InvalidConfig, match=f"'{mode}'"):
+            construct(Problem(nodes=(0.5,), targets=(0.2,)), K13, mode)
 
 
 def test_sufficient_plan_matches_the_complement_structure_formula():
@@ -344,7 +353,9 @@ def _reference_report(f, problem, k):
     cross = 0.0
     for order in range(1, 7):
         cross = max(cross, abs(compose_derivative(g_derivs, u_derivs, order) / math.factorial(order) - coeffs[order]))
-    passed = all(r <= tol.interp for r in residuals) and sup <= 1.0 + tol.norm and not violations
+    values = [v for _, v in f.h.steps] + [f.h.tail]
+    in_disk = [abs(a) < 1.0 for a, _ in f.h.steps] + [abs(v) <= 1.0 + pickmat.BOUNDARY_TOL for v in values]
+    passed = all(r <= tol.interp for r in residuals) and sup <= 1.0 + tol.norm and not violations and all(in_disk)
     return interp.VerificationReport(
         residuals=residuals,
         sup_norm=sup,
@@ -393,6 +404,46 @@ def test_verify_report_equals_the_public_samplers_report(k, m, d):
             report = verify_interpolant(tampered, problem, k)
             assert not report.passed
             assert report == _reference_report(tampered, problem, k)
+
+
+def _chain_case(seed, tail, reflected=None):
+    """A seeded 16-step chain with lam, as (m, d) = (3, 3), and data at the cube roots of its first 8 nodes.
+
+    h takes the value of the step at that step's node whatever the steps inside
+    it, so f matches the targets, read off the chain with tail 0, whatever
+    ``tail`` is and whichever later step's node is reflected out of the disk.
+    """
+    rng = np.random.default_rng(seed)
+    steps = [(disk_point(rng, 0.9), disk_point(rng, 0.9)) for _ in range(16)]
+    lam = disk_point(rng, 0.5)
+    nodes = np.array([a ** (1 / 3) for a, _ in steps[:8]])
+    targets = Interpolant(lambda_=lam, m=3, d=3, h=SchurFunction(steps=tuple(steps), tail=0j))(nodes)
+    if reflected is not None:
+        a, v = steps[reflected]
+        steps[reflected] = (1 / a.conjugate(), v)
+    f = Interpolant(lambda_=lam, m=3, d=3, h=SchurFunction(steps=tuple(steps), tail=tail))
+    return f, Problem(nodes=tuple(nodes.tolist()), targets=tuple(targets.tolist()))
+
+
+def test_verify_rejects_a_chain_off_the_disk():
+    # A tail of 3.0 gives h a pole inside the disk, yet at seed 2 f matches its
+    # nodes to 1e-16, reads sup norm 0.9918 and has no constrained coefficient
+    # over 1e-7: only the chain's own values show that f is not a Schur function.
+    k = from_finite_set([1, 2])
+    f, problem = _chain_case(2, 3.0)
+    report = verify_interpolant(f, problem, k)
+    assert max(report.residuals) < 1e-15 and report.sup_norm < 1.0 and not report.taylor_violations
+    assert not report.passed
+    assert report == _reference_report(f, problem, k)
+    for seed in range(300):
+        assert not verify_interpolant(*_chain_case(seed, 3.0), k).passed, seed
+        assert verify_interpolant(*_chain_case(seed, 0j), k).passed, seed
+    # a node reflected out of the disk puts a pole of h inside it just as well
+    f, problem = _chain_case(2, 0j, reflected=14)
+    report = verify_interpolant(f, problem, k)
+    assert max(report.residuals) < 1e-15 and report.sup_norm < 1.0 and not report.taylor_violations
+    assert not report.passed
+    assert report == _reference_report(f, problem, k)
 
 
 def test_numeric_strings_evaluate_as_the_numbers_they_parse_to():
