@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,15 +218,21 @@ def taylor_coeffs(values, count: int, radius: float) -> tuple[complex, ...]:
     c_j is at most r^N / (1 - r^N); the practical accuracy limit is roundoff
     amplified by the r^(-j) factor, so very high indices need a radius
     closer to 1 (Bornemann, Found. Comput. Math. 2011).  Values of another
-    shape, a count that ``kset._integer`` does not read as an integer, or a
+    shape, a count that ``kset._integer`` does not read as an integer, a
     radius that ``kset._real`` does not read as a number (a string or a
-    boolean), raise ``InvalidConfig``; non-numeric values raise
+    boolean), or one so small that radius ** count underflows or its
+    reciprocal overflows, raise ``InvalidConfig``; non-numeric values raise
     ``InvalidProblem``.
     """
     vals = _complex_array(values, "samples")
     samples = len(vals) if vals.ndim == 1 else 0
     count = _read(count, _integer, InvalidConfig, "coefficient count", "an integer >= 0", lambda n: n >= 0)
-    radius = _read(radius, _real, InvalidConfig, "sampling radius", "a number in (0, 1)", lambda r: 0.0 < r < 1.0)
+    # c_count is divided by radius ** count: a radius where that underflows, or
+    # its reciprocal overflows, would return inf
+    radius = _read(
+        radius, _real, InvalidConfig, "sampling radius", "a number in (0, 1) with 1 / radius ** count finite",
+        lambda r: 0.0 < r < 1.0 and r**count > 1.0 / sys.float_info.max,
+    )
     if samples < max(1, 4 * count) or samples & (samples - 1):
         raise InvalidConfig(
             f"samples must be a 1-d array whose length is a power of two at least 4 * count, got shape {vals.shape}"

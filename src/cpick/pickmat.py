@@ -16,6 +16,11 @@ Hermitian eigensolver directly, through numpy's gufunc
 ``np.linalg.eigvalsh``; a stack that comes back with a NaN minimum, which is
 how the gufunc reports a failure to converge, is redone through
 ``np.linalg.eigvalsh``, so such a failure still raises ``LinAlgError``.
+Before its eigensolve ``psd_check`` takes the Gershgorin scale of the
+Hermitian part in one pass, which also refuses the matrix when it is not
+finite: a non-finite entry, or row sums that overflow.  Outer products are
+``np.multiply(a[:, None], b[None, :])``, the call ``np.outer`` makes,
+without its wrapper; a shorter broadcast can change last bits by shape.
 
 The classical matrix [(1 - w_i conj(w_j)) / (1 - z_i conj(z_j))] decides
 plain Nevanlinna-Pick solvability.  The constrained variant replaces the
@@ -127,15 +132,15 @@ class Problem:
     targets: tuple[complex, ...]
 
     def __post_init__(self):
-        nodes = tuple(_complex_array(self.nodes, "nodes", 1).tolist())
-        targets = tuple(_complex_array(self.targets, "targets", 1).tolist())
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "targets", targets)
+        nodes = _complex_array(self.nodes, "nodes", 1)
+        targets = _complex_array(self.targets, "targets", 1)
+        object.__setattr__(self, "nodes", tuple(nodes.tolist()))
+        object.__setattr__(self, "targets", tuple(targets.tolist()))
         if len(nodes) != len(targets):
             raise InvalidProblem(f"{len(nodes)} nodes vs {len(targets)} targets")
         if not 1 <= len(nodes) <= MAX_POINTS:
             raise InvalidProblem(f"problem size must lie in [1, {MAX_POINTS}], got {len(nodes)}")
-        if len(set(nodes)) != len(nodes):
+        if len(set(self.nodes)) != len(nodes):
             raise InvalidProblem("nodes must be distinct")
         _check_open_disk(nodes, "nodes")
         _check_open_disk(targets, "targets")
@@ -180,8 +185,8 @@ def classical_pick(nodes, values) -> np.ndarray:
         raise InvalidProblem(f"{len(z)} nodes vs {len(v)} values")
     if len(set(z.tolist())) != len(z):
         raise InvalidProblem("nodes must be distinct")
-    num = 1.0 - np.outer(v, v.conj())
-    den = 1.0 - np.outer(z, z.conj())
+    num = 1.0 - np.multiply(v[:, None], v.conj()[None, :])
+    den = 1.0 - np.multiply(z[:, None], z.conj()[None, :])
     return num / den
 
 
@@ -244,8 +249,8 @@ class PickBuilder:
             raise InvalidProblem(f"the nodes' d-th powers must be distinct, d={d}")
         ze = z**E
         self._targets = np.array([problem.targets])
-        self._powers = np.outer(ze, ze.conj())
-        self._den = 1.0 - np.outer(z, z.conj()) ** d
+        self._powers = np.multiply(ze[:, None], ze.conj()[None, :])
+        self._den = 1.0 - np.multiply(z[:, None], z.conj()[None, :]) ** d
 
     def entries(self, lams) -> np.ndarray:
         """The matrix at lam, entry by entry: (n, n) for a scalar, (k, n, n) for a 1-d array of k.
@@ -336,10 +341,11 @@ def _tolerance(tol, label: str = "tolerance") -> float:
     """``tol`` as a finite nonnegative float, read by ``kset._real``; anything else raises ``InvalidConfig``.
 
     A NaN tolerance would fail every matrix and an infinite one pass every matrix.
+    A -0.0 tolerance is read as 0.0, as the search radii are.
     """
     return _read(
         tol, _real, InvalidConfig, label, "a finite and nonnegative number", lambda t: math.isfinite(t) and t >= 0
-    )
+    ) + 0.0
 
 
 def psd_check(m, tol: float = CLASSICAL_PSD_TOL) -> PsdVerdict:
@@ -349,8 +355,11 @@ def psd_check(m, tol: float = CLASSICAL_PSD_TOL) -> PsdVerdict:
     is raised.  Its Hermitian part h = 0.5 (m + m*), taken once, gives both
     numbers: the eigenvalue is ``_min_eigenvalues(h)``, and the verdict is
     min_eigenvalue >= -tol * max(1, s) with s the Gershgorin bound
-    max_i sum_j |h_ij|, a cheap spectral-norm overestimate.  A tolerance
-    that ``_tolerance`` refuses raises ``InvalidConfig``.
+    max_i sum_j |h_ij|, a cheap spectral-norm overestimate.  s is taken
+    first, and a non-finite s raises ``NumericalError``: h has a non-finite
+    entry, or finite entries whose row sums overflow, where the tolerance
+    would be inf or NaN.  A tolerance that ``_tolerance`` refuses raises
+    ``InvalidConfig``.
     """
     tol = _tolerance(tol)
     a = _complex_array(m, "matrix")
@@ -359,10 +368,10 @@ def psd_check(m, tol: float = CLASSICAL_PSD_TOL) -> PsdVerdict:
     if a.shape[0] == 0:
         raise InvalidProblem("matrix order must be at least 1")
     h = _hermitian_part(a)
-    if not np.all(np.isfinite(h.view(float))):
-        raise NumericalError("matrix contains non-finite entries")
+    scale = float(np.abs(h).sum(axis=1).max())
+    if not math.isfinite(scale):  # a non-finite entry makes it so
+        raise NumericalError(f"matrix has a non-finite entry, or its row sums overflow: scale {scale}")
     min_eig = float(_min_eigenvalues(h))
-    scale = float(np.max(np.sum(np.abs(h), axis=1)))
     tol_used = tol * max(1.0, scale)
     return PsdVerdict(is_psd=min_eig >= -tol_used, min_eigenvalue=min_eig, tolerance_used=tol_used)
 

@@ -305,6 +305,12 @@ def test_taylor_config_validation():
     for count in (1.5, "2", True):  # a count must be an integer
         with pytest.raises(InvalidConfig, match="must be an integer"):
             taylor_coeffs(ring, count, 0.5)
+    # c_4 is divided by radius ** 4, which underflows to 0 at 1e-300 and is
+    # subnormal, of reciprocal inf, at 1e-78; either would return inf
+    for radius in (1e-300, 1e-78):
+        with pytest.raises(InvalidConfig, match=f"radius .*got {radius}"):
+            taylor_coeffs(ring, 4, radius)
+    assert np.all(np.isfinite(taylor_coeffs(ring, 4, 1e-77)))
 
 
 def test_sup_norm_examples():

@@ -407,6 +407,13 @@ def test_search_flag_overrides(run_cli, write_json):
     assert code == 2  # radius outside [0, 1) is an input defect
 
 
+def test_negative_zero_tolerance_echoes_as_zero(run_cli, write_json):
+    # SearchConfig(tol=-0.0) == SearchConfig(tol=0.0), so the report echoes the one value
+    code, out, _ = run_cli("feasible", write_json("p.json", PROBLEM_FEASIBLE), "--mode", "iff", "--tol", "-0.0")
+    assert code == 0
+    assert '"tol": 0.0' in out and "-0.0" not in out, out
+
+
 def test_log_env_var_goes_to_stderr(run_cli, write_json):
     prob = write_json("p.json", PROBLEM_FEASIBLE)
     env = {**os.environ, "CPICK_LOG": "info"}

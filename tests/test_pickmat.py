@@ -143,6 +143,22 @@ def test_stacked_min_eigenvalues_equal_scalar_path_exactly(n, E, d):
     assert all(pick.min_eigenvalues(complex(lam)) == verdicts[i] for i, lam in enumerate(lams))
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+@pytest.mark.parametrize("E,d", [(1, 1), (4, 2), (9, 3)])
+def test_outer_products_equal_np_outer_exactly(n, E, d):
+    # The builder's lam-independent blocks and classical_pick make the call
+    # np.outer makes; a shorter broadcast such as a[:, None] * b.conj() can
+    # change last bits by shape, which would move every verdict.
+    rng = np.random.default_rng(1000 * n + 10 * E + d)
+    nodes, targets = random_nodes(rng, n, d=d), [disk_point(rng, 0.9) for _ in range(n)]
+    pick = PickBuilder(Problem(nodes, targets), E, d)
+    z, w = np.array(nodes), np.array(targets)
+    assert np.array_equal(pick._powers, np.outer(z**E, (z**E).conj()))
+    assert np.array_equal(pick._den, 1.0 - np.outer(z, z.conj()) ** d)
+    classical = (1.0 - np.outer(w, w.conj())) / (1.0 - np.outer(z**d, (z**d).conj()))
+    assert np.array_equal(classical_pick(z**d, w), classical)
+
+
 def _public_min_eigenvalues(h):
     return np.linalg.eigvalsh(h)[..., 0]
 
@@ -232,6 +248,18 @@ def test_psd_check_examples():
     for tol in (float("nan"), float("inf"), -1.0):
         with pytest.raises(InvalidConfig, match="finite and nonnegative"):
             psd_check(np.eye(2), tol)
+    # a -0.0 tolerance is read as 0.0, as the search radii are
+    assert str(psd_check([[1.0]], -0.0).tolerance_used) == "0.0"
+
+
+@pytest.mark.parametrize("tol", [1e-8, 0.0])
+def test_psd_check_refuses_row_sums_that_overflow(tol):
+    # Every entry is finite, but the Gershgorin scale, each row's sum of
+    # moduli, overflows; the verdict would use an inf tolerance (NaN at tol 0)
+    # and call this matrix, of smallest eigenvalue -1.6e308, PSD.
+    m = np.full((3, 3), 8e307) - 1.6e308 * np.eye(3)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="row sums overflow"):
+        psd_check(m, tol)
 
 
 @pytest.mark.parametrize(
