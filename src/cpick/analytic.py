@@ -54,6 +54,15 @@ OVERSHOOT_TOL = 1e-9
 # with the forced constant to this accuracy.
 CONSTANT_MATCH_TOL = 1e-8
 
+# glibc hands the top of its heap back to the system whenever more than
+# 128 KiB lie free there, until the process first frees a block of more than
+# that which it had mapped on its own; from then on it keeps up to twice that
+# block's size.  Evaluation allocates and frees arrays of about 80 KB, so a
+# process that never freed such a block faulted them in afresh on every
+# call.  One 2 MiB block mapped and freed here, never written and so never
+# resident, makes glibc keep up to 4 MiB.  Other allocators ignore it.
+np.empty(1 << 18)
+
 
 @dataclass(frozen=True)
 class SchurFunction:

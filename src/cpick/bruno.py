@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import OrderTooLarge
+from .kset import _integer, _integers, _read
 
 __all__ = [
     "MAX_ORDER",
@@ -31,14 +32,22 @@ __all__ = [
 MAX_ORDER = 20
 
 
+def _order(k) -> int:
+    """``k`` read by ``_integer``; a value outside [1, ``MAX_ORDER``] raises ``OrderTooLarge``."""
+    return _read(k, _integer, OrderTooLarge, "order", f"an integer in [1, {MAX_ORDER}]", lambda k: 1 <= k <= MAX_ORDER)
+
+
 @dataclass(frozen=True)
 class CompositionTuple:
-    """Multiplicity vector (b_1, ..., b_k) with sum(l * b_l) = k = len(b)."""
+    """Multiplicity vector (b_1, ..., b_k) with sum(l * b_l) = k = len(b).
+
+    Each b_l is read by ``_integer``; any other value raises ``ValueError``.
+    """
 
     b: tuple[int, ...]
 
     def __post_init__(self):
-        b = tuple(int(x) for x in self.b)
+        b = _read(self.b, _integers, ValueError, "multiplicities", "integers")
         object.__setattr__(self, "b", b)
         if not b:
             raise ValueError("composition tuple must have positive order")
@@ -64,8 +73,7 @@ def composition_tuples(k: int) -> list[CompositionTuple]:
     >>> [t.b for t in composition_tuples(3)]
     [(0, 0, 1), (1, 1, 0), (3, 0, 0)]
     """
-    if not 1 <= k <= MAX_ORDER:
-        raise OrderTooLarge(f"order must lie in [1, {MAX_ORDER}], got {k}")
+    k = _order(k)
     out: list[CompositionTuple] = []
     buf = [0] * k
 
@@ -122,10 +130,10 @@ def compose_derivative(g_derivs, f_derivs, k: int) -> complex:
     be f^(l) at z0, both as plain derivatives (no factorial scaling); lists
     need length at least k+1.  A zero f-derivative annihilates every term it
     multiplies, so the result is exactly 0.0 whenever each tuple contains a
-    vanishing factor.
+    vanishing factor.  ``k`` is read as ``composition_tuples`` reads it.
     """
-    if not 1 <= k <= MAX_ORDER:
-        raise OrderTooLarge(f"order must lie in [1, {MAX_ORDER}], got {k}")
+    if type(k) is not int or not 1 <= k <= MAX_ORDER:  # a plain int in range needs no reader
+        k = _order(k)
     if len(g_derivs) < k + 1 or len(f_derivs) < k + 1:
         raise ValueError(f"need derivatives up to order {k} for both functions")
     total = complex(0)

@@ -129,15 +129,8 @@ def _search_config(doc: dict, path: str, args) -> SearchConfig:
         if unknown:
             raise InvalidConfig(f"unknown search config keys: {sorted(unknown)}")
         cfg = SearchConfig(**obj)
-        overrides = {}
-        if args.tol is not None:
-            overrides["tol"] = args.tol
-        if args.radii is not None:
-            overrides["radii"] = tuple(float(r) for r in args.radii.split(","))
-        if args.angles is not None:
-            overrides["angles"] = args.angles
-        return dataclasses.replace(cfg, **overrides)
-    except (CPickError, ValueError) as exc:
+        return cfg if args.tol is None else SearchConfig(tol=args.tol)
+    except CPickError as exc:
         raise ParseError(f"{path}: search config: {exc}") from exc
 
 
@@ -292,8 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_search_flags(p):
         p.add_argument("--tol", type=float, default=None, help="PSD tolerance for the search")
-        p.add_argument("--radii", default=None, help="comma-separated grid radii in [0, 1)")
-        p.add_argument("--angles", type=int, default=None, help="grid angles per radius")
         p.add_argument("--seed", type=int, default=None, help="echoed into the report config")
 
     p = sub.add_parser("check-algebra", help="decide the semigroup criterion for K")

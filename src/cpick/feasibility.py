@@ -5,7 +5,7 @@ statement over a disk parameter lam.  When some node sits at the origin the
 parameter is pinned exactly (any interpolant satisfies f(0) = target), so a
 single evaluation settles the question up to the PSD tolerance.  Otherwise
 the feasible region has no known description and the search is heuristic.
-``_maximize``, a coarse polar grid followed by a derivative-free simplex,
+``_maximize``, a fixed polar grid followed by a derivative-free simplex,
 climbs the smallest eigenvalue; it knows nothing of Pick matrices, and
 ``find_lambda`` tells it which point is good enough.  The criterion asks
 for some PSD parameter, not the best one.  A positive answer carries a
@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import InvalidConfig, NumericalError
-from .kset import _integer, _read, _real
+from .errors import NumericalError
 from .pickmat import (
     LOW_CONFIDENCE_EIG,
     PickBuilder,
@@ -49,34 +49,27 @@ __all__ = [
     "find_lambda",
 ]
 
-DEFAULT_RADII = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 # Witnesses are kept strictly inside the disk; the criterion requires it.
 LAMBDA_CLAMP = 0.999
+REFINE_ITERS = 200
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Grid and refinement parameters for the parameter search.
+    """The search's PSD tolerance ``tol``, its one setting.
 
-    Every field is converted and checked here, whether it comes from the
-    constructor or ``dataclasses.replace``; a field of the wrong type or
-    range raises ``InvalidConfig``.
+    ``tol`` is converted and checked here, whether it comes from the
+    constructor or ``dataclasses.replace``; a value of the wrong type or
+    range raises ``InvalidConfig``.  The polar grid that seeds a search,
+    ``radii`` x ``angles``, is the same for every config: class constants,
+    not fields, and below ``LAMBDA_CLAMP``.
     """
 
-    radii: tuple[float, ...] = DEFAULT_RADII
-    angles: int = 64
-    refine_iters: int = 200
+    radii: ClassVar[tuple[float, ...]] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
+    angles: ClassVar[int] = 64
     tol: float = 1e-8
 
     def __post_init__(self):
-        for field, read, rule, valid in (
-            # + 0.0 turns a -0.0 radius into 0.0: configs that compare equal share one grid
-            ("radii", lambda rs: tuple(_real(r) + 0.0 for r in rs), "a nonempty list of numbers in [0, 1)",
-             lambda rs: rs and all(0.0 <= r < 1.0 for r in rs)),
-            ("angles", _integer, "a positive integer", lambda n: n >= 1),
-            ("refine_iters", _integer, "a nonnegative integer", lambda n: n >= 0),
-        ):
-            object.__setattr__(self, field, _read(getattr(self, field), read, InvalidConfig, repr(field), rule, valid))
         object.__setattr__(self, "tol", _tolerance(self.tol, "tolerance 'tol'"))
 
 
@@ -110,7 +103,7 @@ class FeasibilityResult:
     or not its bound ruled out an eigensolve, plus every simplex trial the
     simplex used before it stopped; the grid's three best points start the
     simplex without being scored or counted again.  It is exactly the
-    grid's size when the search stops at the best grid point.
+    grid's 705 points when the search stops at the best grid point.
     """
 
     feasible: bool
@@ -120,13 +113,15 @@ class FeasibilityResult:
     pinned: bool
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_points(radii: tuple[float, ...], angles: int) -> np.ndarray:
-    """The polar grid as one read-only array in (radius, angle) order.
+@functools.cache
+def _grid_points() -> np.ndarray:
+    """The grid ``SearchConfig.radii`` x ``SearchConfig.angles`` as one read-only array, in (radius, angle) order.
 
-    A point equal to one already listed is dropped.  Cached: equal arguments
-    return the same array, which is why it cannot be written to.
+    A point equal to one already listed is dropped: the radius-0 ring is one
+    point, so the grid has 705.  Cached: every search shares the one array,
+    which is why it cannot be written to.
     """
+    radii, angles = SearchConfig.radii, SearchConfig.angles
     points = dict.fromkeys(complex(r * np.exp(2j * np.pi * ai / angles)) for r in radii for ai in range(angles))
     a = np.array(list(points))
     a.flags.writeable = False
@@ -144,19 +139,17 @@ def _clamp(x: float, y: float) -> tuple[float, float]:
     return (x * (LAMBDA_CLAMP / r), y * (LAMBDA_CLAMP / r)) if r > LAMBDA_CLAMP else (x, y)
 
 
-def _maximize(pick, cfg: SearchConfig, good_enough) -> tuple[complex, int]:
+def _maximize(pick, good_enough) -> tuple[complex, int]:
     """The best parameter found for ``pick.min_eigenvalues``, and the evaluations it took.
 
-    All grid candidates radius x angle (exact duplicates dropped, built once
-    per config) are ranked by ``pick.min_eigenvalue_bounds``, an upper bound
-    on each value.  The three with the largest bounds are scored, then every
-    other point whose bound is not below the smallest of those three values;
-    a point skipped has value at most its bound, so it cannot be among the
-    three best, which are the full grid's.  They start a
-    reflection/contraction simplex capped at ``cfg.refine_iters`` iterations
-    with trial points clamped to modulus ``LAMBDA_CLAMP``; they keep their
-    grid values, and only padding of a grid with fewer than three points,
-    or a point the clamp moved, is scored again.  Each iteration scores its
+    All 705 points of ``_grid_points`` are ranked by
+    ``pick.min_eigenvalue_bounds``, an upper bound on each value.  The three
+    with the largest bounds are scored, then every other point whose bound
+    is not below the smallest of those three values; a point skipped has
+    value at most its bound, so it cannot be among the three best, which
+    are the full grid's.  They start a reflection/contraction simplex with
+    their grid values, capped at ``REFINE_ITERS`` iterations, with trial
+    points clamped to modulus ``LAMBDA_CLAMP``.  Each iteration scores its
     reflection and contraction in one stack, and an expansion alone.
 
     ``good_enough(lam, value)`` is asked about the best point after the grid
@@ -166,7 +159,7 @@ def _maximize(pick, cfg: SearchConfig, good_enough) -> tuple[complex, int]:
     simplex until its vertices lie within 1e-12 or the cap is reached.
     Grid ties resolve to the smallest (radius index, angle index).
     """
-    points = _grid_points(cfg.radii, cfg.angles)
+    points = _grid_points()
     evaluations = len(points)
 
     # A point whose bound is below the third-best value seen cannot reach the
@@ -204,18 +197,10 @@ def _maximize(pick, cfg: SearchConfig, good_enough) -> tuple[complex, int]:
 
     if done():
         return best_lam, evaluations
+    # the grid lies inside LAMBDA_CLAMP, so its points need no clamp
     simplex = [(float(points[i].real), float(points[i].imag)) for i in top]
-    x0, y0 = simplex[0]
-    # degenerate user grids: pad around the best point
-    simplex += [(x0 + 0.01, y0 + 0.0), (x0 + 0.0, y0 + 0.01)][len(simplex) - 1 :]
-    clamped = [_clamp(x, y) for x, y in simplex]
-    # the grid scored its own points; only padding, and a grid point the
-    # clamp moved (a user radius past LAMBDA_CLAMP), is scored here
-    fresh = [i for i in range(3) if i >= len(top) or clamped[i] != simplex[i]]
-    scores = dict(zip(fresh, solve(*(clamped[i] for i in fresh)))) if fresh else {}
-    simplex = clamped
-    vals = [record(simplex[i], scores[i]) if i in scores else float(values[ranked[i]]) for i in range(3)]
-    for _ in range(cfg.refine_iters):
+    vals = values[ranked].tolist()
+    for _ in range(REFINE_ITERS):
         if done():
             break
         order = sorted(range(3), key=lambda i: -vals[i])
@@ -282,7 +267,7 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
         keep = [i for i in range(problem.n) if i != origin]
         matrix = pick.entries(lam).take(keep, 0).take(keep, 1)
     else:
-        lam, evaluations = _maximize(pick, cfg, good_enough)
+        lam, evaluations = _maximize(pick, good_enough)
         matrix = constrained_pick(problem.nodes, problem.targets, lam, E, d)
     feasible, best = True, 0.0  # a lone node at the origin leaves no matrix to judge
     if len(matrix):

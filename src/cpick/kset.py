@@ -32,11 +32,10 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidK, Unsupported
+from .errors import InvalidK, OrderTooLarge, Unsupported
 
 __all__ = [
     "KSpec",
@@ -76,7 +75,7 @@ class KSpec:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "gaps", gaps)
 
-    @cached_property
+    @functools.cached_property
     def _gapset(self) -> frozenset[int]:
         return frozenset(self.gaps)
 
@@ -181,10 +180,10 @@ def contains(k: KSpec, n: int) -> bool:
     """Membership test: is derivative order ``n`` constrained by K?
 
     n is *outside* K exactly when n = d*t with t a positive non-gap of the
-    underlying semigroup.  Pure and total for n >= 1.
+    underlying semigroup.  Pure and total for n >= 1; ``n`` is read by
+    ``_integer``, and any other value raises ``OrderTooLarge``.
     """
-    if n < 1:
-        raise ValueError(f"membership is defined for positive orders, got {n}")
+    n = _read(n, _integer, OrderTooLarge, "order n", "a positive integer", lambda n: n >= 1)
     if n % k.d != 0:
         return True
     t = n // k.d

@@ -341,7 +341,7 @@ def _tolerance(tol, label: str = "tolerance") -> float:
     """``tol`` as a finite nonnegative float, read by ``kset._real``; anything else raises ``InvalidConfig``.
 
     A NaN tolerance would fail every matrix and an infinite one pass every matrix.
-    A -0.0 tolerance is read as 0.0, as the search radii are.
+    A -0.0 tolerance is read as 0.0, so that tolerances comparing equal echo alike.
     """
     return _read(
         tol, _real, InvalidConfig, label, "a finite and nonnegative number", lambda t: math.isfinite(t) and t >= 0

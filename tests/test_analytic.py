@@ -1,6 +1,9 @@
 """Möbius maps, the Schur-Nevanlinna solver, Taylor extraction, sup norms."""
 
+import platform
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from cpick import (
     taylor_coeffs,
 )
 from cpick.analytic import _circle
-from conftest import blaschke_product, disk_point
+from conftest import blaschke_product, cpick_env, disk_point
 
 
 def test_mobius_fixed_points():
@@ -351,3 +354,24 @@ def test_sampling_circle_is_built_once(radius, samples):
     assert not ring.flags.writeable
     t = np.arange(samples)
     assert np.array_equal(ring, radius * np.exp(2j * np.pi * t / samples))
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap trim threshold is glibc's")
+def test_arrays_freed_after_evaluation_are_not_faulted_in_again():
+    # A fresh process that imports cpick, then allocates and frees eight
+    # arrays of 82 KB per round, as an evaluation on the verification
+    # circles does, must not fault their pages in again each round: glibc
+    # keeps the freed top of its heap instead of handing it back.
+    code = (
+        "import resource, numpy as np, cpick\n"
+        "faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "[np.ones(5128, complex) for _ in range(8)]\n"
+        "before = faults()\n"
+        "for _ in range(50):\n"
+        "    [np.ones(5128, complex) for _ in range(8)]\n"
+        "print((faults() - before) / 50)\n"
+    )
+    # settings that fix glibc's thresholds would decide the answer themselves
+    env = {k: v for k, v in cpick_env().items() if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+    assert float(out) < 8, out

@@ -75,6 +75,15 @@ def test_tuple_validation():
         CompositionTuple((-1, 1, 0))
 
 
+def test_tuple_reads_its_multiplicities():
+    # a multiplicity is an integer: a fraction, a string or a boolean is refused, not truncated or cast
+    for b in [(1.7,), ("1",), (True,), (0, 1.5), 1]:
+        with pytest.raises(ValueError, match="multiplicities"):
+            CompositionTuple(b)
+    t = CompositionTuple((np.int64(1), 1.0, 0))
+    assert t == CompositionTuple((1, 1, 0)) and all(type(x) is int for x in t.b)
+
+
 def test_coefficients_worked_example():
     assert bruno_coefficient(CompositionTuple((1, 1, 0))) == 3
     assert bruno_coefficient(CompositionTuple((3, 0, 0))) == 1

@@ -54,22 +54,17 @@ def test_parse_errors_exit_2(run_cli, write_json, tmp_path):
 
     # malformed numbers are input defects, not "no" verdicts
     for name, patch, field in [
-        ("radii.json", {"search": {"radii": 0.5}}, "'radii'"),
         ("tol.json", {"search": {"tol": None}}, "'tol'"),
         ("gaps.json", {"K": {"d": 2, "gaps": ["a"]}}, '"gaps"'),
         ("members.json", {"K": ["x"]}, '"K"'),
         ("tolnan.json", {"search": {"tol": float("nan")}}, "'tol'"),
         ("tolinf.json", {"search": {"tol": float("inf")}}, "'tol'"),
         ("kfloat.json", {"K": [1.7, 3.2]}, '"K"'),
-        ("angles.json", {"search": {"angles": 8.7}}, "'angles'"),
-        ("anglesbool.json", {"search": {"angles": True}}, "'angles'"),
         ("kbool.json", {"K": [True]}, '"K"'),
         ("dbool.json", {"K": {"d": True, "gaps": [1]}}, '"d"'),
         ("gapsbool.json", {"K": {"d": 1, "gaps": [True]}}, '"gaps"'),
         ("tolbool.json", {"search": {"tol": True}}, "'tol'"),
-        ("radiibool.json", {"search": {"radii": [False, 0.5]}}, "'radii'"),
         ("tolstr.json", {"search": {"tol": "1e-8"}}, "'tol'"),
-        ("radiistr.json", {"search": {"radii": ["0.5"]}}, "'radii'"),
         ("angle.json", {"search": {"angle": 8}}, "'angle'"),
         ("kboth.json", {"K": {"K": [1, 3], "d": 2, "gaps": [1]}}, "not both"),
         # json.load reads NaN and Infinity; they are malformed numbers too
@@ -82,21 +77,29 @@ def test_parse_errors_exit_2(run_cli, write_json, tmp_path):
 
     code, _, err = run_cli("feasible", write_json("p.json", PROBLEM_FEASIBLE), "--mode", "iff", "--tol", "nan")
     assert code == 2 and "'tol'" in err and "Traceback" not in err, err
+
+    # the search grid is fixed: its former keys and flags are refused, even with the old defaults
+    for key, value in [("radii", [0.0, 0.5, 0.9]), ("angles", 64), ("refine_iters", 200)]:
+        prob = write_json(f"{key}.json", {**PROBLEM_FEASIBLE, "search": {key: value, "tol": 1e-8}})
+        code, _, err = run_cli("feasible", prob, "--mode", "iff")
+        assert code == 2 and f"unknown search config keys: ['{key}']" in err and "Traceback" not in err, err
+    for flag, value in [("--radii", "0,0.7"), ("--angles", "8")]:
+        code, _, err = run_cli("feasible", write_json("p.json", PROBLEM_FEASIBLE), "--mode", "iff", flag, value)
+        assert code == 2 and flag in err and "Traceback" not in err, err
     code, _, err = run_cli("check-algebra", write_json("kfloat-only.json", {"K": [1.7, 3.2]}))
     assert code == 2 and '"K"' in err and "Traceback" not in err, err
 
 
 def test_report_shapes(run_cli, write_json, tmp_path):
     # reports are written from the library's records, so a renamed field renames a key
-    prob = write_json("p.json", {**PROBLEM_FEASIBLE, "search": {"angles": 8.0}})
+    prob = write_json("p.json", {**PROBLEM_FEASIBLE, "search": {"tol": 1e-7}})
     code, out, _ = run_cli("feasible", prob, "--mode", "iff")
     doc = json.loads(out)
     assert code == 0 and set(doc) == {
         "best_min_eigenvalue", "certified", "config", "d", "evaluations", "feasible", "lambda", "m", "mode", "pinned"
     }
     echo = doc["config"]
-    assert set(echo) == {"angles", "radii", "refine_iters", "seed", "tol"}
-    assert type(echo["angles"]) is int and echo["angles"] == 8 and echo["seed"] is None
+    assert echo == {"seed": None, "tol": 1e-7}
     # the echo, read back as a search object, configures the same search
     search = {key: value for key, value in echo.items() if key != "seed"}
     code, out, _ = run_cli("feasible", write_json("echo.json", {**PROBLEM_FEASIBLE, "search": search}), "--mode", "iff")
@@ -390,21 +393,12 @@ def test_search_flag_overrides(run_cli, write_json):
             "nodes": [[0.5, 0]],
             "targets": [[0.7, 0]],
             "K": {"K": [1]},
-            "search": {"refine_iters": 50},
+            "search": {"tol": 1e-4},
         },
     )
-    code, out, _ = run_cli(
-        "feasible", prob, "--mode", "iff", "--radii", "0,0.7", "--angles", "8", "--tol", "1e-6"
-    )
+    code, out, _ = run_cli("feasible", prob, "--mode", "iff", "--tol", "1e-6", "--seed", "5")
     assert code == 0
-    cfg = json.loads(out)["config"]
-    assert cfg["radii"] == [0.0, 0.7]
-    assert cfg["angles"] == 8
-    assert cfg["tol"] == 1e-6
-    assert cfg["refine_iters"] == 50  # file-level setting survives flag overrides
-
-    code, _, err = run_cli("feasible", prob, "--mode", "iff", "--radii", "2.0")
-    assert code == 2  # radius outside [0, 1) is an input defect
+    assert json.loads(out)["config"] == {"seed": 5, "tol": 1e-6}
 
 
 def test_negative_zero_tolerance_echoes_as_zero(run_cli, write_json):

@@ -9,6 +9,7 @@ import pytest
 from cpick import (
     InvalidK,
     KSpec,
+    OrderTooLarge,
     Unsupported,
     complement_structure,
     contains,
@@ -48,8 +49,11 @@ def test_contains_examples():
 
 
 def test_contains_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    with pytest.raises(OrderTooLarge, match="order n"):
         contains(from_finite_set([1]), 0)
+    # the in operator reads the order the same way
+    with pytest.raises(OrderTooLarge, match="order n"):
+        2.5 in from_finite_set([1, 2])
 
 
 def test_constrained_is_contains_in_ascending_order():

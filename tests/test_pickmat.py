@@ -248,7 +248,7 @@ def test_psd_check_examples():
     for tol in (float("nan"), float("inf"), -1.0):
         with pytest.raises(InvalidConfig, match="finite and nonnegative"):
             psd_check(np.eye(2), tol)
-    # a -0.0 tolerance is read as 0.0, as the search radii are
+    # a -0.0 tolerance is read as 0.0, so that tolerances comparing equal echo alike
     assert str(psd_check([[1.0]], -0.0).tolerance_used) == "0.0"
 
 

@@ -21,10 +21,14 @@ from cpick import (
     InvalidK,
     InvalidProblem,
     KSpec,
+    OrderTooLarge,
     Problem,
     SchurFunction,
     SearchConfig,
+    compose_derivative,
+    composition_tuples,
     constrained_pick,
+    contains,
     find_lambda,
     from_finite_set,
     psd_check,
@@ -35,6 +39,8 @@ from cpick.pickmat import h_data
 PROBLEM = Problem((0.5,), (0.2,))
 RING = _circle(0.5, 128)
 H = SchurFunction(steps=(), tail=0.5)
+K12 = from_finite_set([1, 2])
+DERIVS = [0.1, 0.2, 0.3]
 
 INTEGRAL = (2.0, np.int64(2), np.float64(2.0), np.uint8(2), np.float32(2.0))
 REAL = (np.float32(0.5), np.float64(0.5), Fraction(1, 2))
@@ -44,6 +50,9 @@ SITES = {
     "KSpec d": (lambda v: KSpec(d=v, gaps=()), InvalidK, '"d"', 2, INTEGRAL),
     "KSpec gaps": (lambda v: KSpec(d=1, gaps=v), InvalidK, '"gaps"', (1, 2), ([1, 2], np.array([1, 2]), range(1, 3))),
     "KSpec gap": (lambda v: KSpec(d=1, gaps=(v,)), InvalidK, '"gaps"', 2, INTEGRAL),
+    "contains n": (lambda v: contains(K12, v), OrderTooLarge, "order n", 2, INTEGRAL),
+    "composition_tuples k": (composition_tuples, OrderTooLarge, "order", 2, INTEGRAL),
+    "compose_derivative k": (lambda v: compose_derivative(DERIVS, DERIVS, v), OrderTooLarge, "order", 2, INTEGRAL),
     "from_finite_set": (from_finite_set, InvalidK, '"K"', (1, 2), ([2, 1, 2], np.array([1, 2]), {1.0, 2})),
     "from_finite_set member": (lambda v: from_finite_set([v]), InvalidK, '"K"', 2, INTEGRAL),
     "constrained_pick E": (lambda v: constrained_pick([0.5], [0.1], 0, v, 1), InvalidExponent, "(E, d)", 2, INTEGRAL),
@@ -53,12 +62,6 @@ SITES = {
     "find_lambda E": (lambda v: find_lambda(PROBLEM, v, 1), InvalidExponent, "(E, d)", 2, INTEGRAL),
     "psd_check tol": (lambda v: psd_check(np.eye(2), v), InvalidConfig, "tolerance", 0.5, REAL),
     "np_solve tol": (lambda v: np_solve([0.1], [0.2], tol=v), InvalidConfig, "tolerance", 0.5, REAL),
-    "SearchConfig radii": (
-        lambda v: SearchConfig(radii=v), InvalidConfig, "'radii'", (0.0, 0.5), ([0, 0.5], np.array([-0.0, 0.5]))
-    ),
-    "SearchConfig radius": (lambda v: SearchConfig(radii=(v,)), InvalidConfig, "'radii'", 0.5, REAL),
-    "SearchConfig angles": (lambda v: SearchConfig(angles=v), InvalidConfig, "'angles'", 2, INTEGRAL),
-    "SearchConfig refine_iters": (lambda v: SearchConfig(refine_iters=v), InvalidConfig, "'refine_iters'", 2, INTEGRAL),
     "SearchConfig tol": (lambda v: SearchConfig(tol=v), InvalidConfig, "'tol'", 0.5, REAL),
     "taylor_coeffs count": (lambda v: taylor_coeffs(RING, v, 0.5), InvalidConfig, "count", 2, INTEGRAL),
     "taylor_coeffs radius": (lambda v: taylor_coeffs(RING, 4, v), InvalidConfig, "radius", 0.5, REAL),
