@@ -4,7 +4,10 @@ Feasibility of a constrained interpolation problem is an existential
 statement over a disk parameter lam.  When some node sits at the origin the
 parameter is pinned exactly (any interpolant satisfies f(0) = target), so a
 single evaluation settles the question up to the PSD tolerance.  Otherwise
-the feasible region has no known description and the search is heuristic.
+each diagonal entry of a PSD matrix is nonnegative, which puts every feasible
+lam within pseudo-hyperbolic distance |z_i|^E of w_i, for every node i.  The
+node nearest the origin confines lam most tightly, so its target is scored
+first, and the search stops there if that point is good enough.  If not,
 ``_maximize``, a fixed polar grid followed by a derivative-free simplex,
 climbs the smallest eigenvalue; it knows nothing of Pick matrices, and
 ``find_lambda`` tells it which point is good enough.  The criterion asks
@@ -12,15 +15,15 @@ for some PSD parameter, not the best one.  A positive answer carries a
 verifiable witness; a negative answer is evidence only, except in the
 pinned case.
 
-A search builds one ``pickmat.PickBuilder`` and scores every point, grid
-and simplex trial alike, through its ``min_eigenvalues``: the Hermitian
-part of ``entries``, then one stacked eigensolve, the path ``psd_check``
-takes on ``constrained_pick``, with the same bits at a parameter whatever
-stack it is scored in.  Its verdict is ``psd_check`` of one matrix, and the
-``best_min_eigenvalue`` it reports is that verdict's eigenvalue: without a
-pinned node the matrix is ``constrained_pick``'s at the chosen parameter;
-with one, it is the block left after removing the pinned node's row and
-column, which vanish exactly.
+A search builds one ``pickmat.PickBuilder`` and scores every point, the
+nearest target, grid points and simplex trials alike, through its
+``min_eigenvalues``: the Hermitian part of ``entries``, then one stacked
+eigensolve, the path ``psd_check`` takes on ``constrained_pick``, with the
+same bits at a parameter whatever stack it is scored in.  Its verdict is
+``psd_check`` of one matrix, and the ``best_min_eigenvalue`` it reports is
+that verdict's eigenvalue: without a pinned node the matrix is
+``constrained_pick``'s at the chosen parameter; with one, it is the block
+left after removing the pinned node's row and column, which vanish exactly.
 """
 
 from __future__ import annotations
@@ -93,17 +96,21 @@ class FeasibilityResult:
     matrix is ``constrained_pick``'s at the best parameter found.  Only a pinned
     negative can be certified, and only for a necessary criterion.
     ``lambda_`` is present exactly when ``feasible``.  A non-pinned search
+    asks first about the target of the node nearest the origin (the first
+    such node on ties), then about the points ``_maximize`` offers, and
     stops at the first point where M clears ``LOW_CONFIDENCE_EIG``, or where
     M is PSD and the classical P of ``pickmat.h_data``, the matrix
     ``np_solve`` judges in ``construct``, clears it, so its
     ``best_min_eigenvalue`` is not the maximum: it is at or above the margin
     after the first stop, and can lie in [0, LOW_CONFIDENCE_EIG) after the
     second.  A search that clears neither margin reports the largest value
-    it found.  ``evaluations`` counts every grid point, each ranked whether
-    or not its bound ruled out an eigensolve, plus every simplex trial the
-    simplex used before it stopped; the grid's three best points start the
-    simplex without being scored or counted again.  It is exactly the
-    grid's 705 points when the search stops at the best grid point.
+    ``_maximize`` found.  ``evaluations`` is 1 when the search stops at the
+    nearest target; otherwise it counts that target, every grid point, each
+    ranked whether or not its bound ruled out an eigensolve, and every
+    simplex trial the simplex used before it stopped; the grid's three best
+    points start the simplex without being scored or counted again.  It is
+    exactly 706, the target and the grid's 705 points, when the search
+    stops at the best grid point.
     """
 
     feasible: bool
@@ -240,11 +247,13 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
     A node at the origin pins the parameter to its target (at most one node
     can be zero), collapsing the search to a single exact evaluation of the
     block left after removing that node's row and column, which vanish at
-    the pinned parameter.  Otherwise ``_maximize`` climbs the smallest
-    eigenvalue of the constrained matrix M and stops where
-    ``FeasibilityResult`` says.  The verdict is ``psd_check`` of that block,
-    or of ``constrained_pick`` at the parameter found, and its eigenvalue is
-    the value reported.  Fully deterministic for a fixed config.
+    the pinned parameter.  Otherwise the target of the node nearest the
+    origin is scored first, and where it is not good enough ``_maximize``
+    climbs the smallest eigenvalue of the constrained matrix M; the search
+    stops where ``FeasibilityResult`` says.  The verdict is ``psd_check`` of
+    that block, or of ``constrained_pick`` at the parameter found, and its
+    eigenvalue is the value reported.  Fully deterministic for a fixed
+    config.
     """
     cfg = cfg or DEFAULT_CONFIG
     pick = PickBuilder(problem, E, d)
@@ -267,7 +276,13 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
         keep = [i for i in range(problem.n) if i != origin]
         matrix = pick.entries(lam).take(keep, 0).take(keep, 1)
     else:
-        lam, evaluations = _maximize(pick, good_enough)
+        # every feasible lam lies within pseudo-hyperbolic distance |z_i|^E of
+        # w_i, so the nearest node's target is the first point worth asking
+        nearest = min(range(problem.n), key=lambda i: abs(problem.nodes[i]))
+        lam, evaluations = problem.targets[nearest], 1
+        if not good_enough(lam, float(pick.min_eigenvalues(lam))):
+            lam, searched = _maximize(pick, good_enough)
+            evaluations += searched
         matrix = constrained_pick(problem.nodes, problem.targets, lam, E, d)
     feasible, best = True, 0.0  # a lone node at the origin leaves no matrix to judge
     if len(matrix):

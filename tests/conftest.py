@@ -28,6 +28,18 @@ FIXTURE_K_JSON = [
 ]
 
 
+# (n, seed) of a roundtrip_generate problem on K = {1..top}, by top, whose
+# iff search refuses the nearest node's target and then finds a lam that
+# np_solve refuses: its classical matrix is not PSD at top 8, and an
+# h-target leaves the closed disk at top 16
+REFUSED_ROUNDTRIPS = {8: (3, 70), 16: (2, 70)}
+
+
+def nearest_target(problem):
+    """The target of the node of smallest modulus, the first such node on ties."""
+    return problem.targets[min(range(problem.n), key=lambda i: abs(problem.nodes[i]))]
+
+
 def fixture_kspecs():
     from cpick import KSpec
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from cpick import KSpec, cli, from_finite_set, roundtrip_generate, verify_interpolant
-from conftest import FIXTURE_K_JSON
+from conftest import FIXTURE_K_JSON, REFUSED_ROUNDTRIPS
 
 PROBLEM_FEASIBLE = {
     "nodes": [[0, 0], [0.5, 0]],
@@ -297,7 +297,7 @@ def test_interpolate_underflowing_node_power_exits_1(run_cli, write_json, tmp_pa
 @pytest.mark.parametrize("top,reason", [(8, "not positive semidefinite"), (16, "closed unit disk")])
 def test_interpolate_exits_1_when_the_solver_refuses_the_searched_lambda(run_cli, write_json, tmp_path, top, reason):
     # valid input that np_solve refuses at the search's lam: no interpolant, not a parse error
-    problem, _ = roundtrip_generate(from_finite_set(range(1, top + 1)), 2, 13)
+    problem, _ = roundtrip_generate(from_finite_set(range(1, top + 1)), *REFUSED_ROUNDTRIPS[top])
     doc = {
         "nodes": [[z.real, z.imag] for z in problem.nodes],
         "targets": [[w.real, w.imag] for w in problem.targets],

@@ -31,7 +31,7 @@ from cpick import (
 from cpick import feasibility
 from cpick.feasibility import LAMBDA_CLAMP, _clamp, _grid_points, _maximize
 from cpick.pickmat import CLASSICAL_PSD_TOL, LOW_CONFIDENCE_EIG, PickBuilder, h_data
-from conftest import disk_point
+from conftest import disk_point, fixture_kspecs, nearest_target
 
 
 def test_problem_validation():
@@ -69,12 +69,22 @@ def test_objective_drops_pinned_zero_row():
 
 
 def test_find_lambda_single_node_lands_near_target():
+    # at lam = w the single entry is |z|^(2E) / (1 - |z|^2) > 0, so the search
+    # stops at the target, the first point it scores
     p = Problem(nodes=(0.5,), targets=(0.7,))
     r = find_lambda(p, 2, 1)
     assert r.feasible and not r.pinned
-    assert abs(r.lambda_ - 0.7) <= 0.1
-    assert r.best_min_eigenvalue >= 0
-    assert r.evaluations > 700
+    assert r.lambda_ == 0.7 and r.evaluations == 1
+    assert r.best_min_eigenvalue == PickBuilder(p, 2, 1).min_eigenvalues(0.7)
+    assert r.best_min_eigenvalue == pytest.approx(0.0625 / 0.75, abs=1e-12)
+
+
+def test_of_two_nearest_nodes_the_first_gives_the_first_point():
+    # nodes +-0.5 tie in modulus, and at E = 1 either target is good enough:
+    # the search stops at the target of the node listed first
+    for nodes, targets in [((0.5, -0.5), (0.1, -0.1)), ((-0.5, 0.5), (-0.1, 0.1))]:
+        r = find_lambda(Problem(nodes, targets), 1, 1)
+        assert (r.lambda_, r.evaluations) == (targets[0], 1)
 
 
 def test_find_lambda_pinned_threshold_family():
@@ -207,22 +217,47 @@ def test_cold_and_warm_grid_give_the_same_search():
 def _looped_find_lambda(problem, E, d, margin=LOW_CONFIDENCE_EIG, judged=None):
     """Reference search with the grid scored one parameter at a time.
 
-    The grid points, their exact-value dedup and the order by (-value,
-    radius index, angle index) are rebuilt here, followed by a copy of the
-    search's simplex, each trial point scored alone by the public verdict,
-    ``psd_check`` of ``constrained_pick``; the grid's top three start it
-    with their grid values.  Like the search, it stops once the best value
-    reaches ``margin``, or, where that value is in [0, margin), once the
-    classical Pick matrix of ``h_data`` at the best point does: after the
-    grid and at the top of each simplex iteration.  ``margin=math.inf``
-    runs the full maximisation.  Returns (lambda, best value, evaluations,
-    Counter of simplex moves), and ``moves["p_test"]`` counts the classical
-    matrices judged.  A list given as ``judged`` receives the parameter of
-    each, in order.
+    It first scores the target of the node nearest the origin (the first
+    on ties) and stops there if the margin rule below accepts it.
+    Otherwise the grid points, their exact-value dedup and the order by
+    (-value, radius index, angle index) are rebuilt here, followed by a
+    copy of the search's simplex, each trial point scored alone by the
+    public verdict, ``psd_check`` of ``constrained_pick``; the grid's top
+    three start it with their grid values.  The rule: a point is accepted
+    once its value reaches ``margin``, or, where that value is in [0,
+    margin), once the classical Pick matrix of ``h_data`` there does.  The
+    loop asks it about the best point after the grid and at the top of
+    each simplex iteration, whenever that point has changed.
+    ``margin=math.inf`` runs the full maximisation.  Returns (lambda, best
+    value, evaluations, Counter of simplex moves), with the nearest target
+    counted among the evaluations, and ``moves["p_test"]`` counts the
+    classical matrices judged.  A list given as ``judged`` receives the
+    parameter of each, in order.
     """
 
     def value(lam):
         return psd_check(constrained_pick(problem.nodes, problem.targets, lam, E, d), 0.0).min_eigenvalue
+
+    moves = Counter()
+    tested = [] if judged is None else judged
+
+    def accepts(lam, val):
+        if val >= margin:
+            return True
+        if not 0.0 <= val:
+            return False
+        tested.append(lam)
+        moves["p_test"] += 1
+        try:
+            nodes, values = h_data(problem, lam, E, d)
+        except NumericalError:
+            return False
+        return psd_check(classical_pick(nodes, values)).min_eigenvalue >= margin
+
+    nearest = nearest_target(problem)
+    nearest_value = value(nearest)
+    if accepts(nearest, nearest_value):
+        return nearest, nearest_value, 1, moves
 
     scored, seen = [], set()
     for ri, r in enumerate((0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)):
@@ -232,22 +267,15 @@ def _looped_find_lambda(problem, E, d, margin=LOW_CONFIDENCE_EIG, judged=None):
                 seen.add(lam)
                 scored.append((value(lam), ri, ai, lam))
     scored.sort(key=lambda rec: (-rec[0], rec[1], rec[2]))
-    best_obj, best_lam, evaluations = scored[0][0], scored[0][3], len(scored)
-    moves = Counter()
-    tested = [] if judged is None else judged
+    best_obj, best_lam, evaluations = scored[0][0], scored[0][3], 1 + len(scored)
+    asked = None  # the best point the rule last saw
 
     def done():
-        if best_obj >= margin:
-            return True
-        if not 0.0 <= best_obj or best_lam in tested:
+        nonlocal asked
+        if best_lam == asked:
             return False
-        tested.append(best_lam)
-        moves["p_test"] += 1
-        try:
-            nodes, values = h_data(problem, best_lam, E, d)
-        except NumericalError:
-            return False
-        return psd_check(classical_pick(nodes, values)).min_eigenvalue >= margin
+        asked = best_lam
+        return accepts(best_lam, best_obj)
 
     if done():
         return best_lam, best_obj, evaluations, moves
@@ -304,15 +332,18 @@ def _looped_find_lambda(problem, E, d, margin=LOW_CONFIDENCE_EIG, judged=None):
 
 def _grid_problems():
     rng = np.random.default_rng(97)
+    # none of the four below stops at the nearest node's target
     problems = [
-        # |phi_lam(0)| = |lam|: every point of a ring ties up to roundoff
-        (Problem(nodes=(0.5,), targets=(0.0,)), 2, 1),
-        (Problem(nodes=(0.3j, -0.6), targets=(0.0, 0.0)), 1, 1),
+        # nodes and targets turned together by -1, or by i, leave the value
+        # unchanged at -lam, or i lam: grid points tie up to roundoff in pairs,
+        # and in fours on the second, which stops at the best grid point
+        (Problem(nodes=(0.5, -0.5), targets=(0.3, -0.3)), 2, 1),
+        (Problem(nodes=(0.4, 0.4j, -0.4, -0.4j), targets=(0.3, 0.3j, -0.3, -0.3j)), 1, 1),
         # the optimum lies past the clamp radius, so the simplex presses against it
-        (Problem(nodes=(0.5,), targets=(0.9995,)), 2, 1),
+        (Problem(nodes=(0.5, 0.3), targets=(0.9995, 0.999)), 2, 1),
         # real data make the objective symmetric under conjugation, so
         # simplex points can tie exactly, and the first one scored must win
-        (Problem(nodes=(-0.8, 0.1), targets=(0.0, 0.2)), 2, 1),
+        (Problem(nodes=(-0.8, 0.1), targets=(0.0, 0.7)), 2, 1),
     ]
     for n, (E, d) in zip([1, 2, 3, 4, 6, 8], [(1, 1), (2, 1), (4, 2), (2, 1), (3, 3), (1, 1)]):
         nodes = []
@@ -343,12 +374,13 @@ def test_stacked_grid_matches_looped_grid():
 
 
 def test_best_value_is_the_final_verdicts_eigenvalue(monkeypatch):
-    # Whatever stack scored the best point (the grid, a simplex pair, or an
-    # expansion alone), a non-pinned search reports the eigenvalue that its
-    # final psd_check judged, bit for bit.  Single-node searches that walk
-    # the simplex are the ones where a lone point's bits depend on the shape
-    # the builder keeps its targets in; with the node inside radius 0.5 and
-    # E up to 4 the value's peak is narrow enough for the grid to miss it.
+    # Whatever stack scored the best point (the nearest target alone, the
+    # grid, a simplex pair, or an expansion alone), a non-pinned search
+    # reports the eigenvalue that its final psd_check judged, bit for bit.
+    # A lone point's bits depend on the shape the builder keeps its targets
+    # in at n = 1, and every single-node search stops at its target.  With
+    # two nodes inside radius 0.5 and E up to 4 the value's peak is narrow
+    # enough for the grid to miss it, so those searches walk the simplex.
     verdicts = []
 
     def recorded(m, tol=CLASSICAL_PSD_TOL):
@@ -358,17 +390,19 @@ def test_best_value_is_the_final_verdicts_eigenvalue(monkeypatch):
     monkeypatch.setattr(feasibility, "psd_check", recorded)
     cases = [(Problem(nodes=(0.5,), targets=(0.61,)), 2, 1)]
     rng = np.random.default_rng(67)
-    for _ in range(50):
-        p = Problem((disk_point(rng, 0.5),), (disk_point(rng, 0.95),))
-        cases += [(p, E, 1) for E in (1, 2, 3, 4)]
+    for n in (1, 2):
+        for _ in range(50):
+            p = Problem(tuple(disk_point(rng, 0.5) for _ in range(n)), tuple(disk_point(rng, 0.95) for _ in range(n)))
+            cases += [(p, E, 1) for E in (1, 2, 3, 4)]
     cases += _grid_problems()
-    refined = 0
+    stopped = refined = 0
     for p, E, d in cases:
         r = find_lambda(p, E, d)
         assert not r.pinned
         assert (r.feasible, r.best_min_eigenvalue) == (verdicts[-1].is_psd, verdicts[-1].min_eigenvalue)
-        refined += r.evaluations > len(_grid_points())
-    assert refined >= 90
+        stopped += r.evaluations == 1
+        refined += r.evaluations > 1 + len(_grid_points())
+    assert stopped >= 201 and refined >= 90
 
 
 def test_pruning_keeps_a_top_three_point_whose_bound_is_below_the_best():
@@ -492,14 +526,57 @@ def test_a_search_stopped_at_the_classical_margin_constructs_and_verifies(data, 
     assert verify_interpolant(f, p, k).passed
 
 
+_seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=150)
+@given(
+    data=st.tuples(st.just("roundtrip"), st.sampled_from(fixture_kspecs()), st.integers(1, 8), _seeds)
+    | st.tuples(st.just("infeasible"), st.sampled_from([(1, 1), (2, 1), (4, 2), (3, 3)]), _seeds)
+)
+def test_a_search_stopped_at_the_nearest_target_is_judged_there_and_verifies(data):
+    # Round trips from the acceptance fixture set, searched in the mode that
+    # matches K, and classically infeasible data.  A non-pinned search that
+    # takes one evaluation has stopped at the nearest node's target, judged
+    # by one psd_check of constrained_pick there, and the interpolant built
+    # at it verifies.  A lone node's target is always enough (its entry is
+    # |z|^(2E) / (1 - |z|^(2d)) there), and infeasible data never are.
+    kind, *rest = data
+    if kind == "infeasible":
+        (E, d), seed = rest
+        (problem,) = _classically_infeasible(1, seed)
+        r = find_lambda(problem, E, d)
+        assert not r.feasible and r.evaluations > 1
+        return
+    k, n, seed = rest
+    problem, _ = roundtrip_generate(k, n, seed)
+    mode = "iff" if k.d == 1 and k.gaps == tuple(range(1, len(k.gaps) + 1)) else "sufficient"
+    m, d = exponent_plan(k, mode)
+    E = m * d
+    r = find_lambda(problem, E, d)
+    assert not r.pinned
+    assert r.evaluations == 1 or problem.n > 1
+    if r.evaluations != 1:
+        return
+    assert r.lambda_ == nearest_target(problem)
+    verdict = psd_check(constrained_pick(problem.nodes, problem.targets, r.lambda_, E, d), SearchConfig().tol)
+    assert (r.feasible, r.best_min_eigenvalue) == (verdict.is_psd, verdict.min_eigenvalue)
+    f = construct(problem, k, mode)
+    assert f.lambda_ == r.lambda_
+    assert verify_interpolant(f, problem, k).passed
+
+
 def test_a_grid_point_past_the_margin_skips_the_simplex():
-    # at the single node 0.5 the value is (0.5^4 - |lam|^2) / 0.75, largest at
-    # the grid's first point, lam = 0, where it clears the margin
-    cfg = SearchConfig()
-    r = find_lambda(Problem((0.5,), (0.0,)), 2, 1, cfg)
+    # nodes +-0.5, targets +-0.3, E = 1: at the nearest target 0.3 the
+    # second diagonal entry is (0.25 - (0.6 / 1.09)^2) / 0.75 < 0; at the
+    # grid's first point, lam = 0, the matrix has diagonal 0.16 / 0.75 and
+    # off-diagonal -0.16 / 1.25, and its smallest eigenvalue clears the margin
+    p = Problem((0.5, -0.5), (0.3, -0.3))
+    assert PickBuilder(p, 1, 1).min_eigenvalues(0.3) < 0
+    r = find_lambda(p, 1, 1, SearchConfig())
     assert r.feasible and r.lambda_ == 0
-    assert r.best_min_eigenvalue == pytest.approx(0.0625 / 0.75, abs=1e-15)
-    assert r.evaluations == len(_grid_points())
+    assert r.best_min_eigenvalue == pytest.approx(0.16 / 0.75 - 0.16 / 1.25, abs=1e-15)
+    assert r.evaluations == 1 + len(_grid_points())
 
 
 def _searches_below_the_margin():

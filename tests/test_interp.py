@@ -40,7 +40,7 @@ from cpick import (
 from cpick import interp, pickmat
 from cpick.analytic import _circle
 from cpick.kset import _conductor, complement_structure
-from conftest import disk_point, fixture_kspecs
+from conftest import REFUSED_ROUNDTRIPS, disk_point, fixture_kspecs, nearest_target
 
 K1 = from_finite_set([1])
 K13 = from_finite_set([1, 3])
@@ -197,16 +197,29 @@ def test_construct_raises_notfound_when_a_node_power_underflows():
 
 @pytest.mark.parametrize("top,refusal", [(8, Infeasible), (16, DomainError)])
 def test_construct_raises_notfound_when_the_solver_refuses_the_searched_lambda(top, refusal):
-    # the search's lam clears its margin on M, but np_solve refuses the h-data
-    # there: on K = {1..8} P is not PSD, on K = {1..16} an h-target has
-    # modulus 3.9e10
+    # the search refuses the nearest node's target and finds a lam where M is
+    # PSD within its tolerance, but np_solve refuses the h-data there: on
+    # K = {1..8} P is not PSD, on K = {1..16} an h-target has modulus 9.9e9
     k = from_finite_set(range(1, top + 1))
-    problem, _ = roundtrip_generate(k, 2, 13)
+    problem, _ = roundtrip_generate(k, *REFUSED_ROUNDTRIPS[top])
     with pytest.raises(NotFound) as exc_info:
         construct(problem, k, "iff")
     err = exc_info.value
     assert isinstance(err.__cause__, refusal)
-    assert not err.certified and err.result.feasible
+    assert not err.certified and err.result.feasible and err.result.evaluations > 1
+
+
+@pytest.mark.parametrize("d,n,seed", [(8, 1, 2), (8, 2, 6), (12, 1, 2), (12, 2, 56)])
+def test_a_scaled_round_trip_solved_at_the_nearest_target_verifies(d, n, seed):
+    # On these round trips the grid and simplex alone stop at lams whose
+    # h-data np_solve refuses: an h-target outside the closed disk, or, for
+    # (8, 2, 6) and (12, 2, 56), a classical matrix that is not PSD.  The
+    # nearest node's target is good enough for the search and for np_solve.
+    k = KSpec(d=d, gaps=(1,))
+    problem, _ = roundtrip_generate(k, n, seed)
+    f = construct(problem, k, "sufficient")
+    assert f.lambda_ == nearest_target(problem) and not f.h.low_confidence
+    assert verify_interpolant(f, problem, k).passed
 
 
 # deep prefix K and large d, where np_solve can refuse the search's lam
