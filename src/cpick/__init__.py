@@ -50,7 +50,6 @@ from .pickmat import (
     classical_pick,
     constrained_pick,
     factorization_residual,
-    mobius,
     psd_check,
 )
 from .feasibility import (

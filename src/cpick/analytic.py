@@ -30,15 +30,8 @@ import numpy as np
 from .errors import Infeasible, InvalidConfig, InvalidProblem
 from .kset import _integer, _read, _real
 from .pickmat import (
-    BOUNDARY_TOL,
-    CLASSICAL_PSD_TOL,
-    LOW_CONFIDENCE_EIG,
-    _check_closed_disk,
-    _complex_array,
-    _mobius,
-    _tolerance,
-    classical_pick,
-    psd_check,
+    BOUNDARY_TOL, CLASSICAL_PSD_TOL, CONSTANT_MATCH_TOL, LOW_CONFIDENCE_EIG, OVERSHOOT_TOL,
+    _check_closed_disk, _complex_array, _mobius, _tolerance, classical_pick, psd_check,
 )
 
 __all__ = [
@@ -47,12 +40,6 @@ __all__ = [
     "taylor_coeffs",
     "sup_norm_estimate",
 ]
-
-# Reduced targets drifting this far past the circle mean genuinely bad data.
-OVERSHOOT_TOL = 1e-9
-# When a reduced target lands on the circle the remaining data must agree
-# with the forced constant to this accuracy.
-CONSTANT_MATCH_TOL = 1e-8
 
 # glibc hands the top of its heap back to the system whenever more than
 # 128 KiB lie free there, until the process first frees a block of more than
@@ -162,15 +149,17 @@ def np_solve(nodes, values, tol: float = CLASSICAL_PSD_TOL) -> SchurFunction:
 
     Finds F with |F| <= 1 on the disk and F(nodes[i]) = values[i].  The
     classical Pick matrix must pass ``psd_check`` at ``tol`` before any
-    reduction; failure raises ``Infeasible``.
+    reduction; failure raises ``Infeasible``.  A smallest eigenvalue below
+    ``LOW_CONFIDENCE_EIG`` flags the solution ``low_confidence``.
 
     Each step consumes one node: with current target u_j strictly inside the
-    disk, remaining targets become mobius(u_j, u_i) / blaschke_{z_j}(z_i).
-    A target on the circle forces the constant solution, which is accepted
-    only when all remaining targets agree with it.  The free parameter of
-    the final step is fixed to 0, which makes the solver deterministic.
-    A tolerance that ``psd_check`` refuses raises ``InvalidConfig``, for
-    empty data too.
+    disk, remaining targets become phi_{u_j}(u_i) / phi_{z_j}(z_i).  A target
+    more than ``OVERSHOOT_TOL`` past the circle raises ``Infeasible``; one
+    within ``BOUNDARY_TOL`` of it forces the constant solution, which is
+    accepted only when all remaining targets lie within
+    ``CONSTANT_MATCH_TOL`` of it.  The free parameter of the final step is
+    fixed to 0, which makes the solver deterministic.  A tolerance that
+    ``psd_check`` refuses raises ``InvalidConfig``, for empty data too.
     """
     tol = _tolerance(tol)
     nodes = _complex_array(nodes, "nodes", 1).tolist()
@@ -255,9 +244,9 @@ def sup_norm_estimate(values) -> float:
     """Max |values| over a nonempty 1-d array of samples of f.
 
     On ``_circle(radius, N)`` this grows with the radius for analytic f, by
-    the maximum principle, so 4096 samples at radius 0.999 is the standard
-    norm check.  Samples of another shape raise ``InvalidConfig``,
-    non-numeric ones ``InvalidProblem``.
+    the maximum principle; ``verify_interpolant`` reads it on
+    ``pickmat.SUP_NORM_RADIUS``'s circle.  Samples of another shape raise
+    ``InvalidConfig``, non-numeric ones ``InvalidProblem``.
     """
     vals = _complex_array(values, "samples")
     if vals.ndim != 1 or not len(vals):

@@ -2,9 +2,9 @@
 
 Complex numbers travel as [re, im] pairs in every file and report.  Reports
 hold the library's records as ``dataclasses.asdict`` gives them, and every
-JSON write passes one ``default`` hook, ``_complex_to_pair``, the one place
-a complex becomes a pair.  Exit codes form a fixed contract so shell
-harnesses can sweep parameter grids:
+JSON write, to stdout or to ``--out``, is ``_emit``'s, whose ``default`` hook
+``_complex_to_pair`` is the one place a complex becomes a pair.  Exit codes
+form a fixed contract so shell harnesses can sweep parameter grids:
 
     0  positive verdict (algebra / feasible / constructed / verified)
     1  negative verdict
@@ -82,11 +82,15 @@ def _load_json(path: str) -> dict:
     return doc
 
 
+def _emit(doc: dict, fh=None) -> None:
+    """Write ``doc`` to ``fh`` (stdout unless given), the one JSON writer: sorted keys, indent 2, a final newline."""
+    (fh or sys.stdout).write(json.dumps(doc, sort_keys=True, indent=2, default=_complex_to_pair) + "\n")
+
+
 def _write_json(path: str, doc: dict) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2, default=_complex_to_pair)
-            fh.write("\n")
+            _emit(doc, fh)
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
 
@@ -132,11 +136,6 @@ def _search_config(doc: dict, path: str, args) -> SearchConfig:
         return cfg if args.tol is None else SearchConfig(tol=args.tol)
     except CPickError as exc:
         raise ParseError(f"{path}: search config: {exc}") from exc
-
-
-def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2, default=_complex_to_pair))
-    sys.stdout.write("\n")
 
 
 def _interpolant_to_json(f: Interpolant) -> dict:

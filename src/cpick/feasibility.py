@@ -37,6 +37,7 @@ import numpy as np
 from .errors import NumericalError
 from .pickmat import (
     LOW_CONFIDENCE_EIG,
+    SEARCH_PSD_TOL,
     PickBuilder,
     Problem,
     _tolerance,
@@ -59,7 +60,7 @@ REFINE_ITERS = 200
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """The search's PSD tolerance ``tol``, its one setting.
+    """The search's PSD tolerance ``tol``, its one setting, ``SEARCH_PSD_TOL`` unless given.
 
     ``tol`` is converted and checked here, whether it comes from the
     constructor or ``dataclasses.replace``; a value of the wrong type or
@@ -70,7 +71,7 @@ class SearchConfig:
 
     radii: ClassVar[tuple[float, ...]] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
     angles: ClassVar[int] = 64
-    tol: float = 1e-8
+    tol: float = SEARCH_PSD_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "tol", _tolerance(self.tol, "tolerance 'tol'"))
@@ -84,7 +85,7 @@ DEFAULT_CONFIG = SearchConfig()
 class FeasibilityResult:
     """Outcome of a parameter search.
 
-    ``feasible`` is ``psd_check``'s verdict at the search tolerance on one
+    ``feasible`` is ``psd_check``'s verdict at ``SearchConfig.tol`` on one
     matrix, and ``best_min_eigenvalue`` is the smallest eigenvalue it judged.
     ``pinned`` marks the exact single-point search forced by a node at the
     origin; its matrix is the constrained Pick matrix at the pinned parameter
@@ -260,8 +261,7 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
 
     def good_enough(lam: complex, value: float) -> bool:
         """Whether M at lam, of smallest eigenvalue ``value``, or else P there, clears the margin."""
-        # M = D P D* with D = diag(z_i^E) shrinks M by |z_i|^(2E), so P can clear
-        # the margin where M does not; it is judged only where M is PSD
+        # P can clear LOW_CONFIDENCE_EIG where M = D P D* does not; it is judged only where M is PSD
         if not 0.0 <= value < LOW_CONFIDENCE_EIG:
             return value >= LOW_CONFIDENCE_EIG
         try:

@@ -43,7 +43,10 @@ from .kset import KSpec, is_algebra, smallest_missing, _conductor, _constrained,
 from .analytic import SchurFunction, _circle, np_solve, sup_norm_estimate, taylor_coeffs
 from .bruno import compose_derivative
 from .feasibility import DEFAULT_CONFIG, FeasibilityResult, SearchConfig, find_lambda
-from .pickmat import BOUNDARY_TOL, CLASSICAL_PSD_TOL, Problem, _complex_array, _mobius, h_data
+from .pickmat import (
+    BOUNDARY_TOL, CLASSICAL_PSD_TOL, INTERP_TOL, NORM_TOL, SUP_NORM_RADIUS, SUP_NORM_SAMPLES, TAYLOR_ORDER,
+    TAYLOR_RADIUS, TAYLOR_SAMPLES, TAYLOR_TOL, Problem, _complex_array, _mobius, h_data,
+)
 
 __all__ = [
     "Interpolant",
@@ -62,11 +65,6 @@ Mode = Literal["iff", "sufficient", "necessary"]
 
 # Orders 1 .. 6 of the derivative cross-check.
 CROSSCHECK_ORDER = 6
-
-# Sampling radius and highest order of verify_interpolant's membership
-# coefficients; its docstring gives the error bounds that set them.
-TAYLOR_RADIUS = 0.9
-TAYLOR_ORDER = 128
 
 # Node draws before roundtrip_generate gives up: for large d, z^d lies within 0.9^d of 0.
 NODE_DRAWS = 10_000
@@ -127,11 +125,11 @@ def _power(z: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Acceptance thresholds for verification."""
+    """Acceptance thresholds for verification, by default ``pickmat``'s ``INTERP_TOL``, ``NORM_TOL`` and ``TAYLOR_TOL``."""
 
-    interp: float = 1e-7
-    norm: float = 1e-6
-    taylor: float = 1e-7
+    interp: float = INTERP_TOL
+    norm: float = NORM_TOL
+    taylor: float = TAYLOR_TOL
 
 
 @dataclass(frozen=True)
@@ -142,10 +140,11 @@ class VerificationReport:
     ``dataclasses.asdict``, so renaming one renames a report key.
 
     ``taylor_violations`` lists (index, |coefficient|) for constrained
-    indices up to 128 whose coefficient exceeds the tolerance; ``passed``
-    requires all residuals within tolerance, sup norm at most 1 + tol, no
-    violations, and h's chain in the disk: every node inside the open disk,
-    every step value and the tail within ``BOUNDARY_TOL`` of the closed one.
+    indices up to ``TAYLOR_ORDER`` whose coefficient exceeds the tolerance;
+    ``passed`` requires all residuals within tolerance, sup norm at most
+    1 + tol, no violations, and h's chain in the disk: every node inside the
+    open disk, every step value and the tail within ``BOUNDARY_TOL`` of the
+    closed one.
     ``derivative_crosscheck`` is the largest disagreement, over orders up to
     6, between f's Taylor coefficients from circle sampling and those from
     the composition-derivative expansion; it is diagnostic and does not gate
@@ -314,19 +313,14 @@ def _crosscheck_derivatives(f: Interpolant, coeffs, h_coeffs) -> float:
 def verify_interpolant(f: Interpolant, problem: Problem, k: KSpec) -> VerificationReport:
     """Re-check interpolation residuals, sup norm and membership.
 
-    Residuals come from f at all nodes, the norm from 4096 circle samples
-    at radius 0.999, and membership from Taylor coefficients from 1024
-    samples at radius ``TAYLOR_RADIUS`` = 0.9, checked at every constrained
-    index j up to ``TAYLOR_ORDER`` = 128, so a function whose support
-    {d t : t >= m} meets K below 129 is rejected.  For |f| <= 1 the
-    aliasing error is at most 0.9^1024 / (1 - 0.9^1024), about 1e-47, and
-    the samples' roundoff is amplified by 0.9^-j, at most 0.9^-128, about
-    7e5, which takes roundoff of a few eps to about 1e-10, three orders
-    under the 1e-7 tolerance; at radius 0.5 it would be 2^128, enough to
-    reject true interpolants (Bornemann, Found. Comput. Math. 2011).  The
-    derivative cross-check reads h's coefficients off the same samples:
-    h(z^d) on that circle carries h's t-th coefficient at index t*d, at
-    most 6, where the roundoff is amplified by at most 0.9^-6, about 1.9.
+    Residuals come from f at all nodes, the norm from the circle of
+    ``SUP_NORM_RADIUS`` and membership from the Taylor coefficients of the
+    circle of ``TAYLOR_RADIUS``, at every constrained index up to
+    ``TAYLOR_ORDER``; ``pickmat``'s table gives the bounds that set them.
+    The derivative cross-check reads h's coefficients off the same samples:
+    h(z^d) there carries h's t-th coefficient at index t*d, at most
+    ``CROSSCHECK_ORDER``, where roundoff grows by at most ``TAYLOR_RADIUS``
+    ** -``CROSSCHECK_ORDER``, about 1.9.
 
     All of these come from one pass of h's Schur chain, whatever the number
     of nodes: the two circles and the nodes are raised to the power d
@@ -343,11 +337,13 @@ def verify_interpolant(f: Interpolant, problem: Problem, k: KSpec) -> Verificati
     """
     tol = Tolerances()
     E = f.m * f.d
-    points = np.concatenate((_circle(0.999, 4096), _circle(TAYLOR_RADIUS, 1024), np.array(problem.nodes)))
+    circles = (_circle(SUP_NORM_RADIUS, SUP_NORM_SAMPLES), _circle(TAYLOR_RADIUS, TAYLOR_SAMPLES))
+    points = np.concatenate((*circles, np.array(problem.nodes)))
     w = _power(points, f.d)
     hw = f.h(w)
     fw = f._outer(w, hw)
-    sup_vals, taylor_vals, node_vals = fw[:4096], fw[4096 : 4096 + 1024], fw[4096 + 1024 :]
+    taylor = slice(SUP_NORM_SAMPLES, SUP_NORM_SAMPLES + TAYLOR_SAMPLES)  # the Taylor circle's slice of the points
+    sup_vals, taylor_vals, node_vals = fw[: taylor.start], fw[taylor], fw[taylor.stop :]
 
     residuals = tuple(np.abs(node_vals - np.array(problem.targets)).tolist())
     sup = sup_norm_estimate(sup_vals)
@@ -359,7 +355,7 @@ def verify_interpolant(f: Interpolant, problem: Problem, k: KSpec) -> Verificati
     )
     h_coeffs = ()
     if E <= CROSSCHECK_ORDER:
-        h_coeffs = taylor_coeffs(hw[4096 : 4096 + 1024], CROSSCHECK_ORDER - E, TAYLOR_RADIUS)[:: f.d]
+        h_coeffs = taylor_coeffs(hw[taylor], CROSSCHECK_ORDER - E, TAYLOR_RADIUS)[:: f.d]
     cross = _crosscheck_derivatives(f, coeffs, h_coeffs)
     # a chain off the disk can match its nodes and read a sup norm under 1 with a singularity inside
     edge = 1.0 + BOUNDARY_TOL

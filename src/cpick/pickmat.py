@@ -1,9 +1,10 @@
-"""Interpolation data, their Pick matrices, the Möbius map and the PSD verdict.
+"""The numerical policy, interpolation data, their Pick matrices, the Möbius map and the PSD verdict.
 
-This module is the one home of four objects.  The data are a ``Problem``,
-the one check of nodes and targets.  The disk automorphism
+The module opens with the table of every verdict threshold, which the other
+modules import.  It is then the one home of four objects.  The data are a
+``Problem``, the one check of nodes and targets.  The disk automorphism
 phi_lam(z) = (z - lam) / (1 - conj(lam) z) is the unchecked kernel
-``_mobius`` that every module calls; ``mobius`` checks its arguments first.
+``_mobius``; every module calls it, and its callers check their arguments.
 Every Pick matrix is a plain complex ndarray.  The constrained one is
 ``PickBuilder.entries``, at one lam or a 1-d array of them, which both
 ``constrained_pick`` and the parameter search call.  The PSD verdict is
@@ -56,7 +57,6 @@ from .kset import _integers, _read, _real
 __all__ = [
     "Problem",
     "PsdVerdict",
-    "mobius",
     "classical_pick",
     "h_data",
     "constrained_pick",
@@ -64,28 +64,55 @@ __all__ = [
     "factorization_residual",
 ]
 
-MAX_POINTS = 16
-# Absolute slack when testing membership of the closed disk / circle.
+# The numerical policy: each threshold that decides a verdict, a flag, a refusal or a
+# verification outcome, with what sets its value.  Other modules bind no float of their
+# own but the search heuristic's ``feasibility.LAMBDA_CLAMP`` (``tests/test_policy.py``).
+#
+# Slack of disk and circle membership: far above the 1e-15 rounding that a Möbius map or
+# a Schur step leaves on a point of modulus 1.
 BOUNDARY_TOL = 1e-12
-# Relative slack of the PSD verdict on the classical Pick matrix that
-# ``analytic.np_solve`` reduces.  Its data carry rounding error (``construct``
-# divides the transformed targets by z^E), so the singular matrix of a witness
-# on the edge of feasibility computes to a slightly negative eigenvalue.
-# ``construct`` takes it as a floor under the search tolerance, so a search
-# run at a smaller one, even 0, leaves the solver this much slack.
+# Relative slack of ``np_solve``'s PSD verdict: its data carry rounding (targets / z^E), so
+# the singular P of a witness on the edge of feasibility computes slightly negative;
+# ``construct`` never solves at less, even after a search at tolerance 0.
 CLASSICAL_PSD_TOL = 1e-9
-# Smallest eigenvalue below which ``analytic.np_solve`` flags its solution low
-# confidence, and the margin at which the parameter search stops: once the
-# constrained matrix M or the classical matrix P of ``h_data``, the one
-# ``np_solve`` judges, clears it.  M = D P D*, D = diag(z_i^E) with
-# |z_i^E| < 1, so M >= delta I implies P >= delta I, while D can shrink M far
-# below a P that clears it; either way a parameter taken at this margin is
-# neither refused nor flagged by ``np_solve``.
+# Default of ``SearchConfig.tol``: ten times ``CLASSICAL_PSD_TOL``, the floor ``construct``
+# puts under it, so by default the solver grants the search's slack.
+SEARCH_PSD_TOL = 1e-8
+# Where ``np_solve`` flags low confidence and the search stops, once M or the P of ``h_data``
+# clears it: M = D P D* with D = diag(z_i^E), |z_i^E| < 1, so M >= delta I gives P >= delta I
+# while D can shrink M far below a P that clears it, and three orders above
+# ``CLASSICAL_PSD_TOL`` a parameter is neither refused nor flagged.
 LOW_CONFIDENCE_EIG = 1e-6
-# h-targets pushed marginally outside the closed disk by a near-singular
-# feasibility certificate are projected back by ``h_data``; anything worse is
-# left for ``np_solve`` to refuse.
+# How far past the circle ``h_data`` projects an h-target back: the overshoot of a
+# certificate at the ``LOW_CONFIDENCE_EIG`` scale; ``np_solve`` refuses worse.
 TARGET_CLAMP_SLACK = 1e-6
+# How far past the circle a target reduced by ``np_solve`` may land: the order of the
+# ``CLASSICAL_PSD_TOL`` its verdict granted the same data.
+OVERSHOOT_TOL = 1e-9
+# How closely the targets left must match the constant that one on the circle forces:
+# ten times ``OVERSHOOT_TOL``, as each Schur step they pass amplifies their rounding.
+CONSTANT_MATCH_TOL = 1e-8
+# The ``Tolerances`` of ``verify_interpolant``.  Residuals: above the 16 n eps of an exact
+# chain (``tests/test_accuracy.py``) and the 4e-8 a ``TARGET_CLAMP_SLACK`` projection leaves.
+INTERP_TOL = 1e-7
+# Sup norm at most 1 + NORM_TOL: nine orders above the rounding of a chain in the disk.
+NORM_TOL = 1e-6
+# Constrained coefficients: three orders above the 1e-10 the Taylor circle's roundoff reaches.
+TAYLOR_TOL = 1e-7
+# The sup-norm circle: the sampled maximum of an analytic f grows with the radius, and
+# samples 1.5e-3 apart lie about as near each other as to the unit circle.
+SUP_NORM_RADIUS = 0.999
+SUP_NORM_SAMPLES = 4096
+# The Taylor circle: for |f| <= 1 aliasing errs by r^N / (1 - r^N), about 1e-47, and roundoff
+# grows by r^-j <= 0.9^-128, about 7e5, to 1e-10; at radius 0.5 it would grow by 2^128 and
+# reject true interpolants (Bornemann, Found. Comput. Math. 2011).
+TAYLOR_RADIUS = 0.9
+TAYLOR_SAMPLES = 1024
+# The highest constrained index checked, so a support {d t : t >= m} that meets K below 129
+# fails; ``taylor_coeffs`` needs 4 * TAYLOR_ORDER samples.
+TAYLOR_ORDER = 128
+
+MAX_POINTS = 16
 # The LAPACK gufunc (zheevd on the lower triangle) that ``np.linalg.eigvalsh``
 # calls for complex input with UPLO='L', bound once so that each eigensolve
 # skips the wrapper's argument handling.  It is private to numpy: if a numpy
@@ -151,20 +178,8 @@ class Problem:
 
 
 def _mobius(lam, z):
-    """phi_lam(z) without argument checks; ``_mobius(-lam, .)`` is its inverse."""
+    """phi_lam(z), unchecked: zero at lam, maps disk and circle onto themselves; ``_mobius(-lam, .)`` inverts it."""
     return (z - lam) / (1.0 - lam.conjugate() * z)
-
-
-def mobius(lam: complex, z):
-    """Elementary disk automorphism (z - lam) / (1 - conj(lam) z).
-
-    Vanishes at lam, maps the open disk onto itself and the circle onto the
-    circle; ``mobius(-lam, .)`` is its inverse.  Takes a number lam (open
-    disk) and a scalar or an ndarray z (closed disk).
-    """
-    lam = complex(_check_open_disk(lam, "Möbius parameter", 0))
-    out = _mobius(lam, _check_closed_disk(z, "Möbius argument"))
-    return complex(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -355,11 +370,11 @@ def psd_check(m, tol: float = CLASSICAL_PSD_TOL) -> PsdVerdict:
     is raised.  Its Hermitian part h = 0.5 (m + m*), taken once, gives both
     numbers: the eigenvalue is ``_min_eigenvalues(h)``, and the verdict is
     min_eigenvalue >= -tol * max(1, s) with s the Gershgorin bound
-    max_i sum_j |h_ij|, a cheap spectral-norm overestimate.  s is taken
-    first, and a non-finite s raises ``NumericalError``: h has a non-finite
-    entry, or finite entries whose row sums overflow, where the tolerance
-    would be inf or NaN.  A tolerance that ``_tolerance`` refuses raises
-    ``InvalidConfig``.
+    max_i sum_j |h_ij|, a cheap spectral-norm overestimate, and ``tol``
+    ``CLASSICAL_PSD_TOL`` unless given.  s is taken first, and a non-finite
+    s raises ``NumericalError``: h has a non-finite entry, or finite entries
+    whose row sums overflow, where the tolerance would be inf or NaN.  A
+    tolerance that ``_tolerance`` refuses raises ``InvalidConfig``.
     """
     tol = _tolerance(tol)
     a = _complex_array(m, "matrix")

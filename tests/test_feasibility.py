@@ -23,14 +23,13 @@ from cpick import (
     exponent_plan,
     find_lambda,
     from_finite_set,
-    mobius,
     psd_check,
     roundtrip_generate,
     verify_interpolant,
 )
 from cpick import feasibility
 from cpick.feasibility import LAMBDA_CLAMP, _clamp, _grid_points, _maximize
-from cpick.pickmat import CLASSICAL_PSD_TOL, LOW_CONFIDENCE_EIG, PickBuilder, h_data
+from cpick.pickmat import CLASSICAL_PSD_TOL, LOW_CONFIDENCE_EIG, PickBuilder, _mobius, h_data
 from conftest import disk_point, fixture_kspecs, nearest_target
 
 
@@ -411,7 +410,7 @@ def test_pruning_keeps_a_top_three_point_whose_bound_is_below_the_best():
     # bounds, and its bound is below the best of their values: a pruning
     # threshold at that best value, not the third-best, would drop it.
     nodes, lam0, a = (-0.08 + 0.68j, 0.32 + 0.03j), 0.56 - 0.34j, -0.06 - 0.48j
-    p = Problem(nodes, tuple(mobius(-lam0, z**3 * 0.77 * mobius(a, z)) for z in nodes))
+    p = Problem(nodes, tuple(_mobius(-lam0, z**3 * 0.77 * _mobius(a, z)) for z in nodes))
     cfg = SearchConfig()
     pick = PickBuilder(p, 3, 1)
     points = _grid_points()
@@ -448,7 +447,7 @@ def test_pruned_grid_matches_looped_search(data, exponents, induced):
     targets = [w for _, w in data]
     if induced is not None:
         lam0, a, scale = induced
-        targets = [mobius(-lam0, z**E * scale * mobius(a, z**d)) for z in nodes]
+        targets = [_mobius(-lam0, z**E * scale * _mobius(a, z**d)) for z in nodes]
     p = Problem(tuple(nodes), tuple(targets))
     cfg = SearchConfig()
     r = find_lambda(p, E, d, cfg)
@@ -483,7 +482,7 @@ def _induced_problem(data, plan, induced):
     E = m * d
     assume(all(abs(z**d - w**d) > 1e-3 for i, z in enumerate(data) for w in data[:i]))
     lam0, a, scale = induced
-    return Problem(tuple(data), tuple(mobius(-lam0, z**E * scale * mobius(a, z**d)) for z in data)), E, d
+    return Problem(tuple(data), tuple(_mobius(-lam0, z**E * scale * _mobius(a, z**d)) for z in data)), E, d
 
 
 @settings(max_examples=150)
@@ -783,7 +782,7 @@ def test_pinned_search_matches_two_builders(data, position, lam, exponents, tol,
     targets = [w for _, w in data]
     if induced is not None:
         a, scale = induced
-        targets = [mobius(-lam, z**E * scale * mobius(a, z**d)) for z in nodes]
+        targets = [_mobius(-lam, z**E * scale * _mobius(a, z**d)) for z in nodes]
     position %= len(nodes) + 1
     nodes.insert(position, 0j)
     targets.insert(position, lam)

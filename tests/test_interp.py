@@ -28,7 +28,6 @@ from cpick import (
     exponent_plan,
     from_finite_set,
     is_algebra,
-    mobius,
     necessary_check,
     psd_check,
     roundtrip_generate,
@@ -157,7 +156,7 @@ def test_construct_projects_a_target_just_outside_the_disk(monkeypatch):
     # at 0.3 is v = 1 + 5e-7: construct projects it onto the circle, so h is
     # the constant it forces.
     lam = 0.2 + 0.1j
-    p = Problem((0, 0.3), (lam, mobius(-lam, 0.09 * (1 + 5e-7))))
+    p = Problem((0, 0.3), (lam, pickmat._mobius(-lam, 0.09 * (1 + 5e-7))))
     f = construct(p, K1, "iff")
     assert f.h.steps == () and abs(f.h.tail) == pytest.approx(1.0, abs=1e-15)
     report = verify_interpolant(f, p, K1)
@@ -220,6 +219,19 @@ def test_a_scaled_round_trip_solved_at_the_nearest_target_verifies(d, n, seed):
     f = construct(problem, k, "sufficient")
     assert f.lambda_ == nearest_target(problem) and not f.h.low_confidence
     assert verify_interpolant(f, problem, k).passed
+
+
+@pytest.mark.xfail(
+    raises=NotFound, strict=True,
+    reason="the grid and simplex stop at a lam where M is PSD but np_solve finds P not PSD",
+)
+@pytest.mark.parametrize("seed", [22, 35])
+def test_a_deep_prefix_round_trip_the_search_misses_constructs_and_verifies(seed):
+    # Feasible by construction on K = {1..16}, yet construct raises NotFound
+    # from np_solve's Infeasible.  Strict: a search that mends this must drop the mark.
+    k = from_finite_set(range(1, 17))
+    problem, _ = roundtrip_generate(k, seed % 4 + 1, seed)
+    assert verify_interpolant(construct(problem, k, "iff"), problem, k).passed
 
 
 # deep prefix K and large d, where np_solve can refuse the search's lam
