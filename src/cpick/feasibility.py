@@ -10,10 +10,13 @@ node nearest the origin confines lam most tightly, so its target is scored
 first, and the search stops there if that point is good enough.  If not,
 ``_maximize``, a fixed polar grid followed by a derivative-free simplex,
 climbs the smallest eigenvalue; it knows nothing of Pick matrices, and
-``find_lambda`` tells it which point is good enough.  The criterion asks
-for some PSD parameter, not the best one.  A positive answer carries a
-verifiable witness; a negative answer is evidence only, except in the
-pinned case.
+``find_lambda`` tells it which point is good enough.  Where the nearest
+target scored above the whole grid, a first simplex climbs from it and the
+grid's two best points; only if that climb finds no point good enough does
+the simplex climb from the grid's three best, and then the search ends
+where it would have without the first climb.  The criterion asks for some
+PSD parameter, not the best one.  A positive answer carries a verifiable
+witness; a negative answer is evidence only, except in the pinned case.
 
 A search builds one ``pickmat.PickBuilder`` and scores every point, the
 nearest target, grid points and simplex trials alike, through its
@@ -105,13 +108,16 @@ class FeasibilityResult:
     ``best_min_eigenvalue`` is not the maximum: it is at or above the margin
     after the first stop, and can lie in [0, LOW_CONFIDENCE_EIG) after the
     second.  A search that clears neither margin reports the largest value
-    ``_maximize`` found.  ``evaluations`` is 1 when the search stops at the
-    nearest target; otherwise it counts that target, every grid point, each
-    ranked whether or not its bound ruled out an eigensolve, and every
-    simplex trial the simplex used before it stopped; the grid's three best
-    points start the simplex without being scored or counted again.  It is
-    exactly 706, the target and the grid's 705 points, when the search
-    stops at the best grid point.
+    of ``_maximize``'s climb from the grid's three best points, even where
+    its first climb, from the nearest target, scored higher.
+    ``evaluations`` is 1 when the search stops at the nearest target, and
+    706, that target and the grid's 705 points, each ranked whether or not
+    its bound ruled out an eigensolve, when it stops at the best grid point.
+    Otherwise it is 706 plus the simplex trials of each climb that ran: the
+    first climb, where the nearest target scored above every grid point,
+    and the climb from the grid's three best points unless the first one
+    stopped the search.  A climb's starting vertices are not scored or
+    counted again.
     """
 
     feasible: bool
@@ -147,7 +153,7 @@ def _clamp(x: float, y: float) -> tuple[float, float]:
     return (x * (LAMBDA_CLAMP / r), y * (LAMBDA_CLAMP / r)) if r > LAMBDA_CLAMP else (x, y)
 
 
-def _maximize(pick, good_enough) -> tuple[complex, int]:
+def _maximize(pick, good_enough, start: tuple[complex, float]) -> tuple[complex, int]:
     """The best parameter found for ``pick.min_eigenvalues``, and the evaluations it took.
 
     All 705 points of ``_grid_points`` are ranked by
@@ -155,17 +161,25 @@ def _maximize(pick, good_enough) -> tuple[complex, int]:
     with the largest bounds are scored, then every other point whose bound
     is not below the smallest of those three values; a point skipped has
     value at most its bound, so it cannot be among the three best, which
-    are the full grid's.  They start a reflection/contraction simplex with
-    their grid values, capped at ``REFINE_ITERS`` iterations, with trial
+    are the full grid's.  ``good_enough(lam, value)`` is asked about the best
+    of them, and the search returns there at a yes.
+
+    ``start`` is a point already scored and refused, with its value.  Only
+    where that value is above every grid value does a first simplex climb
+    from it and the grid's two best points; it returns at ``good_enough``'s
+    first yes.  Otherwise, or where that climb ends without one, the simplex
+    climbs from the grid's three best points, so its result is the one it
+    would be with no ``start``; only the evaluations count the first climb.
+
+    Each climb is a reflection/contraction simplex started with its
+    vertices' known values, capped at ``REFINE_ITERS`` iterations, with trial
     points clamped to modulus ``LAMBDA_CLAMP``.  Each iteration scores its
     reflection and contraction in one stack, and an expansion alone.
-
-    ``good_enough(lam, value)`` is asked about the best point after the grid
-    and at the top of each simplex iteration, but only when that point has
-    changed since it was last asked; it changes only to a strictly larger
-    value.  The search returns at the first yes, and otherwise runs the
-    simplex until its vertices lie within 1e-12 or the cap is reached.
-    Grid ties resolve to the smallest (radius index, angle index).
+    ``good_enough`` is asked about the climb's best point at the top of each
+    iteration, but only when that point has changed since it was last
+    asked; it changes only to a strictly larger value.  A climb ends at the
+    first yes, or when its vertices lie within 1e-12, or at the cap.  Grid
+    ties resolve to the smallest (radius index, angle index).
     """
     points = _grid_points()
     evaluations = len(points)
@@ -181,65 +195,76 @@ def _maximize(pick, good_enough) -> tuple[complex, int]:
     values = np.concatenate([first_values, pick.min_eigenvalues(points[rest])])
     # grid indices follow (radius, angle) order, which breaks ties in value
     ranked = np.lexsort((scored, -values))[:3]
-    top = scored[ranked]
-    best_obj, best_lam = float(values[ranked[0]]), complex(points[top[0]])
-    changed = True  # whether good_enough has yet to see the best point
+    # the grid lies inside LAMBDA_CLAMP, so its points need no clamp
+    simplex = [(float(points[i].real), float(points[i].imag)) for i in scored[ranked]]
+    vals = values[ranked].tolist()
+    if good_enough(complex(*simplex[0]), vals[0]):
+        return complex(*simplex[0]), evaluations
 
     def solve(*xys: tuple[float, float]) -> list[float]:
         """The objective at each vertex, in one stacked eigensolve; nothing is recorded."""
         return pick.min_eigenvalues(np.array([complex(x, y) for x, y in xys])).tolist()
 
-    def record(xy: tuple[float, float], val: float) -> float:
-        """Count a scored vertex the simplex uses, and keep it if it is the best so far."""
-        nonlocal best_obj, best_lam, evaluations, changed
-        evaluations += 1
-        if val > best_obj:
-            best_obj, best_lam, changed = val, complex(*xy), True
-        return val
+    def climb(simplex: list, vals: list) -> tuple[complex, bool]:
+        """The simplex from these vertices, the first one the best and already asked: (best point, accepted)."""
+        best_obj, best_lam = vals[0], complex(*simplex[0])
+        changed = False  # whether good_enough has yet to see the best point
 
-    def done() -> bool:
-        """``good_enough`` at the best point, if it changed since the last call; else False."""
-        nonlocal changed
-        ask, changed = changed, False
-        return ask and good_enough(best_lam, best_obj)
+        def record(xy: tuple[float, float], val: float) -> float:
+            """Count a scored vertex the simplex uses, and keep it if it is the best so far."""
+            nonlocal best_obj, best_lam, evaluations, changed
+            evaluations += 1
+            if val > best_obj:
+                best_obj, best_lam, changed = val, complex(*xy), True
+            return val
 
-    if done():
-        return best_lam, evaluations
-    # the grid lies inside LAMBDA_CLAMP, so its points need no clamp
-    simplex = [(float(points[i].real), float(points[i].imag)) for i in top]
-    vals = values[ranked].tolist()
-    for _ in range(REFINE_ITERS):
-        if done():
-            break
-        order = sorted(range(3), key=lambda i: -vals[i])
-        simplex = [simplex[i] for i in order]
-        vals = [vals[i] for i in order]
-        (x0, y0), (x1, y1), (x2, y2) = simplex
-        # Only a search that good_enough never accepts gets here: negatives and
-        # data on the boundary of feasibility.  Loosening this stop (1e-9, say)
-        # fails acceptance criterion 5: its boundary instance then halts at
-        # M = -3.7e-19, before any point where P clears the margin, and
-        # np_solve refuses that lam.  It binds until ROADMAP item 1 lands.
-        if max(abs(x0 - x1), abs(y0 - y1), abs(x0 - x2), abs(y0 - y2)) < 1e-12:
-            break
-        cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        reflected = _clamp(cx + (cx - x2), cy + (cy - y2))
-        contracted = _clamp(cx + 0.5 * (x2 - cx), cy + 0.5 * (y2 - cy))
-        f_r, f_c = solve(reflected, contracted)
-        record(reflected, f_r)
-        if f_r > vals[0]:
-            expanded = _clamp(cx + 2.0 * (cx - x2), cy + 2.0 * (cy - y2))
-            f_e = record(expanded, *solve(expanded))
-            simplex[2], vals[2] = (expanded, f_e) if f_e > f_r else (reflected, f_r)
-        elif f_r > vals[1]:
-            simplex[2], vals[2] = reflected, f_r
-        elif record(contracted, f_c) > vals[2]:  # only now is the contraction used
-            simplex[2], vals[2] = contracted, f_c
-        else:
-            shrunk = [_clamp(x0 + 0.5 * (x - x0), y0 + 0.5 * (y - y0)) for x, y in simplex[1:]]
-            simplex[1:] = shrunk
-            vals[1:] = [record(xy, val) for xy, val in zip(shrunk, solve(*shrunk))]
-    return best_lam, evaluations
+        for _ in range(REFINE_ITERS):
+            if changed:
+                changed = False
+                if good_enough(best_lam, best_obj):
+                    return best_lam, True
+            order = sorted(range(3), key=lambda i: -vals[i])
+            simplex = [simplex[i] for i in order]
+            vals = [vals[i] for i in order]
+            (x0, y0), (x1, y1), (x2, y2) = simplex
+            # Only a climb that good_enough never accepts gets here: negatives, data
+            # on the boundary of feasibility, and first climbs that settle nothing.
+            # Loosening this stop (1e-9, say) fails acceptance criterion 5: its
+            # boundary instance then halts at M = -3.7e-19, before any point where
+            # P clears the margin, and np_solve refuses that lam.  It binds until
+            # ROADMAP item 1 lands.
+            if max(abs(x0 - x1), abs(y0 - y1), abs(x0 - x2), abs(y0 - y2)) < 1e-12:
+                break
+            cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+            reflected = _clamp(cx + (cx - x2), cy + (cy - y2))
+            contracted = _clamp(cx + 0.5 * (x2 - cx), cy + 0.5 * (y2 - cy))
+            f_r, f_c = solve(reflected, contracted)
+            record(reflected, f_r)
+            if f_r > vals[0]:
+                expanded = _clamp(cx + 2.0 * (cx - x2), cy + 2.0 * (cy - y2))
+                f_e = record(expanded, *solve(expanded))
+                simplex[2], vals[2] = (expanded, f_e) if f_e > f_r else (reflected, f_r)
+            elif f_r > vals[1]:
+                simplex[2], vals[2] = reflected, f_r
+            elif record(contracted, f_c) > vals[2]:  # only now is the contraction used
+                simplex[2], vals[2] = contracted, f_c
+            else:
+                shrunk = [_clamp(x0 + 0.5 * (x - x0), y0 + 0.5 * (y - y0)) for x, y in simplex[1:]]
+                simplex[1:] = shrunk
+                vals[1:] = [record(xy, val) for xy, val in zip(shrunk, solve(*shrunk))]
+        return best_lam, False
+
+    # A start above the whole grid replaces its third point in a first climb.  One
+    # climb from the best three of all 706 points was measured and refused: it
+    # moved unsettled searches too, and where w - lam cancels (ROADMAP item 1)
+    # that changed which of them np_solve accepts, mending 3 solve known defects
+    # at bench seeds 1-12 and breaking 2.
+    start_lam, start_value = start
+    if start_value > vals[0]:
+        lam, settled = climb([(start_lam.real, start_lam.imag), *simplex[:2]], [start_value, *vals[:2]])
+        if settled:
+            return lam, evaluations
+    return climb(simplex, vals)[0], evaluations
 
 
 def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = None) -> FeasibilityResult:
@@ -249,12 +274,12 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
     can be zero), collapsing the search to a single exact evaluation of the
     block left after removing that node's row and column, which vanish at
     the pinned parameter.  Otherwise the target of the node nearest the
-    origin is scored first, and where it is not good enough ``_maximize``
-    climbs the smallest eigenvalue of the constrained matrix M; the search
-    stops where ``FeasibilityResult`` says.  The verdict is ``psd_check`` of
-    that block, or of ``constrained_pick`` at the parameter found, and its
-    eigenvalue is the value reported.  Fully deterministic for a fixed
-    config.
+    origin is scored first, and where it is not good enough ``_maximize``,
+    given that target and its value, climbs the smallest eigenvalue of the
+    constrained matrix M; the search stops where ``FeasibilityResult`` says.
+    The verdict is ``psd_check`` of that block, or of ``constrained_pick``
+    at the parameter found, and its eigenvalue is the value reported.  Fully
+    deterministic for a fixed config.
     """
     cfg = cfg or DEFAULT_CONFIG
     pick = PickBuilder(problem, E, d)
@@ -280,8 +305,9 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
         # w_i, so the nearest node's target is the first point worth asking
         nearest = min(range(problem.n), key=lambda i: abs(problem.nodes[i]))
         lam, evaluations = problem.targets[nearest], 1
-        if not good_enough(lam, float(pick.min_eigenvalues(lam))):
-            lam, searched = _maximize(pick, good_enough)
+        value = float(pick.min_eigenvalues(lam))
+        if not good_enough(lam, value):
+            lam, searched = _maximize(pick, good_enough, (lam, value))
             evaluations += searched
         matrix = constrained_pick(problem.nodes, problem.targets, lam, E, d)
     feasible, best = True, 0.0  # a lone node at the origin leaves no matrix to judge

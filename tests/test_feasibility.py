@@ -213,25 +213,32 @@ def test_cold_and_warm_grid_give_the_same_search():
     assert cold == warm
 
 
-def _looped_find_lambda(problem, E, d, margin=LOW_CONFIDENCE_EIG, judged=None):
+def _looped_find_lambda(problem, E, d, margin=LOW_CONFIDENCE_EIG, judged=None, seeded=True):
     """Reference search with the grid scored one parameter at a time.
 
     It first scores the target of the node nearest the origin (the first
     on ties) and stops there if the margin rule below accepts it.
     Otherwise the grid points, their exact-value dedup and the order by
-    (-value, radius index, angle index) are rebuilt here, followed by a
-    copy of the search's simplex, each trial point scored alone by the
-    public verdict, ``psd_check`` of ``constrained_pick``; the grid's top
-    three start it with their grid values.  The rule: a point is accepted
-    once its value reaches ``margin``, or, where that value is in [0,
-    margin), once the classical Pick matrix of ``h_data`` there does.  The
-    loop asks it about the best point after the grid and at the top of
-    each simplex iteration, whenever that point has changed.
+    (-value, radius index, angle index) are rebuilt here, and the rule is
+    asked about the best of them.  Then come copies of the search's
+    simplex, each trial point scored alone by the public verdict,
+    ``psd_check`` of ``constrained_pick``; each climb starts with its
+    vertices' known values.  Where the nearest target's value is above the
+    whole grid's (and ``seeded``), a first climb starts from it and the
+    grid's two best points and returns at the rule's first yes; otherwise,
+    or where it ends without one, the climb from the grid's top three
+    decides.  ``seeded=False`` is the search without the first climb.  The
+    rule: a point is accepted once its value reaches ``margin``, or, where
+    that value is in [0, margin), once the classical Pick matrix of
+    ``h_data`` there does.  Each climb asks it at the top of each
+    iteration, whenever the climb's best point has changed.
     ``margin=math.inf`` runs the full maximisation.  Returns (lambda, best
     value, evaluations, Counter of simplex moves), with the nearest target
-    counted among the evaluations, and ``moves["p_test"]`` counts the
-    classical matrices judged.  A list given as ``judged`` receives the
-    parameter of each, in order.
+    counted among the evaluations; ``moves["p_test"]`` counts the classical
+    matrices judged, and ``moves["first climb"]`` and ``moves["settled
+    first"]`` whether the first climb ran and whether it returned.  A list
+    given as ``judged`` receives the parameter of each classical matrix, in
+    order.
     """
 
     def value(lam):
@@ -266,67 +273,76 @@ def _looped_find_lambda(problem, E, d, margin=LOW_CONFIDENCE_EIG, judged=None):
                 seen.add(lam)
                 scored.append((value(lam), ri, ai, lam))
     scored.sort(key=lambda rec: (-rec[0], rec[1], rec[2]))
-    best_obj, best_lam, evaluations = scored[0][0], scored[0][3], 1 + len(scored)
-    asked = None  # the best point the rule last saw
+    evaluations = 1 + len(scored)
+    if accepts(scored[0][3], scored[0][0]):
+        return scored[0][3], scored[0][0], evaluations, moves
 
-    def done():
-        nonlocal asked
-        if best_lam == asked:
-            return False
-        asked = best_lam
-        return accepts(best_lam, best_obj)
+    def climb(vertices):
+        """The simplex from (value, lambda) vertices, the first the best and already asked: (lambda, value, accepted)."""
+        nonlocal evaluations
+        best_obj, best_lam = vertices[0]
+        asked = best_lam  # the best point the rule last saw
 
-    if done():
-        return best_lam, best_obj, evaluations, moves
+        def score(x):
+            nonlocal best_obj, best_lam, evaluations
+            lam = complex(x[0], x[1])
+            evaluations += 1
+            val = value(lam)
+            if val > best_obj:
+                best_obj, best_lam = val, lam
+            return val
 
-    def score(x):
-        nonlocal best_obj, best_lam, evaluations
-        lam = complex(x[0], x[1])
-        evaluations += 1
-        val = value(lam)
-        if val > best_obj:
-            best_obj, best_lam = val, lam
-        return val
+        def clamp(x):
+            r = float(np.hypot(x[0], x[1]))
+            if r > 0.999:
+                moves["clamp"] += 1
+                return x * (0.999 / r)
+            return x
 
-    def clamp(x):
-        r = float(np.hypot(x[0], x[1]))
-        if r > 0.999:
-            moves["clamp"] += 1
-            return x * (0.999 / r)
-        return x
-
-    simplex = [np.array([rec[3].real, rec[3].imag]) for rec in scored[:3]]
-    vals = [rec[0] for rec in scored[:3]]
-    for _ in range(200):
-        if done():
-            break
-        order = sorted(range(3), key=lambda i: -vals[i])
-        simplex, vals = [simplex[i] for i in order], [vals[i] for i in order]
-        if max(np.max(np.abs(simplex[0] - simplex[i])) for i in (1, 2)) < 1e-12:
-            break
-        centroid = 0.5 * (simplex[0] + simplex[1])
-        reflected = clamp(centroid + (centroid - simplex[2]))
-        f_r = score(reflected)
-        if f_r > vals[0]:
-            expanded = clamp(centroid + 2.0 * (centroid - simplex[2]))
-            f_e = score(expanded)
-            moves["expand" if f_e > f_r else "reflect"] += 1
-            simplex[2], vals[2] = (expanded, f_e) if f_e > f_r else (reflected, f_r)
-        elif f_r > vals[1]:
-            moves["reflect"] += 1
-            simplex[2], vals[2] = reflected, f_r
-        else:
-            contracted = clamp(centroid + 0.5 * (simplex[2] - centroid))
-            f_c = score(contracted)
-            if f_c > vals[2]:
-                moves["contract"] += 1
-                simplex[2], vals[2] = contracted, f_c
+        simplex = [np.array([lam.real, lam.imag]) for _, lam in vertices]
+        vals = [val for val, _ in vertices]
+        for _ in range(200):
+            if best_lam != asked:
+                asked = best_lam
+                if accepts(best_lam, best_obj):
+                    return best_lam, best_obj, True
+            order = sorted(range(3), key=lambda i: -vals[i])
+            simplex, vals = [simplex[i] for i in order], [vals[i] for i in order]
+            if max(np.max(np.abs(simplex[0] - simplex[i])) for i in (1, 2)) < 1e-12:
+                break
+            centroid = 0.5 * (simplex[0] + simplex[1])
+            reflected = clamp(centroid + (centroid - simplex[2]))
+            f_r = score(reflected)
+            if f_r > vals[0]:
+                expanded = clamp(centroid + 2.0 * (centroid - simplex[2]))
+                f_e = score(expanded)
+                moves["expand" if f_e > f_r else "reflect"] += 1
+                simplex[2], vals[2] = (expanded, f_e) if f_e > f_r else (reflected, f_r)
+            elif f_r > vals[1]:
+                moves["reflect"] += 1
+                simplex[2], vals[2] = reflected, f_r
             else:
-                moves["shrink"] += 1
-                for i in (1, 2):
-                    simplex[i] = clamp(simplex[0] + 0.5 * (simplex[i] - simplex[0]))
-                    vals[i] = score(simplex[i])
-    return best_lam, best_obj, evaluations, moves
+                contracted = clamp(centroid + 0.5 * (simplex[2] - centroid))
+                f_c = score(contracted)
+                if f_c > vals[2]:
+                    moves["contract"] += 1
+                    simplex[2], vals[2] = contracted, f_c
+                else:
+                    moves["shrink"] += 1
+                    for i in (1, 2):
+                        simplex[i] = clamp(simplex[0] + 0.5 * (simplex[i] - simplex[0]))
+                        vals[i] = score(simplex[i])
+        return best_lam, best_obj, False
+
+    grid = [(rec[0], rec[3]) for rec in scored[:3]]
+    if seeded and nearest_value > grid[0][0]:
+        moves["first climb"] += 1
+        lam, best, accepted = climb([(nearest_value, nearest), *grid[:2]])
+        if accepted:
+            moves["settled first"] += 1
+            return lam, best, evaluations, moves
+    lam, best, _ = climb(grid)
+    return lam, best, evaluations, moves
 
 
 def _grid_problems():
@@ -368,8 +384,8 @@ def test_stacked_grid_matches_looped_grid():
         verdict = psd_check(constrained_pick(p.nodes, p.targets, lam, E, d), cfg.tol)
         assert r.feasible == verdict.is_psd
         assert verdict.min_eigenvalue == r.best_min_eigenvalue
-    # every simplex move is exercised, so the match above guards each of them
-    assert all(moves[m] > 0 for m in ("expand", "reflect", "contract", "shrink", "clamp")), moves
+    # every simplex move, and a first climb, is exercised, so the match above guards each of them
+    assert all(moves[m] > 0 for m in ("expand", "reflect", "contract", "shrink", "clamp", "first climb")), moves
 
 
 def test_best_value_is_the_final_verdicts_eigenvalue(monkeypatch):
@@ -421,6 +437,52 @@ def test_pruning_keeps_a_top_three_point_whose_bound_is_below_the_best():
     r = find_lambda(p, 3, 1, cfg)
     lam, best, evaluations, _ = _looped_find_lambda(p, 3, 1)
     assert (r.lambda_, r.best_min_eigenvalue, r.evaluations) == (lam if r.feasible else None, best, evaluations)
+
+
+def _first_climbs_never_accepted():
+    """Searches whose margin rule accepts no point past the grid: (problem, E, d)."""
+    # classically infeasible data; two of the 48 searches run the first climb
+    yield from ((p, E, d) for p in _classically_infeasible(12, 0) for E, d in [(1, 1), (2, 1), (4, 2), (3, 3)])
+    # the deep-prefix round trips that tests/test_interp.py marks strict xfail; both run it
+    k = from_finite_set(range(1, 17))
+    m, d = exponent_plan(k, "iff")
+    for seed in (22, 35):
+        yield roundtrip_generate(k, seed % 4 + 1, seed)[0], m * d, d
+
+
+def test_a_first_climb_never_accepted_leaves_the_unseeded_result():
+    # Where the first climb ends without a yes, the climb from the grid's top
+    # three decides as if there had been no first climb: only the evaluation
+    # count grows.
+    tol = SearchConfig().tol
+    climbed = 0
+    for p, E, d in _first_climbs_never_accepted():
+        r = find_lambda(p, E, d)
+        lam, best, evaluations, _ = _looped_find_lambda(p, E, d, seeded=False)
+        feasible = psd_check(constrained_pick(p.nodes, p.targets, lam, E, d), tol).is_psd
+        assert (r.feasible, r.lambda_, r.best_min_eigenvalue, r.pinned) == (feasible, lam if feasible else None, best, False)
+        assert r.evaluations >= evaluations
+        climbed += r.evaluations > evaluations
+    assert climbed == 4
+
+
+def test_a_nearest_target_above_the_grid_settles_the_first_climb_sooner():
+    # Feasible data phi_{-lam0}(z^2 0.88 phi_a(z)).  Its node 0.06 + 0.15j puts
+    # every feasible lam within pseudo-hyperbolic distance |z|^2 = 0.026 of
+    # that node's target, which scores -2.7e-4, above the grid's best, -7.2e-3.
+    # Climbing from it clears the margin after 16 trials; from the grid's top
+    # three it takes 258.
+    nodes, lam0, a = (0.06 + 0.15j, -0.23 - 0.28j), -0.36 - 0.82j, 0.69 + 0.42j
+    p = Problem(nodes, tuple(_mobius(-lam0, z**2 * 0.88 * _mobius(a, z)) for z in nodes))
+    r = find_lambda(p, 2, 1)
+    lam, best, evaluations, moves = _looped_find_lambda(p, 2, 1)
+    assert moves["settled first"] == 1
+    assert (r.lambda_, r.best_min_eigenvalue, r.evaluations) == (lam, best, evaluations)
+    assert r.feasible and r.best_min_eigenvalue >= LOW_CONFIDENCE_EIG
+    assert r.evaluations < _looped_find_lambda(p, 2, 1, seeded=False)[2]
+    k = from_finite_set([1])
+    f = construct(p, k, "iff")
+    assert f.lambda_ == r.lambda_ and verify_interpolant(f, p, k).passed
 
 
 _disk_points = st.builds(
@@ -528,6 +590,14 @@ def test_a_search_stopped_at_the_classical_margin_constructs_and_verifies(data, 
 _seeds = st.integers(0, 2**32 - 1)
 
 
+def _roundtrip_search(k, n, seed):
+    """(problem, mode, E, d): ``roundtrip_generate(k, n, seed)``'s problem, searched in the mode that matches K."""
+    problem, _ = roundtrip_generate(k, n, seed)
+    mode = "iff" if k.d == 1 and k.gaps == tuple(range(1, len(k.gaps) + 1)) else "sufficient"
+    m, d = exponent_plan(k, mode)
+    return problem, mode, m * d, d
+
+
 @settings(max_examples=150)
 @given(
     data=st.tuples(st.just("roundtrip"), st.sampled_from(fixture_kspecs()), st.integers(1, 8), _seeds)
@@ -548,10 +618,7 @@ def test_a_search_stopped_at_the_nearest_target_is_judged_there_and_verifies(dat
         assert not r.feasible and r.evaluations > 1
         return
     k, n, seed = rest
-    problem, _ = roundtrip_generate(k, n, seed)
-    mode = "iff" if k.d == 1 and k.gaps == tuple(range(1, len(k.gaps) + 1)) else "sufficient"
-    m, d = exponent_plan(k, mode)
-    E = m * d
+    problem, mode, E, d = _roundtrip_search(k, n, seed)
     r = find_lambda(problem, E, d)
     assert not r.pinned
     assert r.evaluations == 1 or problem.n > 1
@@ -560,6 +627,30 @@ def test_a_search_stopped_at_the_nearest_target_is_judged_there_and_verifies(dat
     assert r.lambda_ == nearest_target(problem)
     verdict = psd_check(constrained_pick(problem.nodes, problem.targets, r.lambda_, E, d), SearchConfig().tol)
     assert (r.feasible, r.best_min_eigenvalue) == (verdict.is_psd, verdict.min_eigenvalue)
+    f = construct(problem, k, mode)
+    assert f.lambda_ == r.lambda_
+    assert verify_interpolant(f, problem, k).passed
+
+
+@settings(max_examples=60)
+@given(k=st.sampled_from(fixture_kspecs()), n=st.integers(2, 8), seed=_seeds)
+@example(k=from_finite_set([1, 2]), n=7, seed=11)
+@example(k=KSpec(d=2, gaps=(1,)), n=7, seed=17)
+def test_a_search_settled_by_the_first_climb_is_feasible_and_verifies(k, n, seed):
+    # Round trips from the acceptance fixture set.  Only a nearest target above
+    # every grid value starts a first climb; where that climb's point is
+    # accepted, the search is feasible there and the interpolant built at it
+    # verifies.
+    problem, mode, E, d = _roundtrip_search(k, n, seed)
+    pick = PickBuilder(problem, E, d)
+    if not pick.min_eigenvalues(nearest_target(problem)) > pick.min_eigenvalues(_grid_points()).max():
+        return
+    r = find_lambda(problem, E, d)
+    lam, best, evaluations, moves = _looped_find_lambda(problem, E, d)
+    assert (r.lambda_, r.best_min_eigenvalue, r.evaluations) == (lam if r.feasible else None, best, evaluations)
+    if not moves["settled first"]:
+        return
+    assert r.feasible
     f = construct(problem, k, mode)
     assert f.lambda_ == r.lambda_
     assert verify_interpolant(f, problem, k).passed
@@ -696,6 +787,10 @@ class _Paraboloid:
 
     min_eigenvalue_bounds = min_eigenvalues
 
+    def at(self, lam):
+        """``(lam, value)``, a start as ``_maximize`` takes it."""
+        return lam, float(self.min_eigenvalues(lam))
+
 
 @pytest.mark.parametrize(
     "c,peak",
@@ -714,7 +809,9 @@ def test_maximize_climbs_a_scorer_it_is_given(c, peak):
         asked.append((lam, value))
         return False
 
-    lam, evaluations = _maximize(_Paraboloid(c), never)
+    # the start 0 is the grid's first point, so it ties the grid and no first climb runs
+    scorer = _Paraboloid(c)
+    lam, evaluations = _maximize(scorer, never, scorer.at(0j))
     assert abs(lam - peak) <= 1e-6
     assert evaluations > len(_grid_points())
     # asked only when the best point has changed: strictly larger values, new points
@@ -724,14 +821,51 @@ def test_maximize_climbs_a_scorer_it_is_given(c, peak):
 
 
 def test_maximize_returns_the_best_grid_point_when_it_is_good_enough():
+    # the start is the peak itself, but it was refused: the grid's best is asked and taken
     points = _grid_points()
     scorer = _Paraboloid(0.31 + 0.2j)
     asked = []
-    lam, evaluations = _maximize(scorer, lambda lam, value: asked.append((lam, value)) or True)
+    lam, evaluations = _maximize(scorer, lambda lam, value: asked.append((lam, value)) or True, scorer.at(scorer.c))
     assert evaluations == len(points)
     assert lam == points[np.argmax(scorer.min_eigenvalues(points))]
     assert [point for point, _ in asked] == [lam]
     assert asked[0][1] == pytest.approx(0.5 - abs(lam - scorer.c) ** 2, abs=1e-15)
+
+
+def test_maximize_climbs_first_from_a_start_above_the_grid():
+    # A start 1e-3 from the peak is above every grid point, the nearest of
+    # which is about 0.01 away: the first climb reaches the accepted band,
+    # within 1e-4 of the peak, in fewer trials than a climb from the grid.
+    scorer = _Paraboloid(0.31 + 0.2j)
+    start = scorer.at(scorer.c + 1e-3)
+    assert start[1] > scorer.min_eigenvalues(_grid_points()).max()
+
+    def near_peak(lam, value):
+        return value >= 0.5 - 1e-8
+
+    seeded, seeded_evaluations = _maximize(scorer, near_peak, start)
+    unseeded, unseeded_evaluations = _maximize(scorer, near_peak, scorer.at(0j))
+    assert abs(seeded - scorer.c) <= 1e-4 and abs(unseeded - scorer.c) <= 1e-4
+    assert len(_grid_points()) < seeded_evaluations < unseeded_evaluations
+
+
+# a start near the peak, and one between the grid's outer ring and the clamp circle
+@pytest.mark.parametrize("c,lam", [(0.3 + 0.2j, 0.305 + 0.2j), (1.2, 0.9985)])
+def test_maximize_ends_where_it_would_unseeded_when_the_first_climb_is_refused(c, lam):
+    # good_enough asks the grid's best, then each climb's new best points;
+    # the first climb's are inserted, the rest and the result are unchanged
+    scorer = _Paraboloid(c)
+    start = scorer.at(lam)
+    assert start[1] > scorer.min_eigenvalues(_grid_points()).max()
+    runs = []
+    for begin in (start, scorer.at(0j)):
+        asked = []
+        lam, evaluations = _maximize(scorer, lambda lam, value: asked.append(lam) and False, begin)
+        runs.append((lam, evaluations, asked))
+    (seeded, seeded_evaluations, seeded_asked), (unseeded, unseeded_evaluations, unseeded_asked) = runs
+    assert seeded == unseeded and seeded_evaluations > unseeded_evaluations
+    first = len(seeded_asked) - len(unseeded_asked)
+    assert first >= 1 and seeded_asked[:1] + seeded_asked[1 + first :] == unseeded_asked
 
 
 def _two_builder_pinned_search(problem, E, d, tol):
