@@ -74,7 +74,8 @@ class SchurFunction:
 
     def __post_init__(self):
         def checked(v, field):
-            z = complex(_complex_array(v, f"Schur function {field}", 0))
+            # a Python complex, as ``np_solve`` gives, is kept as it is; anything else is parsed
+            z = v if type(v) is complex else complex(_complex_array(v, f"Schur function {field}", 0))
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise InvalidProblem(f"Schur function {field} must be finite, got {v!r}")
             return z
@@ -116,9 +117,15 @@ class SchurFunction:
         s = 0, so it starts from t = 1 - conj(a) w, p = v t and q = t, in 3
         ufuncs.  The products dropped are by exact 0 and 1, so every value
         is the full step's; only the sign of an exact zero can differ.
+
+        The points are checked here; the chain itself is ``_eval``.
         """
         z = _check_closed_disk(z, "evaluation point")
-        w = np.atleast_1d(z)  # a scalar runs the array arithmetic, so it gets the bits an array element gets
+        g = self._eval(np.atleast_1d(z))  # a scalar runs the array arithmetic, so it gets the bits an array element gets
+        return complex(g[0]) if z.ndim == 0 else g
+
+    def _eval(self, w: np.ndarray) -> np.ndarray:
+        """The chain at each point of a 1-d complex array, unchecked: the caller has put w in the closed disk."""
         p, q, s, t, u = (np.empty_like(w) for _ in range(5))
         steps = self.steps[::-1]
         if steps and self.tail == 0:
@@ -140,8 +147,7 @@ class SchurFunction:
             np.add(s, u, out=p)  # p = s + v t
             np.multiply(val.conjugate(), s, out=u)
             np.add(t, u, out=q)  # q = t + conj(v) s
-        g = np.divide(p, q, out=u)
-        return complex(g[0]) if z.ndim == 0 else g
+        return np.divide(p, q, out=u)
 
 
 def np_solve(nodes, values, tol: float = CLASSICAL_PSD_TOL) -> SchurFunction:

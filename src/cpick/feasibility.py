@@ -18,15 +18,19 @@ where it would have without the first climb.  The criterion asks for some
 PSD parameter, not the best one.  A positive answer carries a verifiable
 witness; a negative answer is evidence only, except in the pinned case.
 
-A search builds one ``pickmat.PickBuilder`` and scores every point, the
-nearest target, grid points and simplex trials alike, through its
-``min_eigenvalues``: the Hermitian part of ``entries``, then one stacked
-eigensolve, the path ``psd_check`` takes on ``constrained_pick``, with the
-same bits at a parameter whatever stack it is scored in.  Its verdict is
-``psd_check`` of one matrix, and the ``best_min_eigenvalue`` it reports is
-that verdict's eigenvalue: without a pinned node the matrix is
-``constrained_pick``'s at the chosen parameter; with one, it is the block
-left after removing the pinned node's row and column, which vanish exactly.
+Every point is scored as the smallest eigenvalue of the Hermitian part of
+its matrix, the path ``psd_check`` takes, with the same bits at a parameter
+whatever stack it is scored in.  The nearest target is scored on
+``constrained_pick``'s matrix there, which is the verdict's matrix when the
+target stands.  Only a refused target makes the search build one
+``pickmat.PickBuilder``, whose ``min_eigenvalues`` scores the grid points
+and simplex trials in stacked eigensolves, and whose ``entries`` at the
+parameter found, ``constrained_pick``'s bits there, are then the verdict's
+matrix.  The verdict is ``psd_check`` of one matrix, and the
+``best_min_eigenvalue`` a search reports is that verdict's eigenvalue:
+without a pinned node the matrix is ``constrained_pick``'s at the chosen
+parameter; with one, it is the block left after removing the pinned node's
+row and column, which vanish exactly.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ from .pickmat import (
     SEARCH_PSD_TOL,
     PickBuilder,
     Problem,
+    _hermitian_part,
+    _min_eigenvalues,
     _tolerance,
     classical_pick,
     constrained_pick,
@@ -109,7 +115,9 @@ class FeasibilityResult:
     after the first stop, and can lie in [0, LOW_CONFIDENCE_EIG) after the
     second.  A search that clears neither margin reports the largest value
     of ``_maximize``'s climb from the grid's three best points, even where
-    its first climb, from the nearest target, scored higher.
+    its first climb, from the nearest target, scored higher.  A search that
+    stops at the nearest target builds one matrix, ``constrained_pick``'s
+    there, which both scores the target and is judged.
     ``evaluations`` is 1 when the search stops at the nearest target, and
     706, that target and the grid's 705 points, each ranked whether or not
     its bound ruled out an eigensolve, when it stops at the best grid point.
@@ -274,15 +282,17 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
     can be zero), collapsing the search to a single exact evaluation of the
     block left after removing that node's row and column, which vanish at
     the pinned parameter.  Otherwise the target of the node nearest the
-    origin is scored first, and where it is not good enough ``_maximize``,
-    given that target and its value, climbs the smallest eigenvalue of the
-    constrained matrix M; the search stops where ``FeasibilityResult`` says.
-    The verdict is ``psd_check`` of that block, or of ``constrained_pick``
-    at the parameter found, and its eigenvalue is the value reported.  Fully
-    deterministic for a fixed config.
+    origin is scored first, on ``constrained_pick``'s matrix there, and
+    where it is not good enough ``_maximize``, given that target and its
+    value and a ``PickBuilder`` built for the climb, climbs the smallest
+    eigenvalue of the constrained matrix M; the search stops where
+    ``FeasibilityResult`` says.  The verdict is ``psd_check`` of that block,
+    of the target's matrix, or of the builder's ``entries`` at the
+    parameter found, which are ``constrained_pick``'s there bit for bit, and
+    its eigenvalue is the value reported.  Fully deterministic for a fixed
+    config.
     """
     cfg = cfg or DEFAULT_CONFIG
-    pick = PickBuilder(problem, E, d)
 
     def good_enough(lam: complex, value: float) -> bool:
         """Whether M at lam, of smallest eigenvalue ``value``, or else P there, clears the margin."""
@@ -299,17 +309,20 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
         origin = problem.nodes.index(0)
         lam, evaluations = problem.targets[origin], 1
         keep = [i for i in range(problem.n) if i != origin]
-        matrix = pick.entries(lam).take(keep, 0).take(keep, 1)
+        matrix = PickBuilder(problem, E, d).entries(lam).take(keep, 0).take(keep, 1)
     else:
         # every feasible lam lies within pseudo-hyperbolic distance |z_i|^E of
-        # w_i, so the nearest node's target is the first point worth asking
+        # w_i, so the nearest node's target is the first point worth asking;
+        # its matrix is the verdict's if it stands
         nearest = min(range(problem.n), key=lambda i: abs(problem.nodes[i]))
         lam, evaluations = problem.targets[nearest], 1
-        value = float(pick.min_eigenvalues(lam))
+        matrix = constrained_pick(problem.nodes, problem.targets, lam, E, d)
+        value = float(_min_eigenvalues(_hermitian_part(matrix)))  # PickBuilder.min_eigenvalues(lam), bit for bit
         if not good_enough(lam, value):
+            pick = PickBuilder(problem, E, d)
             lam, searched = _maximize(pick, good_enough, (lam, value))
             evaluations += searched
-        matrix = constrained_pick(problem.nodes, problem.targets, lam, E, d)
+            matrix = pick.entries(lam)  # constrained_pick's bits at lam
     feasible, best = True, 0.0  # a lone node at the origin leaves no matrix to judge
     if len(matrix):
         verdict = psd_check(matrix, cfg.tol)

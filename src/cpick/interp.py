@@ -77,6 +77,7 @@ class Interpolant:
     f(0) = lam, the sup norm never exceeds 1, and every Taylor coefficient
     of f at an index constrained by the K the interpolant was built for
     vanishes (the inner support starts at m*d and advances in steps of d).
+    An h that is not a ``SchurFunction`` raises ``InvalidProblem``.
     """
 
     lambda_: complex
@@ -95,6 +96,8 @@ class Interpolant:
             object.__setattr__(self, field, value)
         if not abs(lam) < 1.0:  # NaN fails too
             raise InvalidProblem("the base value lambda must lie strictly inside the disk")
+        if not isinstance(self.h, SchurFunction):
+            raise InvalidProblem(f"h must be a SchurFunction, got {type(self.h).__name__}")
 
     def __call__(self, z):
         z = _complex_array(z, "evaluation point")
@@ -287,13 +290,16 @@ def _crosscheck_derivatives(f: Interpolant, coeffs, h_coeffs) -> float:
     phi_inverse(lam, .) whose derivatives at 0 are i! (-conj lam)^(i-1)
     (1 - |lam|^2) gives a second, independent route to f^(k)(0).
     ``h_coeffs`` are h's sampled coefficients c_0 .. c_((6 - m*d) // d),
-    empty when m*d exceeds the compared orders.  Then u vanishes to order 6,
-    every Faà di Bruno sum is exactly 0, and the disagreement is the largest
-    |c_k| over orders 1 .. 6, which is returned without forming the sums.
+    empty when m*d exceeds the compared orders.  Below order m*d, u vanishes
+    to that order, every Faà di Bruno sum is exactly 0, and the disagreement
+    there is |c_k|, taken without forming the sums, with the bits that
+    forming them gives; a NaN |c_k| counts at no order either way.
     """
     E = f.m * f.d
-    if E > CROSSCHECK_ORDER:
-        return max(0.0, *(abs(c) for c in coeffs[1 : CROSSCHECK_ORDER + 1]))
+    first_sum = min(E, CROSSCHECK_ORDER + 1)  # the lowest order whose sum can be nonzero
+    worst = max([0.0, *(abs(c) for c in coeffs[1:first_sum])])
+    if first_sum > CROSSCHECK_ORDER:
+        return worst
     u_derivs = [0j] * (CROSSCHECK_ORDER + 1)
     for t, c in enumerate(h_coeffs):
         j = E + t * f.d
@@ -303,8 +309,7 @@ def _crosscheck_derivatives(f: Interpolant, coeffs, h_coeffs) -> float:
         math.factorial(i) * (-lam.conjugate()) ** (i - 1) * (1.0 - abs(lam) ** 2)
         for i in range(1, CROSSCHECK_ORDER + 1)
     ]
-    worst = 0.0
-    for order in range(1, CROSSCHECK_ORDER + 1):
+    for order in range(first_sum, CROSSCHECK_ORDER + 1):
         via_bruno = compose_derivative(g_derivs, u_derivs, order) / math.factorial(order)
         worst = max(worst, abs(via_bruno - coeffs[order]))
     return worst
@@ -324,23 +329,25 @@ def verify_interpolant(f: Interpolant, problem: Problem, k: KSpec) -> Verificati
 
     All of these come from one pass of h's Schur chain, whatever the number
     of nodes: the two circles and the nodes are raised to the power d
-    together, h is evaluated once on that array, and f is formed from it
-    once; the samplers read its slices.  Every value has the bits a separate
-    evaluation of f or h at those points gives, so the report is the one
-    three evaluations of f and one of h would give.  Every check uses the
-    default ``Tolerances``, whatever ``f.h.low_confidence`` says, so an
-    artifact cannot loosen its own check.  ``passed`` also requires h's chain
-    to lie in the disk, which every chain ``np_solve`` builds does: a node
-    off the open disk, or a value or tail off the closed one, can give h a
-    pole inside the disk that the residuals and both circles miss.  Always
-    returns a report.
+    together, h is evaluated once on that array by ``SchurFunction._eval``,
+    without the closed-disk check of a call, as every point lies inside the
+    disk, and f is formed from it once; the samplers read its slices.  Every
+    value has the bits a separate evaluation of f or h at those points
+    gives, so the report is the one three evaluations of f and one of h
+    would give.  Every check uses the default ``Tolerances``, whatever
+    ``f.h.low_confidence`` says, so an artifact cannot loosen its own check.
+    ``passed`` also requires h's chain to lie in the disk, which every chain
+    ``np_solve`` builds does: a node off the open disk, or a value or tail
+    off the closed one, can give h a pole inside the disk that the residuals
+    and both circles miss.  Always returns a report: ``Interpolant`` refuses
+    an h that is not a ``SchurFunction``.
     """
     tol = Tolerances()
     E = f.m * f.d
     circles = (_circle(SUP_NORM_RADIUS, SUP_NORM_SAMPLES), _circle(TAYLOR_RADIUS, TAYLOR_SAMPLES))
     points = np.concatenate((*circles, np.array(problem.nodes)))
     w = _power(points, f.d)
-    hw = f.h(w)
+    hw = f.h._eval(w)  # every point is inside the disk: no check
     fw = f._outer(w, hw)
     taylor = slice(SUP_NORM_SAMPLES, SUP_NORM_SAMPLES + TAYLOR_SAMPLES)  # the Taylor circle's slice of the points
     sup_vals, taylor_vals, node_vals = fw[: taylor.start], fw[taylor], fw[taylor.stop :]

@@ -195,12 +195,21 @@ def test_schur_function_refuses_non_finite_fields():
         ({"steps": (), "tail": nan}, "tail"),
         ({"steps": ((0.5, complex(0.2, nan)),), "tail": 0j}, "steps[0] value"),
         ({"steps": ((0.1, 0.2), (inf, 0.2)), "tail": 0j}, "steps[1] node"),
+        # a Python complex is kept without parsing, and still checked
+        ({"steps": (), "tail": complex("nan")}, "tail"),
+        ({"steps": ((0.5, complex(0.2, inf)),), "tail": 0j}, "steps[0] value"),
     ]:
         with pytest.raises(InvalidProblem, match=re.escape(field)):
             SchurFunction(**kwargs)
     # finite values off the disk stay constructible: verification rejects them
     f = SchurFunction(steps=((0.5, 1.5),), tail=2.0)
     assert f.steps == ((0.5, 1.5),) and f.tail == 2.0
+    # other numbers are stored as the Python complex they equal, signed zeros kept
+    steps = ((np.complex128(complex(-0.0, 0.5)), 1), ("0.5", np.complex128(complex(0.25, -0.0))))
+    f = SchurFunction(steps=steps, tail=-0.0)
+    fields = [*(v for step in f.steps for v in step), f.tail]
+    assert all(type(v) is complex for v in fields)
+    assert [repr(v) for v in fields] == ["(-0+0.5j)", "(1+0j)", "(0.5+0j)", "(0.25-0j)", "(-0+0j)"]
 
 
 def _out_of_place_chain(h, z):

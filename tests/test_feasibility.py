@@ -396,13 +396,34 @@ def test_best_value_is_the_final_verdicts_eigenvalue(monkeypatch):
     # in at n = 1, and every single-node search stops at its target.  With
     # two nodes inside radius 0.5 and E up to 4 the value's peak is narrow
     # enough for the grid to miss it, so those searches walk the simplex.
-    verdicts = []
+    # A search settled at the nearest target builds one matrix, through one
+    # constrained_pick call; a refused one builds a second PickBuilder and
+    # judges its entries, constrained_pick's bits at the lambda searched.
+    verdicts, judged, searched, picks, builders = [], [], [], [], []
 
     def recorded(m, tol=CLASSICAL_PSD_TOL):
+        judged.append(m)
         verdicts.append(psd_check(m, tol))
         return verdicts[-1]
 
+    def picked(*args):
+        picks.append(args)
+        return constrained_pick(*args)
+
+    def maximized(*args):
+        searched.append(_maximize(*args))
+        return searched[-1]
+
+    build = PickBuilder.__init__
+
+    def built(self, *args):
+        builders.append(args)
+        build(self, *args)
+
     monkeypatch.setattr(feasibility, "psd_check", recorded)
+    monkeypatch.setattr(feasibility, "constrained_pick", picked)
+    monkeypatch.setattr(feasibility, "_maximize", maximized)
+    monkeypatch.setattr(PickBuilder, "__init__", built)
     cases = [(Problem(nodes=(0.5,), targets=(0.61,)), 2, 1)]
     rng = np.random.default_rng(67)
     for n in (1, 2):
@@ -412,9 +433,16 @@ def test_best_value_is_the_final_verdicts_eigenvalue(monkeypatch):
     cases += _grid_problems()
     stopped = refined = 0
     for p, E, d in cases:
+        del searched[:], picks[:], builders[:]
         r = find_lambda(p, E, d)
         assert not r.pinned
         assert (r.feasible, r.best_min_eigenvalue) == (verdicts[-1].is_psd, verdicts[-1].min_eigenvalue)
+        assert len(picks) == 1 and len(builders) == 1 + len(searched)
+        assert (r.evaluations == 1) == (not searched)
+        if searched:
+            lam = searched[0][0]
+            assert r.lambda_ in (lam, None)
+            assert np.array_equal(judged[-1], constrained_pick(p.nodes, p.targets, lam, E, d))
         stopped += r.evaluations == 1
         refined += r.evaluations > 1 + len(_grid_points())
     assert stopped >= 201 and refined >= 90

@@ -345,16 +345,57 @@ K1_6 = from_finite_set(range(1, 7))  # E = 7, past the cross-check's orders
 def test_verify_evaluates_the_chain_once(monkeypatch, n, k):
     problem, f = roundtrip_generate(k, n, n)
     shapes = []
-    call = SchurFunction.__call__
+    chain = SchurFunction._eval  # the kernel a call runs too, after its disk check
 
-    def counted(self, z):
-        shapes.append(np.shape(z))
-        return call(self, z)
+    def counted(self, w):
+        shapes.append(np.shape(w))
+        return chain(self, w)
 
-    monkeypatch.setattr(SchurFunction, "__call__", counted)
+    monkeypatch.setattr(SchurFunction, "_eval", counted)
     assert verify_interpolant(f, problem, k).passed
     # the sup-norm circle, the Taylor circle and the nodes, whatever m*d is
     assert shapes == [(4096 + 1024 + n,)]
+
+
+def _h_coeffs(f):
+    """h's sampled coefficients up to order 6 of u: h(z^d) on the Taylor circle carries h's t-th at index t*d."""
+    E = f.m * f.d
+    h_ring = f.h(interp._power(_circle(0.9, 1024), f.d))
+    return taylor_coeffs(h_ring, 6 - E, 0.9)[:: f.d] if E <= 6 else ()
+
+
+def _reference_crosscheck(f, coeffs, h_coeffs):
+    """The Faà di Bruno cross-check over orders 1 .. 6, with a ``compose_derivative`` sum at every order."""
+    E = f.m * f.d
+    u_derivs = [0j] * 7
+    for t, c in enumerate(h_coeffs):
+        u_derivs[E + t * f.d] = math.factorial(E + t * f.d) * c
+    lam = f.lambda_
+    g_derivs = [lam] + [math.factorial(i) * (-lam.conjugate()) ** (i - 1) * (1.0 - abs(lam) ** 2) for i in range(1, 7)]
+    cross = 0.0
+    for order in range(1, 7):
+        cross = max(cross, abs(compose_derivative(g_derivs, u_derivs, order) / math.factorial(order) - coeffs[order]))
+    return cross
+
+
+@pytest.mark.parametrize(
+    "k", [from_finite_set(range(1, E)) for E in range(2, 8)] + [KSpec(d=2, gaps=()), KD2], ids=str
+)
+def test_crosscheck_forms_no_sum_below_order_md_and_keeps_the_bits(k):
+    # Below order E = m*d every Faà di Bruno sum is exactly 0, so the gap there
+    # is |c_k|; from order E on the sums are formed.  E runs over 2 .. 7 at
+    # d = 1 and is 4 and 6 at d = 2; a NaN coefficient counts at no order.
+    _, f = roundtrip_generate(k, 3, 5)
+    E = f.m * f.d
+    coeffs = taylor_coeffs(f(_circle(0.9, 1024)), 128, 0.9)
+    h_coeffs = _h_coeffs(f)
+    nan = complex("nan")
+    for at in (None, 1, min(E, 6)):
+        c = coeffs if at is None else coeffs[:at] + (nan,) + coeffs[at + 1 :]
+        assert interp._crosscheck_derivatives(f, c, h_coeffs) == _reference_crosscheck(f, c, h_coeffs)
+    # the sum at order E is not 0, so a skip reaching it would change the result
+    if E <= 6:
+        assert _reference_crosscheck(f, coeffs, h_coeffs) < abs(coeffs[E])
 
 
 def _reference_report(f, problem, k):
@@ -366,18 +407,7 @@ def _reference_report(f, problem, k):
     violations = tuple(
         (j, abs(coeffs[j])) for j in range(1, 129) if contains(k, j) and not abs(coeffs[j]) <= tol.taylor
     )
-    # the Faà di Bruno cross-check over orders 1 .. 6, from h's coefficients:
-    # h(z^d) on the Taylor circle carries h's t-th at index t*d
-    E = f.m * f.d
-    u_derivs = [0j] * 7
-    h_ring = f.h(interp._power(_circle(0.9, 1024), f.d))
-    for t, c in enumerate(taylor_coeffs(h_ring, 6 - E, 0.9)[:: f.d] if E <= 6 else ()):
-        u_derivs[E + t * f.d] = math.factorial(E + t * f.d) * c
-    lam = f.lambda_
-    g_derivs = [lam] + [math.factorial(i) * (-lam.conjugate()) ** (i - 1) * (1.0 - abs(lam) ** 2) for i in range(1, 7)]
-    cross = 0.0
-    for order in range(1, 7):
-        cross = max(cross, abs(compose_derivative(g_derivs, u_derivs, order) / math.factorial(order) - coeffs[order]))
+    cross = _reference_crosscheck(f, coeffs, _h_coeffs(f))
     values = [v for _, v in f.h.steps] + [f.h.tail]
     in_disk = [abs(a) < 1.0 for a, _ in f.h.steps] + [abs(v) <= 1.0 + pickmat.BOUNDARY_TOL for v in values]
     passed = all(r <= tol.interp for r in residuals) and sup <= 1.0 + tol.norm and not violations and all(in_disk)
@@ -569,3 +599,10 @@ def test_interpolant_validation():
         Interpolant(lambda_=float("nan"), m=2, d=1, h=SchurFunction(steps=(), tail=0))
     with pytest.raises(InvalidProblem):
         Interpolant(lambda_=0.0, m=0, d=1, h=SchurFunction(steps=(), tail=0))
+    # verification evaluates h's chain directly, so h must be one
+    for h in (None, "x", lambda w: w):
+        with pytest.raises(InvalidProblem, match="h must be a SchurFunction"):
+            Interpolant(lambda_=0.0, m=2, d=1, h=h)
+    # a call still checks its points: 1.2 ** d is off the disk
+    with pytest.raises(DomainError):
+        Interpolant(lambda_=0.0, m=2, d=2, h=SchurFunction(steps=(), tail=0.5))(1.2)
