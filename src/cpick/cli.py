@@ -2,9 +2,11 @@
 
 Complex numbers travel as [re, im] pairs in every file and report.  Reports
 hold the library's records as ``dataclasses.asdict`` gives them, and every
-JSON write, to stdout or to ``--out``, is ``_emit``'s, whose ``default`` hook
-``_complex_to_pair`` is the one place a complex becomes a pair.  Exit codes
-form a fixed contract so shell harnesses can sweep parameter grids:
+JSON write, to stdout or to ``--out``, is ``_emit``'s, whose ``_jsonable``
+is the one place a complex becomes a pair.  Every write is strict JSON: a
+float that is not finite, which a rejected artifact's report can hold, is
+written as null.  Exit codes form a fixed contract so shell harnesses can
+sweep parameter grids:
 
     0  positive verdict (algebra / feasible / constructed / verified)
     1  negative verdict
@@ -62,11 +64,15 @@ def _pair_to_complex(value, where: str) -> complex:
     return z
 
 
-def _complex_to_pair(obj) -> list[float]:
-    """``json``'s ``default`` hook: a complex (numpy's complex128 included) as [re, im]."""
-    if isinstance(obj, complex):
-        return [float(obj.real), float(obj.imag)]
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+def _jsonable(obj):
+    """``obj`` ready for strict JSON: each complex as [re, im], each float that is not finite as None, nested too."""
+    if isinstance(obj, complex):  # numpy's complex128 included
+        return [_jsonable(float(obj.real)), _jsonable(float(obj.imag))]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {key: _jsonable(value) for key, value in obj.items()}
+    return [_jsonable(value) for value in obj] if isinstance(obj, (list, tuple)) else obj
 
 
 def _load_json(path: str) -> dict:
@@ -83,8 +89,8 @@ def _load_json(path: str) -> dict:
 
 
 def _emit(doc: dict, fh=None) -> None:
-    """Write ``doc`` to ``fh`` (stdout unless given), the one JSON writer: sorted keys, indent 2, a final newline."""
-    (fh or sys.stdout).write(json.dumps(doc, sort_keys=True, indent=2, default=_complex_to_pair) + "\n")
+    """Write ``_jsonable(doc)`` to ``fh`` (stdout unless given), the one JSON writer: sorted keys, indent 2."""
+    (fh or sys.stdout).write(json.dumps(_jsonable(doc), sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _write_json(path: str, doc: dict) -> None:

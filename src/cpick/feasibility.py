@@ -1,36 +1,36 @@
 """Search for a Möbius parameter making the constrained Pick matrix PSD.
 
 Feasibility of a constrained interpolation problem is an existential
-statement over a disk parameter lam.  When some node sits at the origin the
-parameter is pinned exactly (any interpolant satisfies f(0) = target), so a
-single evaluation settles the question up to the PSD tolerance.  Otherwise
-each diagonal entry of a PSD matrix is nonnegative, which puts every feasible
-lam within pseudo-hyperbolic distance |z_i|^E of w_i, for every node i.  The
-node nearest the origin confines lam most tightly, so its target is scored
-first, and the search stops there if that point is good enough.  If not,
-``_maximize``, a fixed polar grid followed by a derivative-free simplex,
-climbs the smallest eigenvalue; it knows nothing of Pick matrices, and
-``find_lambda`` tells it which point is good enough.  Where the nearest
-target scored above the whole grid, a first simplex climbs from it and the
-grid's two best points; only if that climb finds no point good enough does
-the simplex climb from the grid's three best, and then the search ends
-where it would have without the first climb.  The criterion asks for some
-PSD parameter, not the best one.  A positive answer carries a verifiable
-witness; a negative answer is evidence only, except in the pinned case.
+statement over a disk parameter lam.  Each diagonal entry of a PSD matrix is
+nonnegative, which puts every feasible lam within pseudo-hyperbolic distance
+|z_i|^E of w_i, for every node i.  The node nearest the origin confines lam
+most tightly, so the search's first point is its target.  A node at the
+origin is that node and pins lam exactly (any interpolant satisfies f(0) =
+target), so a single evaluation settles the question up to the PSD
+tolerance.  Otherwise the search stops at the first point if it is good
+enough.  If not, ``_maximize``, a fixed polar grid followed by a
+derivative-free simplex, climbs the smallest eigenvalue; it knows nothing of
+Pick matrices, and ``find_lambda`` tells it which point is good enough.
+Where the first point scored above the whole grid, a first simplex climbs
+from it and the grid's two best points; only if that climb finds no point
+good enough does the simplex climb from the grid's three best, and then the
+search ends where it would have without the first climb.  The criterion
+asks for some PSD parameter, not the best one.  A positive answer carries a
+verifiable witness; a negative answer is evidence only, except in the
+pinned case.
 
-Every point is scored as the smallest eigenvalue of the Hermitian part of
-its matrix, the path ``psd_check`` takes, with the same bits at a parameter
-whatever stack it is scored in.  The nearest target is scored on
-``constrained_pick``'s matrix there, which is the verdict's matrix when the
-target stands.  Only a refused target makes the search build one
-``pickmat.PickBuilder``, whose ``min_eigenvalues`` scores the grid points
-and simplex trials in stacked eigensolves, and whose ``entries`` at the
-parameter found, ``constrained_pick``'s bits there, are then the verdict's
-matrix.  The verdict is ``psd_check`` of one matrix, and the
-``best_min_eigenvalue`` a search reports is that verdict's eigenvalue:
-without a pinned node the matrix is ``constrained_pick``'s at the chosen
-parameter; with one, it is the block left after removing the pinned node's
-row and column, which vanish exactly.
+The verdict is ``psd_check`` of one matrix, and the ``best_min_eigenvalue``
+a search reports is that verdict's eigenvalue.  With a pinned node the
+matrix is the block left after removing that node's row and column, which
+vanish exactly.  Without one, the first point's matrix is
+``constrained_pick``'s, and its one ``psd_check`` both scores the point and,
+where the point stands, is the verdict.  Only a refused first point makes
+the search build one ``pickmat.PickBuilder``, whose ``min_eigenvalues``
+scores the grid points and simplex trials in stacked eigensolves on
+``psd_check``'s path, the smallest eigenvalue of the Hermitian part, with
+the same bits at a parameter whatever stack it is scored in.  Its
+``entries`` at the parameter found, ``constrained_pick``'s bits there, are
+then the verdict's matrix.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ from .pickmat import (
     SEARCH_PSD_TOL,
     PickBuilder,
     Problem,
-    _hermitian_part,
-    _min_eigenvalues,
     _tolerance,
     classical_pick,
     constrained_pick,
@@ -106,23 +104,23 @@ class FeasibilityResult:
     matrix is ``constrained_pick``'s at the best parameter found.  Only a pinned
     negative can be certified, and only for a necessary criterion.
     ``lambda_`` is present exactly when ``feasible``.  A non-pinned search
-    asks first about the target of the node nearest the origin (the first
-    such node on ties), then about the points ``_maximize`` offers, and
-    stops at the first point where M clears ``LOW_CONFIDENCE_EIG``, or where
-    M is PSD and the classical P of ``pickmat.h_data``, the matrix
-    ``np_solve`` judges in ``construct``, clears it, so its
-    ``best_min_eigenvalue`` is not the maximum: it is at or above the margin
-    after the first stop, and can lie in [0, LOW_CONFIDENCE_EIG) after the
-    second.  A search that clears neither margin reports the largest value
-    of ``_maximize``'s climb from the grid's three best points, even where
-    its first climb, from the nearest target, scored higher.  A search that
-    stops at the nearest target builds one matrix, ``constrained_pick``'s
-    there, which both scores the target and is judged.
-    ``evaluations`` is 1 when the search stops at the nearest target, and
-    706, that target and the grid's 705 points, each ranked whether or not
+    asks first about its first point, ``find_lambda``'s, then about the
+    points ``_maximize`` offers, and stops at the first point where M clears
+    ``LOW_CONFIDENCE_EIG``, or where M is PSD and the classical P of
+    ``pickmat.h_data``, the matrix ``np_solve`` judges in ``construct``,
+    clears it, so its ``best_min_eigenvalue`` is not the maximum: it is at
+    or above the margin after the first stop, and can lie in [0,
+    LOW_CONFIDENCE_EIG) after the second.  A search that clears neither
+    margin reports the largest value of ``_maximize``'s climb from the
+    grid's three best points, even where its first climb, from the first
+    point, scored higher.  A search that stops at its first point builds
+    and judges one matrix, ``constrained_pick``'s there: that one
+    ``psd_check`` is both the point's score and the verdict.
+    ``evaluations`` is 1 when the search stops at its first point, and
+    706, that point and the grid's 705 points, each ranked whether or not
     its bound ruled out an eigensolve, when it stops at the best grid point.
     Otherwise it is 706 plus the simplex trials of each climb that ran: the
-    first climb, where the nearest target scored above every grid point,
+    first climb, where the first point scored above every grid point,
     and the climb from the grid's three best points unless the first one
     stopped the search.  A climb's starting vertices are not scored or
     counted again.
@@ -278,19 +276,21 @@ def _maximize(pick, good_enough, start: tuple[complex, float]) -> tuple[complex,
 def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = None) -> FeasibilityResult:
     """Search the disk for a parameter with a PSD constrained Pick matrix.
 
-    A node at the origin pins the parameter to its target (at most one node
-    can be zero), collapsing the search to a single exact evaluation of the
-    block left after removing that node's row and column, which vanish at
-    the pinned parameter.  Otherwise the target of the node nearest the
-    origin is scored first, on ``constrained_pick``'s matrix there, and
-    where it is not good enough ``_maximize``, given that target and its
-    value and a ``PickBuilder`` built for the climb, climbs the smallest
-    eigenvalue of the constrained matrix M; the search stops where
-    ``FeasibilityResult`` says.  The verdict is ``psd_check`` of that block,
-    of the target's matrix, or of the builder's ``entries`` at the
-    parameter found, which are ``constrained_pick``'s there bit for bit, and
-    its eigenvalue is the value reported.  Fully deterministic for a fixed
-    config.
+    The first point is the target of the node nearest the origin, the first
+    such node on ties.  A node at the origin is that node (at most one node
+    can be zero), found by ``problem.nodes.index(0)``; it pins the
+    parameter, collapsing the search to a single exact evaluation of the
+    block left after removing its row and column, which vanish there.
+    Otherwise one ``psd_check`` of ``constrained_pick``'s matrix at the
+    first point gives its score, and where that is not good enough
+    ``_maximize``, given the point and its score and a ``PickBuilder``
+    built for the climb, climbs the smallest eigenvalue of the constrained
+    matrix M; the search stops where ``FeasibilityResult`` says.  The
+    verdict is ``psd_check`` of the pinned block, the first point's
+    verdict where that point stands, or ``psd_check`` of the builder's
+    ``entries`` at the parameter found, which are ``constrained_pick``'s
+    there bit for bit, and its eigenvalue is the value reported.  Fully
+    deterministic for a fixed config.
     """
     cfg = cfg or DEFAULT_CONFIG
 
@@ -304,27 +304,22 @@ def find_lambda(problem: Problem, E: int, d: int, cfg: SearchConfig | None = Non
         except NumericalError:  # a node power underflows, or P is not finite
             return False
 
+    # a node at the origin is the nearest one; index finds it without min's
+    # Python-level key calls, which slow the median pinned search measurably
     pinned = 0 in problem.nodes
+    first = problem.nodes.index(0) if pinned else min(range(problem.n), key=lambda i: abs(problem.nodes[i]))
+    lam, evaluations = problem.targets[first], 1
     if pinned:
-        origin = problem.nodes.index(0)
-        lam, evaluations = problem.targets[origin], 1
-        keep = [i for i in range(problem.n) if i != origin]
-        matrix = PickBuilder(problem, E, d).entries(lam).take(keep, 0).take(keep, 1)
+        keep = [i for i in range(problem.n) if i != first]
+        if not keep:  # a lone node at the origin leaves no matrix to judge
+            return FeasibilityResult(True, lam, 0.0, evaluations, pinned)
+        verdict = psd_check(PickBuilder(problem, E, d).entries(lam).take(keep, 0).take(keep, 1), cfg.tol)
     else:
-        # every feasible lam lies within pseudo-hyperbolic distance |z_i|^E of
-        # w_i, so the nearest node's target is the first point worth asking;
-        # its matrix is the verdict's if it stands
-        nearest = min(range(problem.n), key=lambda i: abs(problem.nodes[i]))
-        lam, evaluations = problem.targets[nearest], 1
-        matrix = constrained_pick(problem.nodes, problem.targets, lam, E, d)
-        value = float(_min_eigenvalues(_hermitian_part(matrix)))  # PickBuilder.min_eigenvalues(lam), bit for bit
-        if not good_enough(lam, value):
+        verdict = psd_check(constrained_pick(problem.nodes, problem.targets, lam, E, d), cfg.tol)
+        if not good_enough(lam, verdict.min_eigenvalue):
             pick = PickBuilder(problem, E, d)
-            lam, searched = _maximize(pick, good_enough, (lam, value))
+            lam, searched = _maximize(pick, good_enough, (lam, verdict.min_eigenvalue))
             evaluations += searched
-            matrix = pick.entries(lam)  # constrained_pick's bits at lam
-    feasible, best = True, 0.0  # a lone node at the origin leaves no matrix to judge
-    if len(matrix):
-        verdict = psd_check(matrix, cfg.tol)
-        feasible, best = verdict.is_psd, verdict.min_eigenvalue
-    return FeasibilityResult(feasible, lam if feasible else None, best, evaluations, pinned)
+            verdict = psd_check(pick.entries(lam), cfg.tol)  # constrained_pick's bits at lam
+    feasible = verdict.is_psd
+    return FeasibilityResult(feasible, lam if feasible else None, verdict.min_eigenvalue, evaluations, pinned)

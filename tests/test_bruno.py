@@ -73,6 +73,14 @@ def test_tuple_validation():
         CompositionTuple((1, 1))  # weight 3 != order 2
     with pytest.raises(ValueError):
         CompositionTuple((-1, 1, 0))
+    with pytest.raises(ValueError, match="positive order"):
+        CompositionTuple(())
+
+
+def test_compose_derivative_needs_derivatives_up_to_its_order():
+    for g, f in [([1.0, 1.0], [0.0, 1.0, 1.0]), ([1.0, 1.0, 1.0], [0.0, 1.0])]:
+        with pytest.raises(ValueError, match="up to order 2"):
+            compose_derivative(g, f, 2)
 
 
 def test_tuple_reads_its_multiplicities():

@@ -38,6 +38,11 @@ def test_check_algebra_exit_codes(run_cli, write_json):
     assert code == 0
     assert json.loads(out)["complement_structure"] == {"d": 2, "heads": [2, 3], "n0": 4}
 
+    # the empty K is an algebra with no complement structure to report
+    code, out, _ = run_cli("check-algebra", write_json("kempty.json", {"d": 1, "gaps": []}))
+    doc = json.loads(out)
+    assert code == 0 and doc["is_algebra"] is True and "complement_structure" not in doc
+
 
 def test_parse_errors_exit_2(run_cli, write_json, tmp_path):
     bad = tmp_path / "bad.json"
@@ -51,6 +56,13 @@ def test_parse_errors_exit_2(run_cli, write_json, tmp_path):
 
     code, _, err = run_cli("check-algebra", str(tmp_path / "missing.json"))
     assert code == 2
+
+    code, _, err = run_cli("check-algebra", write_json("array.json", [{"K": [1]}]))
+    assert code == 2 and "top level must be a JSON object" in err and "Traceback" not in err, err
+
+    # a problem file without nodes
+    code, _, err = run_cli("feasible", write_json("nonodes.json", {"targets": [[0, 0]], "K": [1]}), "--mode", "iff")
+    assert code == 2 and "missing required field 'nodes'" in err and "Traceback" not in err, err
 
     # malformed numbers are input defects, not "no" verdicts
     for name, patch, field in [
@@ -70,6 +82,11 @@ def test_parse_errors_exit_2(run_cli, write_json, tmp_path):
         # json.load reads NaN and Infinity; they are malformed numbers too
         ("nannode.json", {"nodes": [[float("nan"), 0], [0.5, 0]]}, "nodes[0]: expected finite"),
         ("inftarget.json", {"targets": [[0, 0], [0.2, float("inf")]]}, "targets[1]: expected finite"),
+        # so is an integer too large for a float
+        ("bignode.json", {"nodes": [[10**400, 0], [0.5, 0]]}, "nodes[0]: expected finite"),
+        ("nodesstr.json", {"nodes": "0.5"}, "nodes must be a list"),
+        ("dupnodes.json", {"nodes": [[0.5, 0], [0.5, 0]]}, "nodes must be distinct"),
+        ("search5.json", {"search": 5}, "search config must be a JSON object"),
     ]:
         code, _, err = run_cli("feasible", write_json(name, {**PROBLEM_FEASIBLE, **patch}), "--mode", "iff")
         assert code == 2, name
@@ -144,10 +161,15 @@ def test_structured_field_errors(run_cli, write_json):
         ("nanlam.json", {"lambda": [float("nan"), 0]}, "lambda: expected finite"),
         ("nanstep.json", {"schur_steps": [[[0.1, 0], [0, float("nan")]]]}, "schur_steps[0][1]: expected finite"),
         ("inftl.json", {"tail": [float("inf"), 0]}, "tail: expected finite"),
+        ("stepsstr.json", {"schur_steps": "[]"}, "schur_steps must be a list"),
+        ("steptriple.json", {"schur_steps": [[[0.1, 0], [0.2, 0], [0.3, 0]]]}, "schur_steps[0]: expected [node"),
     ]:
         code, _, err = run_cli("verify", "--function", write_json(name, {**interpolant, **patch}), "--problem", problem)
         assert code == 2, name
         assert field in err and "Traceback" not in err, err
+    notail = {key: value for key, value in interpolant.items() if key != "tail"}
+    code, _, err = run_cli("verify", "--function", write_json("notail.json", notail), "--problem", problem)
+    assert code == 2 and "missing required field 'tail'" in err and "Traceback" not in err, err
 
 
 def test_feasible_fixture_reports(run_cli, write_json):
@@ -342,6 +364,42 @@ def test_verify_detects_tampering(run_cli, write_json, tmp_path):
     code, out, _ = run_cli("verify", "--function", str(tampered), "--problem", prob)
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+def _strict_json(text):
+    """``text`` parsed as strict JSON: the NaN and Infinity that Python's reader accepts are refused."""
+
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_verify_of_an_overflowing_chain_writes_strict_json_and_no_warning(run_cli, write_json):
+    # a finite artifact whose chain overflows: f's samples are NaN, so its
+    # sup norm and Taylor coefficient are too; the report says so with null,
+    # and numpy's warnings, which -W error would make a traceback, stay quiet
+    prob = write_json("p.json", PROBLEM_FEASIBLE)
+    f = write_json(
+        "f.json", {"lambda": [0, 0], "m": 2, "d": 1, "schur_steps": [[[0.3, 0], [1e308, 0]]], "tail": [1e308, 0]}
+    )
+    env = {**os.environ, "PYTHONWARNINGS": "error"}
+    code, out, err = run_cli("verify", "--function", f, "--problem", prob, env=env)
+    assert code == 1 and err == "", err
+    report = _strict_json(out)
+    assert report["passed"] is False
+    assert report["sup_norm"] is None and report["taylor_violations"] == [[1, None]]
+
+
+def test_emit_writes_non_finite_floats_as_null(capsys):
+    nan, inf = float("nan"), float("inf")
+    cli._emit({"a": nan, "b": [1.5, -inf, (inf, 2)], "c": complex(nan, 0.5), "d": {"e": [complex(1, -inf)]}})
+    assert _strict_json(capsys.readouterr().out) == {
+        "a": None, "b": [1.5, None, [None, 2]], "c": [None, 0.5], "d": {"e": [[1.0, None]]}
+    }
+    # only complex numbers are converted: any other type json cannot write is still refused
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        cli._emit({"x": object()})
 
 
 @pytest.mark.parametrize("low_confidence", [False, True])

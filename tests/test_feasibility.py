@@ -389,17 +389,20 @@ def test_stacked_grid_matches_looped_grid():
 
 
 def test_best_value_is_the_final_verdicts_eigenvalue(monkeypatch):
-    # Whatever stack scored the best point (the nearest target alone, the
-    # grid, a simplex pair, or an expansion alone), a non-pinned search
-    # reports the eigenvalue that its final psd_check judged, bit for bit.
+    # Whatever stack scored the best point (the first point alone, the grid,
+    # a simplex pair, or an expansion alone), a non-pinned search reports
+    # the eigenvalue that its final psd_check of M judged, bit for bit.
     # A lone point's bits depend on the shape the builder keeps its targets
     # in at n = 1, and every single-node search stops at its target.  With
     # two nodes inside radius 0.5 and E up to 4 the value's peak is narrow
     # enough for the grid to miss it, so those searches walk the simplex.
-    # A search settled at the nearest target builds one matrix, through one
-    # constrained_pick call; a refused one builds a second PickBuilder and
-    # judges its entries, constrained_pick's bits at the lambda searched.
-    verdicts, judged, searched, picks, builders = [], [], [], [], []
+    # The first point's matrix comes from one constrained_pick call and is
+    # judged once: that verdict scores the point and, where the search
+    # settles there, is the result.  A refused point builds a second
+    # PickBuilder, and M is judged once more, on its entries,
+    # constrained_pick's bits at the lambda searched.  The psd_check calls
+    # that judge the classical P of good_enough are told apart by identity.
+    verdicts, judged, searched, picks, builders, classical = [], [], [], [], [], []
 
     def recorded(m, tol=CLASSICAL_PSD_TOL):
         judged.append(m)
@@ -409,6 +412,10 @@ def test_best_value_is_the_final_verdicts_eigenvalue(monkeypatch):
     def picked(*args):
         picks.append(args)
         return constrained_pick(*args)
+
+    def classical_picked(*args):
+        classical.append(classical_pick(*args))
+        return classical[-1]
 
     def maximized(*args):
         searched.append(_maximize(*args))
@@ -422,6 +429,7 @@ def test_best_value_is_the_final_verdicts_eigenvalue(monkeypatch):
 
     monkeypatch.setattr(feasibility, "psd_check", recorded)
     monkeypatch.setattr(feasibility, "constrained_pick", picked)
+    monkeypatch.setattr(feasibility, "classical_pick", classical_picked)
     monkeypatch.setattr(feasibility, "_maximize", maximized)
     monkeypatch.setattr(PickBuilder, "__init__", built)
     cases = [(Problem(nodes=(0.5,), targets=(0.61,)), 2, 1)]
@@ -433,16 +441,19 @@ def test_best_value_is_the_final_verdicts_eigenvalue(monkeypatch):
     cases += _grid_problems()
     stopped = refined = 0
     for p, E, d in cases:
-        del searched[:], picks[:], builders[:]
+        del verdicts[:], judged[:], searched[:], picks[:], builders[:], classical[:]
         r = find_lambda(p, E, d)
         assert not r.pinned
-        assert (r.feasible, r.best_min_eigenvalue) == (verdicts[-1].is_psd, verdicts[-1].min_eigenvalue)
+        of_m = [(m, v) for m, v in zip(judged, verdicts) if not any(m is q for q in classical)]
         assert len(picks) == 1 and len(builders) == 1 + len(searched)
+        assert len(of_m) == 1 + len(searched)
+        assert np.array_equal(of_m[0][0], constrained_pick(p.nodes, p.targets, nearest_target(p), E, d))
+        assert (r.feasible, r.best_min_eigenvalue) == (of_m[-1][1].is_psd, of_m[-1][1].min_eigenvalue)
         assert (r.evaluations == 1) == (not searched)
         if searched:
             lam = searched[0][0]
             assert r.lambda_ in (lam, None)
-            assert np.array_equal(judged[-1], constrained_pick(p.nodes, p.targets, lam, E, d))
+            assert np.array_equal(of_m[-1][0], constrained_pick(p.nodes, p.targets, lam, E, d))
         stopped += r.evaluations == 1
         refined += r.evaluations > 1 + len(_grid_points())
     assert stopped >= 201 and refined >= 90

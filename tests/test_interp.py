@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,9 @@ def test_exponent_plan_sufficient_and_necessary():
 def test_exponent_plan_rejects_non_algebra():
     with pytest.raises(Unsupported):
         exponent_plan(from_finite_set([2]), "sufficient")
+    # the empty K is an algebra, but there is no constraint to build for
+    with pytest.raises(Unsupported, match="empty"):
+        construct(Problem(nodes=(0.5,), targets=(0.2,)), KSpec(d=1, gaps=()), "sufficient")
 
 
 def test_unknown_modes_raise_invalid_config():
@@ -501,6 +505,38 @@ def test_verify_rejects_a_chain_off_the_disk():
     assert report == _reference_report(f, problem, k)
 
 
+def test_verify_reports_a_chain_that_overflows_without_a_warning():
+    # finite fields whose chain overflows: f's samples are NaN, which fail the
+    # report; numpy does not warn of it, so warnings-as-errors still get the report
+    h = SchurFunction(steps=((0.3, 1e308),), tail=1e308)
+    f = Interpolant(lambda_=0, m=2, d=1, h=h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_interpolant(f, Problem(nodes=(0, 0.5), targets=(0, 0.2)), K1)
+    assert not report.passed and math.isnan(report.sup_norm)
+    assert [j for j, _ in report.taylor_violations] == [1] and math.isnan(report.taylor_violations[0][1])
+
+
+def test_verify_turns_warnings_off_only_for_a_chain_off_the_disk(monkeypatch):
+    # a chain on the disk cannot overflow, so a warning there would point to a
+    # defect: numpy's settings stay the caller's while its samples are read
+    seen = []
+
+    def recording(values):
+        seen.append(np.geterr()["over"])
+        return sup_norm(values)
+
+    sup_norm = interp.sup_norm_estimate
+    monkeypatch.setattr(interp, "sup_norm_estimate", recording)
+    problem = Problem(nodes=(0, 0.5), targets=(0, 0.2))
+    on_disk = construct(problem, K1, "iff")
+    off_disk = Interpolant(lambda_=0, m=2, d=1, h=SchurFunction(steps=((0.3, 1e308),), tail=1e308))
+    with np.errstate(over="raise"):
+        assert verify_interpolant(on_disk, problem, K1).passed
+        assert not verify_interpolant(off_disk, problem, K1).passed
+    assert seen == ["raise", "ignore"]
+
+
 def test_numeric_strings_evaluate_as_the_numbers_they_parse_to():
     h = SchurFunction(steps=(("0.1", "0.2"),), tail="0")
     assert h(0.5) == SchurFunction(steps=((0.1, 0.2),), tail=0)(0.5)
@@ -550,6 +586,12 @@ def test_roundtrip_generator_is_deterministic():
     assert a[1].lambda_ == b[1].lambda_ and a[1].h == b[1].h
     c = roundtrip_generate(K13, 4, 124)
     assert c[0] != a[0]
+
+
+@pytest.mark.parametrize("n", [0, 9])
+def test_roundtrip_generator_refuses_sizes_outside_1_to_8(n):
+    with pytest.raises(InvalidProblem, match=r"round-trip size must lie in \[1, 8\]"):
+        roundtrip_generate(K13, n, 0)
 
 
 def test_roundtrip_generator_refuses_nodes_it_cannot_separate():

@@ -245,3 +245,8 @@ def test_json_roundtrip():
             KSpec.from_json(obj)
     with pytest.raises(InvalidK):
         KSpec.from_json([1, 2])
+    # a string is not a list of members, even one that reads as a number
+    with pytest.raises(InvalidK, match='"K" must be a list'):
+        KSpec.from_json({"K": "1"})
+    with pytest.raises(InvalidK, match='"gaps" must be a list'):
+        KSpec.from_json({"d": 2, "gaps": "1"})

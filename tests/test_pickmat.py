@@ -62,6 +62,8 @@ def test_classical_pick_examples():
     assert psd_check(m).min_eigenvalue == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(InvalidProblem):
         classical_pick([0.5, 0.5], [0.1, 0.2])
+    with pytest.raises(InvalidProblem, match="2 nodes vs 1 values"):
+        classical_pick([0.1, 0.5], [0.2])
 
 
 def test_constrained_pick_single_entry():
@@ -363,6 +365,11 @@ def test_factorization_residual_random_sweep():
 def test_factorization_rejects_zero_nodes():
     with pytest.raises(InvalidProblem):
         factorization_residual([0.0, 0.5], [0.1, 0.2], 0.1, 2, 1)
+
+
+def test_factorization_rejects_mismatched_lengths():
+    with pytest.raises(InvalidProblem, match="2 nodes vs 1 h-values"):
+        factorization_residual([0.4, 0.5], [0.1], 0.1, 2, 1)
 
 
 def test_substitution_coherence():
